@@ -51,6 +51,7 @@ import (
 	"air/internal/mmu"
 	"air/internal/model"
 	"air/internal/multicore"
+	"air/internal/obs"
 	"air/internal/pos"
 	"air/internal/recovery"
 	"air/internal/report"
@@ -143,7 +144,7 @@ type (
 	// Event is a module trace record.
 	Event = core.Event
 	// EventKind classifies trace records.
-	EventKind = core.EventKind
+	EventKind = obs.Kind
 	// ProcessID identifies a process within its partition.
 	ProcessID = pos.ProcessID
 	// Policy selects the POS scheduling algorithm.
@@ -152,16 +153,16 @@ type (
 
 // Trace event kinds.
 const (
-	EvPartitionSwitch  = core.EvPartitionSwitch
-	EvScheduleSwitch   = core.EvScheduleSwitch
-	EvDeadlineMiss     = core.EvDeadlineMiss
-	EvPartitionRestart = core.EvPartitionRestart
-	EvPartitionStopped = core.EvPartitionStopped
-	EvProcessStopped   = core.EvProcessStopped
-	EvProcessRestarted = core.EvProcessRestarted
-	EvModuleReset      = core.EvModuleReset
-	EvModuleHalt       = core.EvModuleHalt
-	EvMemoryViolation  = core.EvMemoryViolation
+	EvPartitionSwitch  = obs.KindPartitionSwitch
+	EvScheduleSwitch   = obs.KindScheduleSwitch
+	EvDeadlineMiss     = obs.KindDeadlineMiss
+	EvPartitionRestart = obs.KindPartitionRestart
+	EvPartitionStopped = obs.KindPartitionStopped
+	EvProcessStopped   = obs.KindProcessStopped
+	EvProcessRestarted = obs.KindProcessRestarted
+	EvModuleReset      = obs.KindModuleReset
+	EvModuleHalt       = obs.KindModuleHalt
+	EvMemoryViolation  = obs.KindMemoryViolation
 )
 
 // POS scheduling policies.

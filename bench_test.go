@@ -556,7 +556,7 @@ func BenchmarkModuleTickSatellite(b *testing.B) {
 // BenchmarkModuleTickSatelliteFaulty: same with the injected fault (adds
 // detection, HM reporting and restart along the run).
 func BenchmarkModuleTickSatelliteFaulty(b *testing.B) {
-	benchModuleTick(b, workload.Options{TraceCapacity: -1, InjectFault: true})
+	benchModuleTick(b, workload.Options{TraceCapacity: -1, Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}})
 }
 
 // BenchmarkModuleTickSatelliteTimeline: the nominal tick with the online

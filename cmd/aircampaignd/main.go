@@ -249,10 +249,6 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// fleetMux mounts the fleet API beside the telemetry endpoints, with
-// /metrics extended by the air_fleet_* coordination gauges and — when an
-// archive root is configured — the /archive/* bitemporal query endpoints
-// over the stored fleet history.
 // runShardLoop drives one in-process worker shard until stop closes or the
 // worker errors out. Work returns on drain; a daemon shard lingers for the
 // next campaign, re-polling every poll interval. The stop channel makes the
@@ -273,6 +269,10 @@ func runShardLoop(svc fleet.Service, shard string, poll time.Duration, keepObs b
 	}
 }
 
+// fleetMux mounts the fleet API beside the telemetry endpoints, with
+// /metrics extended by the air_fleet_* coordination gauges and — when an
+// archive root is configured — the /archive/* bitemporal query endpoints
+// over the stored fleet history.
 func fleetMux(c *fleet.Coordinator, archiveRoot string) http.Handler {
 	mux := http.NewServeMux()
 	fh := fleet.Handler(c)

@@ -50,7 +50,7 @@ func TestAirmonRendersFrame(t *testing.T) {
 }
 
 func TestAirmonShowsMisses(t *testing.T) {
-	srv := liveTelemetry(t, workload.Options{InjectFault: true})
+	srv := liveTelemetry(t, workload.Options{Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}})
 	var out bytes.Buffer
 	if err := run([]string{"-addr", srv.URL, "-n", "1"}, &out); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestAirmonArchiveReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewModule(workload.Config(workload.Options{InjectFault: true}))
+	m, err := core.NewModule(workload.Config(workload.Options{Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

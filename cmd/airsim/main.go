@@ -89,6 +89,10 @@ func run(args []string, out io.Writer) error {
 			faults = append(faults, workload.FaultSpec{Kind: kind})
 		}
 	}
+	if *fault {
+		// The Sect. 6 faulty process on P1, after -faults (keeps injector names).
+		faults = append(faults, workload.FaultSpec{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220})
+	}
 	var policy *recovery.Policy
 	if *recov {
 		pol := config.DefaultRecovery().Policy()
@@ -104,9 +108,8 @@ func run(args []string, out io.Writer) error {
 	pmkWin, hmWin := windows[4], windows[5]
 
 	m, err := core.NewModule(workload.Config(workload.Options{
-		InjectFault: *fault,
-		Faults:      faults,
-		Recovery:    policy,
+		Faults:   faults,
+		Recovery: policy,
 		Output: func(p model.PartitionName, line string) {
 			if w := byPartition[p]; w != nil {
 				w.Println(line)
@@ -204,7 +207,7 @@ func run(args []string, out io.Writer) error {
 		// Mirror new trace and HM events into the AIR windows.
 		trace := m.Trace()
 		for _, e := range trace[min(tracedUpTo, len(trace)):] {
-			if e.Kind != core.EvApplicationMessage {
+			if e.Kind != obs.KindApplicationMessage {
 				pmkWin.Println(e.String())
 			}
 		}
@@ -229,7 +232,7 @@ func run(args []string, out io.Writer) error {
 	// over the bounded trace ring, so they are exact even after overflow.
 	snap := m.Metrics()
 	fmt.Fprintf(out, "simulation complete: t=%d, deadline misses=%d, schedule switches=%d\n",
-		m.Now(), snap.CountKind(core.EvDeadlineMiss), snap.CountKind(core.EvScheduleSwitch))
+		m.Now(), snap.CountKind(obs.KindDeadlineMiss), snap.CountKind(obs.KindScheduleSwitch))
 	ts := tl.Snapshot()
 	fmt.Fprintf(out, "timeliness: response p50=%d p99=%d max=%d ticks, worst slack=%d, early warnings=%d, model violations=%d\n",
 		ts.Response.Quantile(0.5), ts.Response.Quantile(0.99), ts.Response.Max,

@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"air/internal/archive"
-	"air/internal/core"
 	"air/internal/model"
 	"air/internal/obs"
 )
@@ -91,8 +90,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if events, err = core.ReadTrace(f); err != nil {
-			return err
+		if events, err = obs.DecodeEvents(f); err != nil {
+			return fmt.Errorf("parse trace: %w", err)
 		}
 	default:
 		return fmt.Errorf("usage: airtrace [flags] trace.jsonl (or -archive dir)")

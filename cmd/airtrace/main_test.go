@@ -2,7 +2,7 @@ package main
 
 import (
 	"air/internal/archive"
-	"air/internal/core"
+	"air/internal/obs"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -80,7 +80,7 @@ func writeArchive(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := core.ReadTrace(f)
+	events, err := obs.DecodeEvents(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,14 +45,16 @@ func hotpathSyntaxFacts(pkgPath string, _ *token.FileSet, files []*ast.File) Fac
 	return f
 }
 
-// allowedStdlibPkgs may be called freely from hot paths: pure arithmetic.
+// allowedStdlibPkgs may be called freely from hot paths: pure functions.
 var allowedStdlibPkgs = map[string]bool{
-	"math":      true,
-	"math/bits": true,
+	"math":         true,
+	"math/bits":    true,
+	"unicode/utf8": true,
 }
 
 // allowedStdlibFuncs are individually vetted allocation-free calls.
 var allowedStdlibFuncs = map[string]bool{
+	"strconv.AppendInt":    true,
 	"sync.Mutex.Lock":      true,
 	"sync.Mutex.Unlock":    true,
 	"sync.Mutex.TryLock":   true,

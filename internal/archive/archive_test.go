@@ -130,7 +130,7 @@ func TestModuleSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewModule(workload.Config(workload.Options{TraceCapacity: -1, InjectFault: true}))
+	m, err := core.NewModule(workload.Config(workload.Options{TraceCapacity: -1, Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

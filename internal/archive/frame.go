@@ -17,122 +17,40 @@ const (
 )
 
 // frameSlack bounds the fixed part of a frame: CRC prefix, every field name,
-// braces/commas/quotes, and three 20-digit integers.
+// braces/commas/quotes, the kind name and three 20-digit integers.
 const frameSlack = 256
 
 var errFrame = errors.New("archive: invalid frame")
 
 const hexDigits = "0123456789abcdef"
 
-// frameBound returns a worst-case byte bound for one event's frame (every
-// string byte doubled for escaping).
+// frameBound returns a worst-case byte bound for one event's frame: six
+// bytes per string byte, obs.AppendRecord's \u00XX worst case.
 //
 //air:hotpath
 func frameBound(e obs.Event) int {
-	return frameSlack + 2*(len(e.Partition)+len(e.Process)+len(e.Detail)+
+	return frameSlack + 6*(len(e.Partition)+len(e.Process)+len(e.Detail)+
 		len(e.Code)+len(e.Level)+len(e.Action))
 }
 
-// appendFrame encodes one event as a CRC-framed JSON line in the pinned
-// obs.Record field order and omitempty set, appending to dst.
+// appendFrame appends one event as a CRC-framed record line: the CRC prefix
+// plus obs.AppendRecord.
 //
 //air:hotpath
-//air:allow(alloc): every append writes into the caller's staging buffer, whose remaining capacity Emit checks against frameBound before the call — growth never happens for bounded spine strings
+//air:allow(alloc): the CRC prefix lands in the caller's staging buffer, whose remaining capacity Emit checks against frameBound before the call
 func appendFrame(dst []byte, e obs.Event) []byte {
 	mark := len(dst)
 	// Reserve the CRC prefix; the digits are patched in once the payload is
 	// encoded.
 	dst = append(dst, "00000000 "...)
 	body := len(dst)
-	dst = append(dst, `{"t":`...)
-	dst = appendInt(dst, int64(e.Time))
-	dst = append(dst, `,"kind":`...)
-	dst = appendJSONString(dst, e.Kind.String()) //air:allow(call): array-indexed kind-name lookup, allocation-free for every valid spine kind
-	if e.Core != 0 {
-		dst = append(dst, `,"core":`...)
-		dst = appendInt(dst, int64(e.Core))
-	}
-	if e.Partition != "" {
-		dst = append(dst, `,"partition":`...)
-		dst = appendJSONString(dst, string(e.Partition))
-	}
-	if e.Process != "" {
-		dst = append(dst, `,"process":`...)
-		dst = appendJSONString(dst, e.Process)
-	}
-	if e.Detail != "" {
-		dst = append(dst, `,"detail":`...)
-		dst = appendJSONString(dst, e.Detail)
-	}
-	if e.Latency != 0 {
-		dst = append(dst, `,"latency":`...)
-		dst = appendInt(dst, int64(e.Latency))
-	}
-	if e.Code != "" {
-		dst = append(dst, `,"code":`...)
-		dst = appendJSONString(dst, e.Code)
-	}
-	if e.Level != "" {
-		dst = append(dst, `,"level":`...)
-		dst = appendJSONString(dst, e.Level)
-	}
-	if e.Action != "" {
-		dst = append(dst, `,"action":`...)
-		dst = appendJSONString(dst, e.Action)
-	}
-	dst = append(dst, '}')
-	crc := crc32.ChecksumIEEE(dst[body:]) //air:allow(call): table-driven stdlib CRC over the staged bytes, allocation-free
+	dst = obs.AppendRecord(dst, e)
+	crc := crc32.ChecksumIEEE(dst[body : len(dst)-1]) //air:allow(call): table-driven stdlib CRC over the staged bytes, allocation-free
 	for i := crcHexLen - 1; i >= 0; i-- {
 		dst[mark+i] = hexDigits[crc&0xF]
 		crc >>= 4
 	}
-	return append(dst, '\n')
-}
-
-// appendJSONString appends s as a quoted JSON string, escaping only what
-// validity requires (quote, backslash, control bytes); non-ASCII passes
-// through as UTF-8. The output need not match encoding/json byte-for-byte —
-// it only has to decode to the same obs.Record.
-//
-//air:hotpath
-//air:allow(alloc): appends stay inside the frameBound reservation (worst case doubles every byte), so the staging buffer never grows here
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
-}
-
-// appendInt appends the decimal rendering of v.
-//
-//air:hotpath
-//air:allow(alloc): at most 21 bytes appended, inside the frameBound reservation; the scratch array stays on the stack
-func appendInt(dst []byte, v int64) []byte {
-	u := uint64(v)
-	if v < 0 {
-		dst = append(dst, '-')
-		u = uint64(-v)
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + u%10)
-		u /= 10
-		if u == 0 {
-			break
-		}
-	}
-	return append(dst, tmp[i:]...)
+	return dst
 }
 
 // decodeFrame validates one frame line (without its trailing newline) and

@@ -199,7 +199,7 @@ func (s *Sink) Emit(e obs.Event) {
 	}
 	s.noteRecord(int64(e.Time), s.segBytes+int64(len(s.buf)))
 	mark := len(s.buf)
-	s.buf = appendFrame(s.buf, e) //air:allow(alloc): grows only when a single frame exceeds the staging buffer, which frameBound prevents for bounded spine details
+	s.buf = appendFrame(s.buf, e) //air:allow(alloc): grows only when one frame's bound exceeds the whole staging buffer; otherwise the roll above left frameBound bytes free
 	s.bytesTotal += uint64(len(s.buf) - mark)
 	s.pub.bytes.Store(s.bytesTotal) //air:allow(call): lock-free gauge publish for the telemetry goroutine
 }

@@ -372,7 +372,7 @@ func (m *Module) Start() error {
 		return err
 	}
 	res := m.disp.Dispatch(heir, 0)
-	m.traceEvent(Event{Time: 0, Kind: EvPartitionSwitch, Partition: res.Active.Partition,
+	m.traceEvent(Event{Time: 0, Kind: obs.KindPartitionSwitch, Partition: res.Active.Partition,
 		Detail: "initial dispatch: " + res.Active.String()})
 	return nil
 }
@@ -406,7 +406,7 @@ func (m *Module) Step() error {
 	}
 	res := m.disp.Dispatch(m.sched.Heir(), m.now)
 	if preemption && res.Switched && !res.Active.Idle {
-		m.traceEvent(Event{Time: m.now, Kind: EvPartitionSwitch,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindPartitionSwitch,
 			Partition: res.Active.Partition, Detail: res.Active.String()})
 	}
 	if res.Active.Idle {
@@ -415,7 +415,7 @@ func (m *Module) Step() error {
 	pt := m.partitions[res.Active.Partition]
 	violations := pt.pal.TickAnnounce(res.ElapsedTicks)
 	for _, v := range violations {
-		m.traceEvent(Event{Time: m.now, Kind: EvDeadlineMiss,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindDeadlineMiss,
 			Partition: pt.name, Process: v.Entry.Name,
 			Detail: fmt.Sprintf("deadline %d missed, detected at %d → %s",
 				v.Entry.Deadline, v.Detected, v.Decision.Action),
@@ -488,7 +488,7 @@ func (m *Module) applyPendingScheduleAction(p model.PartitionName) {
 		return
 	}
 	pt := m.partitions[p]
-	m.traceEvent(Event{Time: m.now, Kind: EvPartitionRestart, Partition: p,
+	m.traceEvent(Event{Time: m.now, Kind: obs.KindPartitionRestart, Partition: p,
 		Detail: "schedule change action: " + action.String()})
 	switch action {
 	case model.ActionColdStart:
@@ -541,7 +541,7 @@ func (m *Module) Router() *ipc.Router { return m.router }
 // resetModule applies the RESET_MODULE recovery action: every partition is
 // cold-started and the clock keeps running.
 func (m *Module) resetModule() {
-	m.traceEvent(Event{Time: m.now, Kind: EvModuleReset, Detail: "RESET_MODULE"})
+	m.traceEvent(Event{Time: m.now, Kind: obs.KindModuleReset, Detail: "RESET_MODULE"})
 	for _, name := range m.order {
 		m.partitions[name].restart(model.ModeColdStart)
 	}
@@ -567,7 +567,7 @@ func (m *Module) recoveryRestart(p model.PartitionName, mode model.OperatingMode
 	if !ok {
 		return
 	}
-	m.traceEvent(Event{Time: m.now, Kind: EvPartitionRestart, Partition: p,
+	m.traceEvent(Event{Time: m.now, Kind: obs.KindPartitionRestart, Partition: p,
 		Detail: "recovery: " + reason, Latency: tick.Ticks(occupancy)})
 	pt.restart(mode)
 }
@@ -585,7 +585,7 @@ func (m *Module) recoverySwitchSchedule(name string) bool {
 		return false
 	}
 	if st.Next != id {
-		m.traceEvent(Event{Time: m.now, Kind: EvScheduleSwitch,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindScheduleSwitch,
 			Detail: "recovery requested schedule " + name})
 	}
 	return true
@@ -600,6 +600,6 @@ func (m *Module) currentScheduleName() string {
 
 // shutdownModule applies the SHUTDOWN_MODULE recovery action.
 func (m *Module) shutdownModule() {
-	m.traceEvent(Event{Time: m.now, Kind: EvModuleHalt, Detail: "SHUTDOWN_MODULE"})
+	m.traceEvent(Event{Time: m.now, Kind: obs.KindModuleHalt, Detail: "SHUTDOWN_MODULE"})
 	m.Shutdown()
 }

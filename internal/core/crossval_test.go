@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/sched"
 	"air/internal/tick"
 )
@@ -93,7 +94,7 @@ func TestAnalysisSoundAgainstSimulation(t *testing.T) {
 		if err := m.Run(2 * hyper); err != nil {
 			t.Fatal(err)
 		}
-		if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+		if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 			t.Fatalf("trial %d: analysis said schedulable but simulation missed:\ntable: %+v\ntasks: %+v\nWCRTs: %+v\nmisses: %v",
 				trial, table.Windows, ts.Tasks, res.Tasks, misses)
 		}

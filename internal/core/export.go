@@ -21,20 +21,11 @@ type hmRecord struct {
 	Message   string `json:"message,omitempty"`
 }
 
-// EncodeTrace streams events as JSON lines in the unified spine record
-// format (obs.Record): one event per line, new fields (core, code, level,
-// action) omitted when zero so historical trace output is byte-stable.
-func EncodeTrace(w io.Writer, events []Event) error {
-	if err := obs.EncodeEvents(w, events); err != nil {
-		return fmt.Errorf("core: export trace: %w", err)
-	}
-	return nil
-}
-
-// WriteTrace streams the module trace as JSON lines — one event per line —
-// for offline analysis tooling (timelines, dashboards, diffing runs).
+// WriteTrace streams the module trace as JSON lines in the unified spine
+// record format (obs.Record) — one event per line — for offline analysis
+// tooling (timelines, dashboards, diffing runs).
 func (m *Module) WriteTrace(w io.Writer) error {
-	return EncodeTrace(w, m.Trace())
+	return obs.EncodeEvents(w, m.Trace())
 }
 
 // EncodeHealthLog streams health-monitoring events as JSON lines.
@@ -64,15 +55,4 @@ func EncodeHealthLog(w io.Writer, events []hm.Event) error {
 // WriteHealthLog streams the health monitor log as JSON lines.
 func (m *Module) WriteHealthLog(w io.Writer) error {
 	return EncodeHealthLog(w, m.health.Events())
-}
-
-// ReadTrace parses a JSON-lines trace produced by WriteTrace back into
-// events (round-trip tooling support). Unknown kinds parse with kind left
-// zero; times and strings are preserved.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	events, err := obs.DecodeEvents(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse trace: %w", err)
-	}
-	return events, nil
 }

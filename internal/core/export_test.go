@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"air/internal/hm"
+	"air/internal/obs"
 )
 
 func TestWriteTraceJSONL(t *testing.T) {
@@ -45,7 +46,7 @@ func TestWriteTraceJSONL(t *testing.T) {
 		}
 	}
 	// Round trip.
-	parsed, err := ReadTrace(strings.NewReader(buf.String()))
+	parsed, err := obs.DecodeEvents(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +90,10 @@ func TestWriteHealthLogJSONL(t *testing.T) {
 }
 
 func TestReadTraceMalformed(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader(`{"t": 1, "kind"`)); err == nil {
+	if _, err := obs.DecodeEvents(strings.NewReader(`{"t": 1, "kind"`)); err == nil {
 		t.Error("malformed trace accepted")
 	}
-	events, err := ReadTrace(strings.NewReader(`{"t":5,"kind":"BOGUS_KIND"}`))
+	events, err := obs.DecodeEvents(strings.NewReader(`{"t":5,"kind":"BOGUS_KIND"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"air/internal/hm"
+	"air/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current encoder output")
@@ -18,15 +19,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // code/level/action triple.
 func goldenTraceEvents() []Event {
 	return []Event{
-		{Time: 0, Kind: EvPartitionSwitch, Partition: "A"},
-		{Time: 120, Kind: EvDeadlineMiss, Partition: "A", Process: "worker",
+		{Time: 0, Kind: obs.KindPartitionSwitch, Partition: "A"},
+		{Time: 120, Kind: obs.KindDeadlineMiss, Partition: "A", Process: "worker",
 			Detail: "deadline 100 missed", Latency: 20},
-		{Time: 150, Kind: EvScheduleSwitch, Detail: "schedule 1 -> 2"},
-		{Time: 200, Kind: EvPartitionSwitch, Core: 1, Partition: "B"},
-		{Time: 240, Kind: EvHMAction, Partition: "A", Process: "worker",
+		{Time: 150, Kind: obs.KindScheduleSwitch, Detail: "schedule 1 -> 2"},
+		{Time: 200, Kind: obs.KindPartitionSwitch, Core: 1, Partition: "B"},
+		{Time: 240, Kind: obs.KindHMAction, Partition: "A", Process: "worker",
 			Detail: "DEADLINE_MISSED -> RESTART_PROCESS",
 			Code:   "DEADLINE_MISSED", Level: "PROCESS", Action: "RESTART_PROCESS"},
-		{Time: 300, Kind: EvModuleHalt, Detail: "HM shutdown"},
+		{Time: 300, Kind: obs.KindModuleHalt, Detail: "HM shutdown"},
 	}
 }
 
@@ -65,13 +66,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // code/level/action) and the kind names.
 func TestTraceGoldenJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeTrace(&buf, goldenTraceEvents()); err != nil {
+	if err := obs.EncodeEvents(&buf, goldenTraceEvents()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "trace_golden.jsonl", buf.Bytes())
 
 	// The golden stream must round-trip to the exact events.
-	parsed, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	parsed, err := obs.DecodeEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestWriteTraceMatchesEncode(t *testing.T) {
 	if err := m.WriteTrace(&viaModule); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeTrace(&viaEncoder, m.Trace()); err != nil {
+	if err := obs.EncodeEvents(&viaEncoder, m.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(viaModule.Bytes(), viaEncoder.Bytes()) {
-		t.Error("WriteTrace output differs from EncodeTrace(m.Trace())")
+		t.Error("WriteTrace output differs from obs.EncodeEvents(m.Trace())")
 	}
 	viaModule.Reset()
 	viaEncoder.Reset()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/sched"
 	"air/internal/tick"
 )
@@ -120,7 +121,7 @@ func TestDetectionLatencyBoundedByBlackout(t *testing.T) {
 		if err := m.Run(3 * 1300); err != nil {
 			t.Fatal(err)
 		}
-		misses := m.TraceKind(EvDeadlineMiss)
+		misses := m.TraceKind(obs.KindDeadlineMiss)
 		if len(misses) == 0 {
 			t.Fatalf("capacity %d: no miss detected", capacity)
 		}

@@ -6,6 +6,7 @@ import (
 	"air/internal/apex"
 	"air/internal/hm"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/tick"
 )
 
@@ -95,7 +96,7 @@ func TestScheduleSwitchNoNewViolations(t *testing.T) {
 	if err := m.Run(2 * 1300); err != nil {
 		t.Fatal(err)
 	}
-	if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Fatalf("schedule switches introduced deadline violations: %v", misses)
 	}
 	if got := m.ScheduleStatus().CurrentName; got != "chi1" {
@@ -134,7 +135,7 @@ func TestScheduleSwitchWithInjectedFault(t *testing.T) {
 	if err := m.Run(4 * 1300); err != nil {
 		t.Fatal(err)
 	}
-	misses := m.TraceKind(EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	if len(misses) == 0 {
 		t.Fatal("injected fault not detected")
 	}
@@ -184,7 +185,7 @@ func TestScheduleChangeActions(t *testing.T) {
 	// Restart events were traced at the partitions' first dispatch under
 	// chi2 (P4 at 1500 has none; P3 at 1400; P2 at 1700... under chi2:
 	// P1@0, P4@200, P3@300, P2@400 relative to 1300).
-	restarts := m.TraceKind(EvPartitionRestart)
+	restarts := m.TraceKind(obs.KindPartitionRestart)
 	if len(restarts) != 2 {
 		t.Fatalf("restart events = %v", restarts)
 	}

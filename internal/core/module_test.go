@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"air/internal/model"
+	"air/internal/obs"
 )
 
 func TestNewModuleValidation(t *testing.T) {
@@ -128,7 +129,7 @@ func TestProcessesExecuteWithinWindows(t *testing.T) {
 		t.Errorf("activation counts = %v, want 10 each", counts)
 	}
 	// No deadline misses for well-behaved processes.
-	if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Errorf("unexpected misses: %v", misses)
 	}
 }
@@ -235,12 +236,12 @@ func TestTraceAccessors(t *testing.T) {
 	if len(all) == 0 {
 		t.Fatal("empty trace")
 	}
-	switches := m.TraceKind(EvPartitionSwitch)
+	switches := m.TraceKind(obs.KindPartitionSwitch)
 	if len(switches) == 0 {
 		t.Fatal("no partition switches traced")
 	}
 	for _, e := range switches {
-		if e.Kind != EvPartitionSwitch {
+		if e.Kind != obs.KindPartitionSwitch {
 			t.Fatalf("TraceKind returned %v", e.Kind)
 		}
 		if e.String() == "" {
@@ -262,11 +263,11 @@ func TestTraceAccessors(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{
-		EvPartitionSwitch, EvScheduleSwitch, EvDeadlineMiss, EvHMAction,
-		EvPartitionRestart, EvPartitionStopped, EvProcessStopped,
-		EvProcessRestarted, EvApplicationMessage, EvModuleReset, EvModuleHalt,
-		EvMemoryViolation,
+	kinds := []obs.Kind{
+		obs.KindPartitionSwitch, obs.KindScheduleSwitch, obs.KindDeadlineMiss, obs.KindHMAction,
+		obs.KindPartitionRestart, obs.KindPartitionStopped, obs.KindProcessStopped,
+		obs.KindProcessRestarted, obs.KindApplicationMessage, obs.KindModuleReset, obs.KindModuleHalt,
+		obs.KindMemoryViolation,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -276,7 +277,7 @@ func TestEventKindStrings(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if EventKind(99).String() != "EventKind(99)" {
+	if obs.Kind(99).String() != "EventKind(99)" {
 		t.Error("unknown kind string wrong")
 	}
 }

@@ -94,7 +94,7 @@ func runFig8(t *testing.T, remaining *int, pol *recovery.Policy, ticks tick.Tick
 
 func restartsFor(m *Module, p model.PartitionName) []Event {
 	var out []Event
-	for _, e := range m.TraceKind(EvPartitionRestart) {
+	for _, e := range m.TraceKind(obs.KindPartitionRestart) {
 		if e.Partition == p {
 			out = append(out, e)
 		}

@@ -283,7 +283,7 @@ func (pt *Partition) stop() {
 	pt.kernel.ResetAll()
 	pt.resetWaitQueues()
 	pt.mode = model.ModeIdle
-	pt.mod.traceEvent(Event{Time: pt.mod.now, Kind: EvPartitionStopped,
+	pt.mod.traceEvent(Event{Time: pt.mod.now, Kind: obs.KindPartitionStopped,
 		Partition: pt.name, Detail: "partition set to idle"})
 }
 
@@ -496,7 +496,7 @@ func (pt *Partition) applyPendingKernelOps() bool {
 		case model.ModeIdle:
 			pt.stop()
 		case model.ModeColdStart, model.ModeWarmStart:
-			pt.mod.traceEvent(Event{Time: pt.mod.now, Kind: EvPartitionRestart,
+			pt.mod.traceEvent(Event{Time: pt.mod.now, Kind: obs.KindPartitionRestart,
 				Partition: pt.name, Detail: "SET_PARTITION_MODE " + mode.String()})
 			pt.restart(mode)
 		}
@@ -551,7 +551,7 @@ func (pt *Partition) applyProcessDecision(process string, d hm.Decision) {
 		}
 	case hm.ActionStopProcess:
 		pt.stopProcessByName(process)
-		m.traceEvent(Event{Time: m.now, Kind: EvProcessStopped,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindProcessStopped,
 			Partition: pt.name, Process: process, Detail: "HM stop"})
 	case hm.ActionRestartProcess:
 		pt.stopProcessByName(process)
@@ -560,7 +560,7 @@ func (pt *Partition) applyProcessDecision(process string, d hm.Decision) {
 				pt.spawn(proc.ID)
 			}
 		}
-		m.traceEvent(Event{Time: m.now, Kind: EvProcessRestarted,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindProcessRestarted,
 			Partition: pt.name, Process: process, Detail: "HM restart"})
 	case hm.ActionWarmStartPartition:
 		pt.requestRestart(model.ModeWarmStart, "HM warm start")
@@ -605,7 +605,7 @@ func (pt *Partition) applyPartitionDecision(d hm.Decision) {
 func (pt *Partition) requestRestart(mode model.OperatingMode, detail string) {
 	m := pt.mod
 	if m.recov == nil {
-		m.traceEvent(Event{Time: m.now, Kind: EvPartitionRestart,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindPartitionRestart,
 			Partition: pt.name, Detail: detail})
 		pt.restart(mode)
 		return
@@ -613,7 +613,7 @@ func (pt *Partition) requestRestart(mode model.OperatingMode, detail string) {
 	d := m.recov.RequestRestart(pt.name, mode)
 	switch d.Verdict {
 	case recovery.VerdictAllow:
-		m.traceEvent(Event{Time: m.now, Kind: EvPartitionRestart,
+		m.traceEvent(Event{Time: m.now, Kind: obs.KindPartitionRestart,
 			Partition: pt.name, Detail: detail,
 			Latency: tick.Ticks(d.Occupancy)})
 		pt.restart(mode)

@@ -7,6 +7,7 @@ import (
 	"air/internal/hm"
 	"air/internal/mmu"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/tick"
 )
 
@@ -55,7 +56,7 @@ func TestFaultyProcessDetectionPattern(t *testing.T) {
 	if err := m.Run(100 * mtfs); err != nil {
 		t.Fatal(err)
 	}
-	misses := m.TraceKind(EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	// Running ticks 1..1000 dispatches A at t=0, 100, ..., 1000; every
 	// dispatch except the first (t=0) detects the restarted process's
 	// expired deadline — ten detections.
@@ -120,7 +121,7 @@ func TestDetectionAtDispatchAfterInactivity(t *testing.T) {
 	if err := m.Run(150); err != nil {
 		t.Fatal(err)
 	}
-	misses := m.TraceKind(EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	if len(misses) != 1 {
 		t.Fatalf("misses = %v, want exactly 1", misses)
 	}
@@ -146,7 +147,7 @@ func TestHMStopProcessAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One miss, then the process is dormant forever.
-	if got := len(m.TraceKind(EvDeadlineMiss)); got != 1 {
+	if got := len(m.TraceKind(obs.KindDeadlineMiss)); got != 1 {
 		t.Fatalf("misses = %d, want 1 (stopped after first)", got)
 	}
 	pt, _ := m.Partition("A")
@@ -157,7 +158,7 @@ func TestHMStopProcessAction(t *testing.T) {
 	if proc.State != model.StateDormant {
 		t.Errorf("state = %s, want dormant", proc.State)
 	}
-	if got := len(m.TraceKind(EvProcessStopped)); got != 1 {
+	if got := len(m.TraceKind(obs.KindProcessStopped)); got != 1 {
 		t.Errorf("stop events = %d", got)
 	}
 }
@@ -177,7 +178,7 @@ func TestHMRestartProcessAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The process keeps being restarted and keeps missing.
-	if got := len(m.TraceKind(EvProcessRestarted)); got < 3 {
+	if got := len(m.TraceKind(obs.KindProcessRestarted)); got < 3 {
 		t.Errorf("restarts = %d, want several", got)
 	}
 	pt, _ := m.Partition("A")
@@ -229,7 +230,7 @@ func TestHMLogThresholdEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 ignored + 1 escalated stop = 4 misses total.
-	if got := len(m.TraceKind(EvDeadlineMiss)); got != 4 {
+	if got := len(m.TraceKind(obs.KindDeadlineMiss)); got != 4 {
 		t.Errorf("misses = %d, want 4 (threshold 3 + escalation)", got)
 	}
 	pt, _ := m.Partition("A")
@@ -418,7 +419,7 @@ func TestMemoryViolationConfinementIntegration(t *testing.T) {
 	if got := m.Health().Count(hm.ErrMemoryViolation); got < 1 {
 		t.Fatal("no memory violation reported")
 	}
-	if got := len(m.TraceKind(EvMemoryViolation)); got < 1 {
+	if got := len(m.TraceKind(obs.KindMemoryViolation)); got < 1 {
 		t.Fatal("no memory violation traced")
 	}
 	pt, _ := m.Partition("A")
@@ -447,7 +448,7 @@ func TestHMShutdownModuleAction(t *testing.T) {
 	if !m.Halted() {
 		t.Fatal("module should have halted")
 	}
-	if got := len(m.TraceKind(EvModuleHalt)); got != 1 {
+	if got := len(m.TraceKind(obs.KindModuleHalt)); got != 1 {
 		t.Errorf("halt events = %d", got)
 	}
 }
@@ -472,7 +473,7 @@ func TestHMResetModuleAction(t *testing.T) {
 	if m.Halted() {
 		t.Fatal("reset must not halt the module")
 	}
-	if got := len(m.TraceKind(EvModuleReset)); got < 1 {
+	if got := len(m.TraceKind(obs.KindModuleReset)); got < 1 {
 		t.Error("no module reset traced")
 	}
 	ptB, _ := m.Partition("B")
@@ -513,7 +514,7 @@ func TestSetPartitionModeTransitions(t *testing.T) {
 	if pt.Mode() != model.ModeIdle {
 		t.Errorf("mode = %s, want idle", pt.Mode())
 	}
-	if got := len(m.TraceKind(EvPartitionStopped)); got != 1 {
+	if got := len(m.TraceKind(obs.KindPartitionStopped)); got != 1 {
 		t.Errorf("stopped events = %d", got)
 	}
 }

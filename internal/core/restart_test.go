@@ -6,6 +6,7 @@ import (
 	"air/internal/apex"
 	"air/internal/ipc"
 	"air/internal/model"
+	"air/internal/obs"
 )
 
 // TestWarmRestartIdempotentInit: warm start re-runs the initialization with
@@ -116,7 +117,7 @@ func TestColdRestartWipesState(t *testing.T) {
 	if len(createRCs) != 2 || createRCs[1] != apex.NoError {
 		t.Errorf("cold restart create RCs = %v, want fresh NO_ERROR", createRCs)
 	}
-	if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Errorf("restart caused misses: %v", misses)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"air/internal/hm"
 	"air/internal/mmu"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/pos"
 	"air/internal/tick"
 )
@@ -408,7 +409,7 @@ func (sv *Services) SetModuleSchedule(id model.ScheduleID) apex.ReturnCode {
 		return apex.InvalidParam
 	}
 	if st.Next != id {
-		sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: EvScheduleSwitch,
+		sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: obs.KindScheduleSwitch,
 			Partition: sv.pt.name,
 			Detail:    "requested schedule " + sv.scheduleName(id)})
 	}
@@ -452,7 +453,7 @@ func (sv *Services) scheduleName(id model.ScheduleID) string {
 // ReportApplicationMessage implements REPORT_APPLICATION_MESSAGE: the
 // message is recorded in the module trace.
 func (sv *Services) ReportApplicationMessage(msg string) apex.ReturnCode {
-	sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: EvApplicationMessage,
+	sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: obs.KindApplicationMessage,
 		Partition: sv.pt.name, Process: sv.myName(), Detail: msg})
 	return apex.NoError
 }
@@ -578,7 +579,7 @@ func (sv *Services) memAccess(access func() error) apex.ReturnCode {
 	if !errors.As(err, &fault) {
 		return apex.InvalidConfig
 	}
-	sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: EvMemoryViolation,
+	sv.mod.traceEvent(Event{Time: sv.mod.now, Kind: obs.KindMemoryViolation,
 		Partition: sv.pt.name, Process: sv.myName(), Detail: fault.Error()})
 	decision := sv.mod.health.ReportPartition(sv.pt.name, hm.ErrMemoryViolation, fault.Error())
 	if !sv.inProcess() {

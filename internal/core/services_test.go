@@ -6,6 +6,7 @@ import (
 
 	"air/internal/apex"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/pos"
 	"air/internal/tick"
 )
@@ -264,7 +265,7 @@ func TestReplenishService(t *testing.T) {
 	if err := m.Run(500); err != nil {
 		t.Fatal(err)
 	}
-	if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Errorf("replenished process missed: %v", misses)
 	}
 }
@@ -369,7 +370,7 @@ func TestRoundRobinPartitionIntegration(t *testing.T) {
 	if counts["rt"] != 10 {
 		t.Errorf("rt activations = %d, want 10", counts["rt"])
 	}
-	if misses := m.TraceKind(EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Errorf("misses: %v", misses)
 	}
 }

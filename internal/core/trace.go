@@ -2,30 +2,8 @@ package core
 
 import "air/internal/obs"
 
-// EventKind classifies trace events. It is an alias of the unified
-// observability spine's kind (internal/obs): the module trace is now one
-// view over the spine, and these names remain the stable core-facing API.
-type EventKind = obs.Kind
-
-// Trace event kinds (numeric values and wire names unchanged from the
-// original trace format; see obs.Kind).
-const (
-	EvPartitionSwitch    = obs.KindPartitionSwitch
-	EvScheduleSwitch     = obs.KindScheduleSwitch
-	EvDeadlineMiss       = obs.KindDeadlineMiss
-	EvHMAction           = obs.KindHMAction
-	EvPartitionRestart   = obs.KindPartitionRestart
-	EvPartitionStopped   = obs.KindPartitionStopped
-	EvProcessStopped     = obs.KindProcessStopped
-	EvProcessRestarted   = obs.KindProcessRestarted
-	EvApplicationMessage = obs.KindApplicationMessage
-	EvModuleReset        = obs.KindModuleReset
-	EvModuleHalt         = obs.KindModuleHalt
-	EvMemoryViolation    = obs.KindMemoryViolation
-)
-
 // Event is one trace record — an alias of the spine event. For
-// EvDeadlineMiss events Latency is the detection latency: how many ticks
+// obs.KindDeadlineMiss events Latency is the detection latency: how many ticks
 // after the deadline instant the PAL violation monitoring detected the
 // expiry (non-zero when the owning partition was inactive at the deadline,
 // Sect. 6).
@@ -63,7 +41,7 @@ func (m *Module) Trace() []Event {
 }
 
 // TraceKind returns the retained events of one kind.
-func (m *Module) TraceKind(kind EventKind) []Event {
+func (m *Module) TraceKind(kind obs.Kind) []Event {
 	var out []Event
 	for _, e := range m.Trace() {
 		if e.Kind == kind {

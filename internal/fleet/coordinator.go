@@ -11,6 +11,7 @@ import (
 
 	"air/internal/campaign"
 	"air/internal/obs"
+	"air/internal/recovery"
 	"air/internal/tick"
 	"air/internal/timeline"
 )
@@ -83,18 +84,10 @@ type workerInfo struct {
 	// retries is the shard's cumulative transport retry count, as last
 	// reported by its heartbeats (monotone).
 	retries int64
-	// expiries are the instants leases issued to this shard expired and
-	// were reclaimed, pruned to the detector's sliding window.
-	expiries []time.Time
-	// quarantined/cooldownUntil/cooldown/probing implement the circuit
-	// breaker: quarantined shards get Wait until the cooldown lapses, then
-	// one half-open probe lease whose fate re-admits (complete) or doubles
-	// the cooldown (expire).
-	quarantined   bool
-	probing       bool
-	probe         Lease
-	cooldown      time.Duration
-	cooldownUntil time.Time
+	// breaker is the flap detector over lease expiries; probe is its
+	// half-open lease, whose completion re-admits and whose expiry reopens.
+	breaker recovery.Breaker[time.Duration]
+	probe   Lease
 }
 
 // Coordinator shards campaign run spaces into leases, dispatches them to
@@ -103,8 +96,9 @@ type workerInfo struct {
 // use; implements Service (for in-process shards) and timeline.Source (for
 // the telemetry server).
 type Coordinator struct {
-	mu   sync.Mutex
-	opts Options
+	mu    sync.Mutex
+	opts  Options
+	epoch time.Time // construction-time clock reading; breakers run on offsets from it
 	//air:guard(mu)
 	campaigns map[string]*campaignState
 	//air:guard(mu)
@@ -130,6 +124,7 @@ func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
 		opts:      opts,
+		epoch:     opts.Clock(),
 		campaigns: map[string]*campaignState{},
 		workers:   map[string]*workerInfo{},
 	}
@@ -278,11 +273,13 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireState, error) {
 	now := c.opts.Clock()
 	c.touch(worker, now)
 
-	if c.admitted(c.workers[worker], now) {
+	// Open shards are always admitted; a quarantined one only as the single
+	// half-open probe once its cooldown lapsed.
+	if b := &c.workers[worker].breaker; b.State() == recovery.BreakerClosed || b.ProbeDue(now.Sub(c.epoch)) {
 		for _, id := range c.order {
 			cs := c.campaigns[id]
 			if idx, ok := c.nextPending(cs); ok {
-				return c.grant(cs, idx, worker, now), Granted, nil
+				return c.issue(cs, idx, worker, now), Granted, nil
 			}
 		}
 		// Work stealing: no pending lease anywhere — reclaim the most
@@ -310,7 +307,7 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireState, error) {
 			victim.pending++
 			l.state = leasePending
 			l.worker = ""
-			return c.grant(victim, victimIdx, worker, now), Granted, nil
+			return c.issue(victim, victimIdx, worker, now), Granted, nil
 		}
 	}
 	for _, cs := range c.campaigns {
@@ -321,79 +318,29 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireState, error) {
 	return Lease{}, Drained, nil
 }
 
-// admitted decides whether a shard may be granted a lease right now: open
-// shards always, quarantined shards only as the single half-open probe once
-// their cooldown lapsed (c.mu held).
-//
-//air:locked(mu)
-func (c *Coordinator) admitted(wi *workerInfo, now time.Time) bool {
-	if wi == nil || !wi.quarantined {
-		return true
-	}
-	if wi.probing || now.Before(wi.cooldownUntil) {
-		return false
-	}
-	return true
-}
-
-// grant issues the lease and, for a quarantined shard emerging from its
-// cooldown, marks it as the half-open probe (c.mu held).
-//
-//air:locked(mu)
-func (c *Coordinator) grant(cs *campaignState, idx int, worker string, now time.Time) Lease {
-	l := c.issue(cs, idx, worker, now)
-	if wi := c.workers[worker]; wi != nil && wi.quarantined {
-		wi.probing = true
-		wi.probe = l
-	}
-	return l
-}
-
 // recordExpiry charges one lease expiry to the shard that went quiet
-// holding it, trips the flap detector past the threshold, and re-opens the
-// breaker with a doubled cooldown when the expired lease was a half-open
+// holding it, tripping its breaker past the threshold, and re-opens the
+// breaker with a doubled cooldown when the expired lease was the half-open
 // probe (c.mu held).
 //
 //air:locked(mu)
 func (c *Coordinator) recordExpiry(worker string, l Lease, now time.Time) {
-	if c.opts.QuarantineAfter < 0 {
-		return
-	}
 	wi := c.workers[worker]
 	if wi == nil {
 		return
 	}
-	if wi.quarantined {
-		if wi.probing && wi.probe == l {
-			// The probe went quiet too: double the cooldown and keep the
-			// breaker open.
-			wi.probing = false
-			wi.cooldown = 2 * wi.cooldown
-			if wi.cooldown > c.opts.QuarantineCooldownMax {
-				wi.cooldown = c.opts.QuarantineCooldownMax
-			}
-			wi.cooldownUntil = now.Add(wi.cooldown)
-			c.metrics.Observe(obs.Event{Kind: obs.KindShardQuarantined, Process: worker, Detail: "probe expired", Latency: tick.Ticks(wi.cooldown.Milliseconds())})
+	at := now.Sub(c.epoch)
+	switch wi.breaker.State() {
+	case recovery.BreakerClosed:
+		if wi.breaker.Fail(at) {
+			c.metrics.Observe(obs.Event{Kind: obs.KindShardQuarantined, Process: worker, Detail: "flap threshold", Latency: tick.Ticks(wi.breaker.Cooldown().Milliseconds())})
 		}
-		return
-	}
-	// Slide the window and count the flap.
-	keep := wi.expiries[:0]
-	for _, t := range wi.expiries {
-		if now.Sub(t) < c.opts.QuarantineWindow {
-			keep = append(keep, t)
+	case recovery.BreakerHalfOpen:
+		if wi.probe == l {
+			wi.breaker.ProbeFailed(at)
+			c.metrics.Observe(obs.Event{Kind: obs.KindShardQuarantined, Process: worker, Detail: "probe expired", Latency: tick.Ticks(wi.breaker.Cooldown().Milliseconds())})
 		}
 	}
-	wi.expiries = append(keep, now)
-	if len(wi.expiries) < c.opts.QuarantineAfter {
-		return
-	}
-	wi.quarantined = true
-	wi.probing = false
-	wi.expiries = nil
-	wi.cooldown = c.opts.QuarantineCooldown
-	wi.cooldownUntil = now.Add(wi.cooldown)
-	c.metrics.Observe(obs.Event{Kind: obs.KindShardQuarantined, Process: worker, Detail: "flap threshold", Latency: tick.Ticks(wi.cooldown.Milliseconds())})
 }
 
 // nextPending advances the campaign's cursor to its first pending lease.
@@ -418,7 +365,8 @@ func (c *Coordinator) nextPending(cs *campaignState) (int, bool) {
 	return 0, false
 }
 
-// issue marks a lease issued to a worker (c.mu held).
+// issue marks a lease issued to a worker and, for a quarantined shard
+// emerging from its cooldown, makes it the half-open probe (c.mu held).
 //
 //air:locked(mu)
 func (c *Coordinator) issue(cs *campaignState, idx int, worker string, now time.Time) Lease {
@@ -432,7 +380,12 @@ func (c *Coordinator) issue(cs *campaignState, idx int, worker string, now time.
 	cs.pending--
 	cs.issued++
 	c.metrics.Observe(obs.Event{Kind: obs.KindLeaseIssued, Detail: cs.id, Process: worker, Latency: tick.Ticks(l.end - l.start)})
-	return Lease{Campaign: cs.id, Index: idx, Start: l.start, End: l.end}
+	issued := Lease{Campaign: cs.id, Index: idx, Start: l.start, End: l.end}
+	if wi := c.workers[worker]; wi.breaker.State() == recovery.BreakerOpen {
+		wi.breaker.Probe()
+		wi.probe = issued
+	}
+	return issued
 }
 
 // Spec implements Service.
@@ -495,12 +448,8 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 	// A completed half-open probe closes the breaker: the shard held a
 	// lease to the end again, so it is re-admitted with a clean flap
 	// account.
-	if wi := c.workers[worker]; wi != nil && wi.quarantined && wi.probing && wi.probe == l {
-		wi.quarantined = false
-		wi.probing = false
-		wi.expiries = nil
-		wi.cooldown = 0
-		wi.cooldownUntil = time.Time{}
+	if wi := c.workers[worker]; wi != nil && wi.breaker.State() == recovery.BreakerHalfOpen && wi.probe == l {
+		wi.breaker.Close()
 		c.metrics.Observe(obs.Event{Kind: obs.KindShardReadmitted, Process: worker})
 	}
 	return nil
@@ -693,7 +642,8 @@ func (c *Coordinator) ArchiveIndex(id string) ([]ArchiveIndexEntry, error) {
 func (c *Coordinator) touch(worker string, now time.Time) {
 	wi := c.workers[worker]
 	if wi == nil {
-		wi = &workerInfo{firstSeen: now}
+		o := c.opts
+		wi = &workerInfo{firstSeen: now, breaker: recovery.NewBreaker(o.QuarantineAfter, o.QuarantineWindow, o.QuarantineCooldown, o.QuarantineCooldownMax)}
 		c.workers[worker] = wi
 		c.metrics.Observe(obs.Event{Kind: obs.KindShardJoined, Process: worker})
 	}
@@ -753,9 +703,9 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 				Live:            now.Sub(wi.lastSeen) <= c.opts.LivenessWindow,
 				BeatAgeMillis:   now.Sub(wi.lastSeen).Milliseconds(),
 				Retries:         wi.retries,
-				Expiries:        len(wi.expiries),
-				Quarantined:     wi.quarantined,
-				Probing:         wi.probing,
+				Expiries:        wi.breaker.Failures(),
+				Quarantined:     wi.breaker.State() != recovery.BreakerClosed,
+				Probing:         wi.breaker.State() == recovery.BreakerHalfOpen,
 			}
 		}
 	}

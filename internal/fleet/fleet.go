@@ -189,9 +189,9 @@ type Options struct {
 	// leases expire this many times within QuarantineWindow is quarantined —
 	// denied new leases until a cooldown lapses and a half-open probe lease
 	// completes. 0 defaults to 3; negative disables the detector. The
-	// detector mirrors internal/recovery's partition circuit breaker at
-	// fleet scale: flapping shards cost latency (every expiry re-runs a
-	// lease), so they are idled instead of fed.
+	// detector uses recovery.Breaker, the partitions' circuit breaker, on
+	// wall-clock durations: flapping shards cost latency (every expiry
+	// re-runs a lease), so they are idled instead of fed.
 	QuarantineAfter int
 	// QuarantineWindow is the sliding window the expiries are counted over
 	// (default 10m).

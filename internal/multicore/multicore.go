@@ -255,7 +255,7 @@ func (m *Module) Trace() []core.Event {
 }
 
 // TraceKind filters the merged trace.
-func (m *Module) TraceKind(kind core.EventKind) []core.Event {
+func (m *Module) TraceKind(kind obs.Kind) []core.Event {
 	var out []core.Event
 	for _, e := range m.Trace() {
 		if e.Kind == kind {

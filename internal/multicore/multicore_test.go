@@ -224,7 +224,7 @@ func TestSharedHealthMonitor(t *testing.T) {
 	if got := len(m.Health().EventsFor("A")); got != 0 {
 		t.Errorf("HM events leaked to A: %d", got)
 	}
-	misses := m.TraceKind(core.EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	if len(misses) == 0 {
 		t.Fatal("no misses in merged trace")
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 
 	"air/internal/model"
 	"air/internal/tick"
@@ -29,10 +31,13 @@ type Record struct {
 }
 
 // ToRecord converts an event to its wire form.
+//
+//air:hotpath
+//air:allow(alloc): Kind.String formats only an out-of-range kind; every spine kind is an array lookup
 func ToRecord(e Event) Record {
 	return Record{
 		Time:      int64(e.Time),
-		Kind:      e.Kind.String(),
+		Kind:      e.Kind.String(), //air:allow(call): array-indexed kind-name lookup, allocation-free for every valid spine kind
 		Core:      e.Core,
 		Partition: string(e.Partition),
 		Process:   e.Process,
@@ -61,19 +66,120 @@ func (r Record) Event() Event {
 	}
 }
 
+// MarshalJSON renders the record through the spine's one encoder, so an
+// embedded record reads exactly like its JSONL line.
+func (r Record) MarshalJSON() ([]byte, error) {
+	return appendRecord(nil, r), nil
+}
+
+// AppendRecord appends e's wire record and a newline to dst: the one encoder
+// of the spine wire form (JSONLSink, EncodeEvents, archive frames), byte-
+// identical to json.NewEncoder(w).Encode(ToRecord(e)) including its escapes
+// of <, >, &, U+2028/U+2029, invalid UTF-8 and control bytes. No string byte
+// encodes to more than six bytes.
+//
+//air:hotpath
+//air:allow(alloc): the newline lands inside the caller's reservation (six bytes per string byte plus the fixed fields)
+func AppendRecord(dst []byte, e Event) []byte {
+	return append(appendRecord(dst, ToRecord(e)), '\n')
+}
+
+// appendRecord appends r as one JSON object in the pinned field order and
+// omitempty set.
+//
+//air:hotpath
+//air:allow(alloc): every append stays inside the reservation AppendRecord documents
+func appendRecord(dst []byte, r Record) []byte {
+	dst = strconv.AppendInt(append(dst, `{"t":`...), r.Time, 10)
+	dst = appendString(append(dst, `,"kind":`...), r.Kind)
+	if r.Core != 0 {
+		dst = strconv.AppendInt(append(dst, `,"core":`...), int64(r.Core), 10)
+	}
+	dst = appendField(dst, `,"partition":`, r.Partition)
+	dst = appendField(dst, `,"process":`, r.Process)
+	dst = appendField(dst, `,"detail":`, r.Detail)
+	if r.Latency != 0 {
+		dst = strconv.AppendInt(append(dst, `,"latency":`...), r.Latency, 10)
+	}
+	dst = appendField(dst, `,"code":`, r.Code)
+	dst = appendField(dst, `,"level":`, r.Level)
+	dst = appendField(dst, `,"action":`, r.Action)
+	return append(dst, '}')
+}
+
+// appendField appends an omitempty string field: key, then s quoted.
+//
+//air:hotpath
+//air:allow(alloc): inside the reservation AppendRecord documents
+func appendField(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return appendString(append(dst, key...), s)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// shortEscape maps the ASCII bytes encoding/json escapes with a backslash
+// and one letter; other escaped ASCII bytes become \u00XX.
+var shortEscape = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// appendString appends s as a quoted JSON string exactly as encoding/json
+// writes it with HTML escaping on (its default).
+//
+//air:hotpath
+//air:allow(alloc): at most six bytes per input byte, inside the reservation AppendRecord documents
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			if e := shortEscape[c]; e != 0 {
+				dst = append(dst, '\\', e)
+			} else {
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
 // JSONLSink streams events to a writer as one JSON record per line, during
 // the run rather than from a post-hoc copy. It buffers internally; callers
 // must Flush (or Close) before reading the destination.
 type JSONLSink struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	err error
+	w    *bufio.Writer
+	line []byte // reused per event, so Emit stops allocating once grown
+	err  error
 }
 
 // NewJSONLSink wraps w in a streaming sink.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{w: bufio.NewWriter(w)}
 }
 
 // Emit writes one record line. The first write error sticks and suppresses
@@ -82,7 +188,8 @@ func (s *JSONLSink) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(ToRecord(e))
+	s.line = AppendRecord(s.line[:0], e)
+	_, s.err = s.w.Write(s.line)
 }
 
 // Flush drains the internal buffer and returns the first error encountered
@@ -98,17 +205,13 @@ func (s *JSONLSink) Flush() error {
 	return nil
 }
 
-// EncodeEvents writes events as JSONL to w (the batch counterpart of
-// JSONLSink, used by the trace export facades).
+// EncodeEvents writes events as JSONL to w (the batch form of JSONLSink).
 func EncodeEvents(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	s := NewJSONLSink(w)
 	for _, e := range events {
-		if err := enc.Encode(ToRecord(e)); err != nil {
-			return err
-		}
+		s.Emit(e)
 	}
-	return bw.Flush()
+	return s.Flush()
 }
 
 // DecodeEvents reads JSONL records from r until EOF.

@@ -25,7 +25,7 @@ func (e *Engine) Clone(opts Options) *Engine {
 	for _, st := range e.parts {
 		cp := *st
 		cp.restarts = append([]tick.Ticks(nil), st.restarts...)
-		cp.failures = append([]tick.Ticks(nil), st.failures...)
+		cp.breaker = st.breaker.Clone()
 		c.parts = append(c.parts, &cp)
 		c.byName[cp.name] = &cp
 	}

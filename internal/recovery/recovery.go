@@ -78,8 +78,6 @@ type Quarantine struct {
 	ProbeTicks tick.Ticks
 }
 
-func (q Quarantine) enabled() bool { return q.Failures > 0 && q.FailureWindow > 0 }
-
 // Rung is one step of the degradation ladder: when at least Quarantined
 // partitions are quarantined, the module switches to Schedule.
 type Rung struct {
@@ -301,14 +299,15 @@ type Engine struct {
 }
 
 type partState struct {
-	name   model.PartitionName
-	status Status
+	name model.PartitionName
+	// deferred marks a restart postponed by the budget until resumeAt.
+	deferred bool
 	// restarts holds the grant times inside the sliding budget window.
 	restarts []tick.Ticks
 	// deferrals counts consecutive deferrals (the backoff exponent).
 	deferrals int
-	// failures holds the failed-recovery times inside the failure window.
-	failures []tick.Ticks
+	// breaker is the partition's quarantine circuit breaker.
+	breaker Breaker[tick.Ticks]
 	// lastGrant is the time of the most recent granted restart.
 	lastGrant tick.Ticks
 	granted   bool
@@ -318,9 +317,20 @@ type partState struct {
 	// quarantinedAt is when the current quarantine episode began (preserved
 	// across failed probes so MTTR spans the whole episode).
 	quarantinedAt tick.Ticks
-	cooldown      tick.Ticks
-	cooldownUntil tick.Ticks
-	probeStart    tick.Ticks
+}
+
+// status derives the recovery status from the breaker and the deferral.
+func (st *partState) status() Status {
+	switch st.breaker.State() {
+	case BreakerOpen:
+		return StatusQuarantined
+	case BreakerHalfOpen:
+		return StatusHalfOpen
+	}
+	if st.deferred {
+		return StatusDeferred
+	}
+	return StatusNormal
 }
 
 type degradeState struct {
@@ -344,8 +354,9 @@ func NewEngine(p Policy, opts Options) *Engine {
 	if e.now == nil {
 		e.now = func() tick.Ticks { return 0 }
 	}
+	q := p.Quarantine
 	for _, name := range opts.Partitions {
-		st := &partState{name: name}
+		st := &partState{name: name, breaker: NewBreaker(q.Failures, q.FailureWindow, q.Cooldown, q.CooldownMax)}
 		e.parts = append(e.parts, st)
 		e.byName[name] = st
 	}
@@ -366,8 +377,7 @@ func (e *Engine) RequestRestart(p model.PartitionName, mode model.OperatingMode)
 		return Decision{Verdict: VerdictAllow}
 	}
 	now := e.now()
-	q := e.policy.Quarantine
-	switch st.status {
+	switch st.status() {
 	case StatusQuarantined:
 		return Decision{Verdict: VerdictQuarantine}
 	case StatusDeferred:
@@ -375,28 +385,24 @@ func (e *Engine) RequestRestart(p model.PartitionName, mode model.OperatingMode)
 	case StatusHalfOpen:
 		// The probe faulted before proving health: reopen the breaker with
 		// a doubled cooldown.
-		st.cooldown = doubled(st.cooldown, q.CooldownMax)
+		st.breaker.ProbeFailed(now)
 		e.enterQuarantine(st, now, "half-open probe failed")
 		return Decision{Verdict: VerdictQuarantine}
 	}
 	// Failed-recovery detection: a restart requested this soon after the
 	// previous granted one means that recovery did not take.
-	if q.enabled() && st.granted && now-st.lastGrant <= q.FailureWindow {
-		st.failures = pruneTimes(st.failures, now-q.FailureWindow)
-		st.failures = append(st.failures, now)
-		if len(st.failures) >= q.Failures {
-			st.cooldown = q.Cooldown
-			e.enterQuarantine(st, now, "repeated failed recoveries")
-			return Decision{Verdict: VerdictQuarantine}
-		}
+	if st.granted && now-st.lastGrant <= e.policy.Quarantine.FailureWindow && st.breaker.Fail(now) {
+		st.quarantinedAt = now
+		e.enterQuarantine(st, now, "repeated failed recoveries")
+		return Decision{Verdict: VerdictQuarantine}
 	}
 	b := e.budgetFor(p)
 	if b.enabled() {
-		st.restarts = pruneTimes(st.restarts, now-b.Window)
+		st.restarts = slide(st.restarts, now, b.Window)
 		if len(st.restarts) >= b.MaxRestarts {
 			delay := backoff(b, st.deferrals)
 			st.deferrals++
-			st.status = StatusDeferred
+			st.deferred = true
 			st.resumeAt = now + delay
 			st.resumeMode = mode
 			e.obs.Emit(obs.Event{
@@ -417,30 +423,28 @@ func (e *Engine) RequestRestart(p model.PartitionName, mode model.OperatingMode)
 // breaker for probes that stayed healthy and restores the nominal schedule
 // once the module has stayed healthy long enough.
 func (e *Engine) OnTick(now tick.Ticks) {
-	q := e.policy.Quarantine
 	for _, st := range e.parts {
-		switch st.status {
+		switch st.status() {
 		case StatusDeferred:
 			if now >= st.resumeAt {
-				st.status = StatusNormal
+				st.deferred = false
 				if b := e.budgetFor(st.name); b.enabled() {
-					st.restarts = pruneTimes(st.restarts, now-b.Window)
+					st.restarts = slide(st.restarts, now, b.Window)
 				}
 				st.restarts = append(st.restarts, now)
 				st.lastGrant, st.granted = now, true
 				e.hooks.Restart(st.name, st.resumeMode, "deferred restart resumed", len(st.restarts))
 			}
 		case StatusQuarantined:
-			if now >= st.cooldownUntil {
-				st.status = StatusHalfOpen
-				st.probeStart = now
+			if st.breaker.ProbeDue(now) {
+				st.breaker.Probe()
 				st.lastGrant, st.granted = now, true
 				e.hooks.Restart(st.name, model.ModeColdStart, "half-open probe", 1)
 			}
 		case StatusHalfOpen:
-			if now-st.probeStart >= q.ProbeTicks {
-				st.status = StatusNormal
-				st.failures = st.failures[:0]
+			// The probe restart is the last grant until the probe ends.
+			if now-st.lastGrant >= e.policy.Quarantine.ProbeTicks {
+				st.breaker.Close()
 				st.restarts = st.restarts[:0]
 				st.deferrals = 0
 				e.obs.Emit(obs.Event{
@@ -468,7 +472,8 @@ func (e *Engine) NoteModuleError(now tick.Ticks) {
 // (used on module reset, which cold-starts every partition).
 func (e *Engine) Reset() {
 	for _, st := range e.parts {
-		*st = partState{name: st.name}
+		*st = partState{name: st.name, breaker: st.breaker}
+		st.breaker.Close()
 	}
 	e.deg = degradeState{}
 }
@@ -476,7 +481,7 @@ func (e *Engine) Reset() {
 // StatusOf reports a partition's recovery status.
 func (e *Engine) StatusOf(p model.PartitionName) Status {
 	if st := e.byName[p]; st != nil {
-		return st.status
+		return st.status()
 	}
 	return StatusNormal
 }
@@ -487,7 +492,7 @@ func (e *Engine) StatusOf(p model.PartitionName) Status {
 func (e *Engine) Quarantined() []model.PartitionName {
 	var out []model.PartitionName
 	for _, st := range e.parts {
-		if st.status == StatusQuarantined || st.status == StatusHalfOpen {
+		if st.breaker.State() != BreakerClosed {
 			out = append(out, st.name)
 		}
 	}
@@ -504,13 +509,8 @@ func (e *Engine) budgetFor(name model.PartitionName) Budget {
 	return e.policy.Default
 }
 
+// enterQuarantine publishes a trip or reopen and re-evaluates degradation.
 func (e *Engine) enterQuarantine(st *partState, now tick.Ticks, reason string) {
-	if st.status != StatusHalfOpen {
-		st.quarantinedAt = now
-	}
-	st.status = StatusQuarantined
-	st.cooldownUntil = now + st.cooldown
-	st.failures = st.failures[:0]
 	e.obs.Emit(obs.Event{
 		Time: now, Kind: obs.KindQuarantineEnter, Partition: st.name, Detail: reason,
 	})
@@ -520,7 +520,7 @@ func (e *Engine) enterQuarantine(st *partState, now tick.Ticks, reason string) {
 func (e *Engine) quarantinedCount() int {
 	n := 0
 	for _, st := range e.parts {
-		if st.status == StatusQuarantined || st.status == StatusHalfOpen {
+		if st.breaker.State() != BreakerClosed {
 			n++
 		}
 	}
@@ -608,43 +608,11 @@ func backoff(b Budget, deferrals int) tick.Ticks {
 	if d <= 0 {
 		d = 1
 	}
-	if deferrals > 32 {
-		deferrals = 32
-	}
-	for i := 0; i < deferrals; i++ {
-		d *= 2
-		if b.BackoffMax > 0 && d >= b.BackoffMax {
-			return b.BackoffMax
-		}
+	for i := 0; i < deferrals && i < 32; i++ {
+		d = doubled(d, b.BackoffMax)
 	}
 	if b.BackoffMax > 0 && d > b.BackoffMax {
 		d = b.BackoffMax
 	}
 	return d
-}
-
-// doubled doubles a cooldown with an optional cap.
-func doubled(c, max tick.Ticks) tick.Ticks {
-	if c <= 0 {
-		return 1
-	}
-	c *= 2
-	if max > 0 && c > max {
-		c = max
-	}
-	return c
-}
-
-// pruneTimes drops the leading entries at or before cutoff, shifting the
-// remainder in place so the backing array is reused.
-func pruneTimes(ts []tick.Ticks, cutoff tick.Ticks) []tick.Ticks {
-	i := 0
-	for i < len(ts) && ts[i] <= cutoff {
-		i++
-	}
-	if i == 0 {
-		return ts
-	}
-	n := copy(ts, ts[i:])
-	return ts[:n]
 }

@@ -88,7 +88,7 @@ func TestFaultFreeRunIsClean(t *testing.T) {
 // the Sect. 6 deadline-overrun injection: every PAL-detected miss was
 // preceded by a slack-watermark warning with positive lead time.
 func TestFaultyRunWarnsBeforeDetection(t *testing.T) {
-	_, tl := fig8Run(t, 6, workload.Options{InjectFault: true})
+	_, tl := fig8Run(t, 6, workload.Options{Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}})
 	s := tl.Snapshot()
 	if s.DeadlineMisses == 0 {
 		t.Fatal("fault injection produced no misses")

@@ -27,7 +27,7 @@ func get(t *testing.T, url string) (int, string, string) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	_, tl := fig8Run(t, 2, workload.Options{InjectFault: true})
+	_, tl := fig8Run(t, 2, workload.Options{Faults: []workload.FaultSpec{{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}})
 	srv := httptest.NewServer(timeline.Handler(tl))
 	defer srv.Close()
 

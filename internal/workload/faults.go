@@ -251,23 +251,15 @@ var injectorBaseNames = map[FaultKind]string{
 	FaultPartitionHang:    "hang",
 }
 
-// newInjection resolves the options' fault list (including the deprecated
-// InjectFault alias) into per-partition injector instances.
+// newInjection resolves the options' fault list into per-partition injector
+// instances.
 func newInjection(opts *Options) *injection {
 	inj := &injection{
 		opts:        opts,
 		byPartition: make(map[model.PartitionName][]faultInstance),
 	}
-	faults := append([]FaultSpec(nil), opts.Faults...)
-	if opts.InjectFault {
-		faults = append(faults, FaultSpec{
-			Kind:      FaultDeadlineOverrun,
-			Partition: "P1",
-			Deadline:  opts.FaultDeadline,
-		})
-	}
 	counts := make(map[model.PartitionName]map[FaultKind]int)
-	for _, f := range faults {
+	for _, f := range opts.Faults {
 		f = f.withDefaults()
 		if counts[f.Partition] == nil {
 			counts[f.Partition] = make(map[FaultKind]int)

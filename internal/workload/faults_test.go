@@ -6,6 +6,7 @@ import (
 	"air/internal/core"
 	"air/internal/hm"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/tick"
 )
 
@@ -23,45 +24,6 @@ func runSatellite(t *testing.T, opts Options, mtfs tick.Ticks) *core.Module {
 		t.Fatalf("Run: %v", err)
 	}
 	return m
-}
-
-// missSignature projects the deadline-miss trace down to the fields that
-// define the paper's Sect. 6 pattern.
-type missSignature struct {
-	Time    tick.Ticks
-	Process string
-	Latency tick.Ticks
-}
-
-func missSignatures(m *core.Module) []missSignature {
-	var out []missSignature
-	for _, e := range m.TraceKind(core.EvDeadlineMiss) {
-		out = append(out, missSignature{Time: e.Time, Process: e.Process, Latency: e.Latency})
-	}
-	return out
-}
-
-// TestInjectFaultAliasEquivalence pins the deprecated InjectFault flag to
-// the FaultSpec list form: both must produce the identical deadline-miss
-// trace.
-func TestInjectFaultAliasEquivalence(t *testing.T) {
-	legacy := runSatellite(t, Options{InjectFault: true}, 8)
-	listed := runSatellite(t, Options{Faults: []FaultSpec{
-		{Kind: FaultDeadlineOverrun, Partition: "P1", Deadline: 220},
-	}}, 8)
-
-	a, b := missSignatures(legacy), missSignatures(listed)
-	if len(a) == 0 {
-		t.Fatal("no deadline misses recorded")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("alias mismatch: %d misses (InjectFault) vs %d (Faults)", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("miss %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
 }
 
 // TestFaultClassSignals verifies each fault class produces health-monitoring
@@ -102,13 +64,13 @@ func TestOverrunMagnitude(t *testing.T) {
 	fits := runSatellite(t, Options{Faults: []FaultSpec{
 		{Kind: FaultDeadlineOverrun, Deadline: 220, Magnitude: 50},
 	}}, 4)
-	if n := len(fits.TraceKind(core.EvDeadlineMiss)); n != 0 {
+	if n := len(fits.TraceKind(obs.KindDeadlineMiss)); n != 0 {
 		t.Fatalf("magnitude 50 under deadline 220: %d unexpected misses", n)
 	}
 	over := runSatellite(t, Options{Faults: []FaultSpec{
 		{Kind: FaultDeadlineOverrun, Deadline: 100, Magnitude: 500},
 	}}, 4)
-	if n := len(over.TraceKind(core.EvDeadlineMiss)); n == 0 {
+	if n := len(over.TraceKind(obs.KindDeadlineMiss)); n == 0 {
 		t.Fatal("magnitude 500 over deadline 100: no misses")
 	}
 }
@@ -151,7 +113,7 @@ func TestMultipleInstancesStableNames(t *testing.T) {
 	}
 	m := runSatellite(t, opts, 4)
 	names := map[string]bool{}
-	for _, e := range m.TraceKind(core.EvDeadlineMiss) {
+	for _, e := range m.TraceKind(obs.KindDeadlineMiss) {
 		names[e.Process] = true
 	}
 	if !names["faulty"] || !names["faulty_2"] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"air/internal/core"
+	"air/internal/obs"
 	"air/internal/recovery"
 	"air/internal/tick"
 )
@@ -113,7 +114,7 @@ func TestForkIsolation(t *testing.T) {
 	if err := fork.Run(4 * forkMTF); err != nil {
 		t.Fatalf("fork run: %v", err)
 	}
-	if fork.Metrics().CountKind(core.EvDeadlineMiss) == 0 {
+	if fork.Metrics().CountKind(obs.KindDeadlineMiss) == 0 {
 		t.Fatal("injected overrun produced no deadline misses on the fork")
 	}
 
@@ -137,7 +138,7 @@ func TestForkIsolation(t *testing.T) {
 	if err := clean.Run(4 * forkMTF); err != nil {
 		t.Fatalf("clean fork run: %v", err)
 	}
-	if n := clean.Metrics().CountKind(core.EvDeadlineMiss); n != 0 {
+	if n := clean.Metrics().CountKind(obs.KindDeadlineMiss); n != 0 {
 		t.Fatalf("fault-free sibling fork saw %d deadline misses", n)
 	}
 }
@@ -180,8 +181,8 @@ func TestForkInjectedMatchesLateInjection(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	forkMisses := fork.Metrics().CountKind(core.EvDeadlineMiss)
-	refMisses := ref.Metrics().CountKind(core.EvDeadlineMiss)
+	forkMisses := fork.Metrics().CountKind(obs.KindDeadlineMiss)
+	refMisses := ref.Metrics().CountKind(obs.KindDeadlineMiss)
 	if forkMisses == 0 {
 		t.Fatal("late-phase overrun produced no deadline misses")
 	}
@@ -256,10 +257,10 @@ func TestForkWithRecoveryAndTimeline(t *testing.T) {
 	if err := fork.Run(8 * forkMTF); err != nil {
 		t.Fatalf("fork run: %v", err)
 	}
-	if fork.Metrics().CountKind(core.EvPartitionRestart) == 0 {
+	if fork.Metrics().CountKind(obs.KindPartitionRestart) == 0 {
 		t.Fatal("restart storm produced no partition restarts on the fork")
 	}
-	if n := parent.Metrics().CountKind(core.EvPartitionRestart); n != 0 {
+	if n := parent.Metrics().CountKind(obs.KindPartitionRestart); n != 0 {
 		t.Fatalf("parent saw %d partition restarts after fork-side storm", n)
 	}
 	if q := parent.Recovery().Quarantined(); len(q) != 0 {

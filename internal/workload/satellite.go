@@ -29,18 +29,6 @@ type Options struct {
 	// Faults declares the injected faults for this run; see FaultSpec.
 	// Zero-valued spec parameters take per-kind defaults.
 	Faults []FaultSpec
-	// InjectFault installs the faulty process on P1 (Sect. 6): it never
-	// completes, its deadline expires while P1 is inactive, and the HM
-	// restart action re-arms it — reproducing "detected and reported every
-	// time (except the first) that P1 is scheduled and dispatched".
-	//
-	// Deprecated: equivalent to appending FaultSpec{Kind:
-	// FaultDeadlineOverrun, Partition: "P1", Deadline: FaultDeadline} to
-	// Faults; kept so the paper-era examples and tests read unchanged.
-	InjectFault bool
-	// FaultDeadline is the faulty process's time capacity (default 220,
-	// expiring between P1's windows). Used only with InjectFault.
-	FaultDeadline tick.Ticks
 	// FDIRSwitchOnStale makes the FDIR partition request the chi2 schedule
 	// after observing consecutive stale attitude samples — mode-based
 	// schedule adaptation for fault accommodation (Sect. 4).
@@ -68,9 +56,6 @@ func (o *Options) emit(p model.PartitionName, format string, args ...any) {
 // Config builds the complete core configuration for the satellite scenario
 // over the Fig. 8 system.
 func Config(opts Options) core.Config {
-	if opts.FaultDeadline == 0 {
-		opts.FaultDeadline = 220
-	}
 	sys := model.Fig8System()
 	for i := range sys.Schedules[1].Requirements {
 		q := &sys.Schedules[1].Requirements[i]

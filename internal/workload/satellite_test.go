@@ -7,6 +7,7 @@ import (
 	"air/internal/core"
 	"air/internal/hm"
 	"air/internal/model"
+	"air/internal/obs"
 )
 
 func startSatellite(t *testing.T, opts Options) *core.Module {
@@ -39,7 +40,7 @@ func TestNominalSatelliteRun(t *testing.T) {
 		}
 	}
 	// No deadline misses in the nominal run.
-	if misses := m.TraceKind(core.EvDeadlineMiss); len(misses) != 0 {
+	if misses := m.TraceKind(obs.KindDeadlineMiss); len(misses) != 0 {
 		t.Errorf("nominal run missed deadlines: %v", misses)
 	}
 	// The data path works end to end: TTC downlinked housekeeping frames
@@ -66,12 +67,12 @@ func TestNominalSatelliteRun(t *testing.T) {
 // TestInjectedFaultPattern reproduces the paper's Sect. 6 demonstration in
 // the full satellite workload (experiment E3 at system scale).
 func TestInjectedFaultPattern(t *testing.T) {
-	m := startSatellite(t, Options{InjectFault: true})
+	m := startSatellite(t, Options{Faults: []FaultSpec{{Kind: FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}})
 	const mtfs = 8
 	if err := m.Run(mtfs * 1300); err != nil {
 		t.Fatal(err)
 	}
-	misses := m.TraceKind(core.EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	// Every P1 dispatch except the first detects the fault: one per MTF.
 	if len(misses) != mtfs {
 		t.Fatalf("detections = %d over %d MTFs, want %d", len(misses), mtfs, mtfs)

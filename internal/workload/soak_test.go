@@ -8,6 +8,7 @@ import (
 	"air/internal/core"
 	"air/internal/hm"
 	"air/internal/model"
+	"air/internal/obs"
 )
 
 // TestSoakSatelliteAndGoroutineHygiene runs the full prototype for 100
@@ -17,7 +18,7 @@ import (
 func TestSoakSatelliteAndGoroutineHygiene(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	m, err := core.NewModule(Config(Options{InjectFault: true}))
+	m, err := core.NewModule(Config(Options{Faults: []FaultSpec{{Kind: FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +31,14 @@ func TestSoakSatelliteAndGoroutineHygiene(t *testing.T) {
 	}
 
 	// Invariants over the long run.
-	misses := m.TraceKind(core.EvDeadlineMiss)
+	misses := m.TraceKind(obs.KindDeadlineMiss)
 	if len(misses) != mtfs {
 		t.Errorf("misses = %d over %d MTFs, want one per dispatch", len(misses), mtfs)
 	}
 	if got := m.Health().Count(hm.ErrDeadlineMissed); got != len(misses) {
 		t.Errorf("HM count %d != trace %d", got, len(misses))
 	}
-	if got := len(m.TraceKind(core.EvProcessRestarted)); got != mtfs {
+	if got := len(m.TraceKind(obs.KindProcessRestarted)); got != mtfs {
 		t.Errorf("restarts = %d", got)
 	}
 	// Every non-faulty partition stayed clean.
