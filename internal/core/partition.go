@@ -49,6 +49,9 @@ type procRuntime struct {
 	kill  chan struct{}
 	done  chan struct{}
 	alive bool
+	// state is the body's state cell: ForkableBody.New on a (re)start, a
+	// Clone of the parent's cell on fork re-spawn, nil for closure bodies.
+	state any
 	// stackUsed tracks the simulated stack consumption for STACK_OVERFLOW
 	// detection (Services.StackProbe).
 	stackUsed int
@@ -64,6 +67,16 @@ func (rt *procRuntime) waitGrant() {
 	case <-rt.grant:
 	case <-rt.kill:
 		panic(killSentinel{})
+	}
+}
+
+// stop force-terminates the process goroutine, if still alive, and waits
+// for it to exit.
+func (rt *procRuntime) stop() {
+	if rt.alive {
+		close(rt.kill)
+		<-rt.done
+		rt.alive = false
 	}
 }
 
@@ -84,11 +97,10 @@ type Partition struct {
 	pal    *pal.PAL
 
 	runtimes map[pos.ProcessID]*procRuntime
-	bodies   map[pos.ProcessID]ProcessBody
-	forkable map[pos.ProcessID]ForkableBody
-	// states holds the live state cell of each spawned forkable process;
-	// snapshot/fork clones these cells into the fork's re-spawned goroutines.
-	states  map[pos.ProcessID]any
+	// bodies holds every process's body: a forkable body as registered, a
+	// closure body wrapped with only Run set, the zero value for a
+	// model-only process.
+	bodies  map[pos.ProcessID]ForkableBody
 	handler ErrorHandler
 	// postInit is integration code injected after construction (fault
 	// injection on forked modules, Module.Inject). It re-runs with
@@ -168,9 +180,7 @@ func (pt *Partition) buildKernel() {
 	pt.kernel = k
 	pt.pal = p
 	pt.runtimes = make(map[pos.ProcessID]*procRuntime)
-	pt.bodies = make(map[pos.ProcessID]ProcessBody)
-	pt.forkable = make(map[pos.ProcessID]ForkableBody)
-	pt.states = make(map[pos.ProcessID]any)
+	pt.bodies = make(map[pos.ProcessID]ForkableBody)
 }
 
 func (pt *Partition) clearObjects() {
@@ -312,61 +322,48 @@ func (pt *Partition) resetWaitQueues() {
 //air:allow(maprange): each runtime is killed and removed independently; order-insensitive
 func (pt *Partition) killAll() {
 	for id, rt := range pt.runtimes {
-		if rt.alive {
-			close(rt.kill)
-			<-rt.done
-			rt.alive = false
-		}
+		rt.stop()
 		delete(pt.runtimes, id)
 	}
 }
 
-// killProcess force-terminates one process goroutine (used by Stop-type
-// recovery actions originating outside the process itself).
+// killProcess stops a process (it becomes dormant) and force-terminates its
+// goroutine (used by Stop-type actions originating outside the process
+// itself).
 func (pt *Partition) killProcess(id pos.ProcessID) {
-	rt, ok := pt.runtimes[id]
-	if !ok {
-		return
+	_ = pt.kernel.Stop(id)
+	if rt, ok := pt.runtimes[id]; ok {
+		rt.stop()
+		delete(pt.runtimes, id)
 	}
-	if rt.alive {
-		close(rt.kill)
-		<-rt.done
-		rt.alive = false
-	}
-	delete(pt.runtimes, id)
 }
 
-// spawn starts the goroutine for a started process. The goroutine waits for
-// its first grant (first dispatch) before running the body. A forkable
-// process gets a fresh state cell from its constructor: a process (re)start
-// is a new activation of the body, so state resets with it.
+// spawn starts the goroutine for a started process. A forkable process gets
+// a fresh state cell from its constructor: a process (re)start is a new
+// activation of the body, so state resets with it.
 func (pt *Partition) spawn(id pos.ProcessID) {
-	if fb, ok := pt.forkable[id]; ok {
-		pt.spawnForkable(id, fb, fb.New())
-		return
-	}
-	body := pt.bodies[id]
-	if body == nil {
+	fb := pt.bodies[id]
+	if fb.Run == nil {
 		return // model-only process: pure time consumer
 	}
-	pt.spawnBody(id, body)
+	var state any
+	if fb.New != nil {
+		state = fb.New()
+	}
+	pt.spawnBody(id, fb, state)
 }
 
-// spawnForkable starts a forkable process goroutine around an explicit
-// state cell — fb.New() on a normal (re)start, a Clone of the parent's cell
-// on fork re-spawn.
-func (pt *Partition) spawnForkable(id pos.ProcessID, fb ForkableBody, state any) {
-	pt.states[id] = state
-	pt.spawnBody(id, func(sv *Services) { fb.Run(sv, state) })
-}
-
-func (pt *Partition) spawnBody(id pos.ProcessID, body ProcessBody) {
+// spawnBody starts the goroutine running fb.Run around the given state cell.
+// The goroutine waits for its first grant (first dispatch) before running
+// the body.
+func (pt *Partition) spawnBody(id pos.ProcessID, fb ForkableBody, state any) {
 	rt := &procRuntime{
 		grant: make(chan struct{}),
 		yield: make(chan yieldKind),
 		kill:  make(chan struct{}),
 		done:  make(chan struct{}),
 		alive: true,
+		state: state,
 	}
 	pt.runtimes[id] = rt
 	sv := pt.services(id, rt)
@@ -403,7 +400,7 @@ func (pt *Partition) spawnBody(id pos.ProcessID, body ProcessBody) {
 			}
 		}()
 		rt.waitGrant()
-		body(sv)
+		fb.Run(sv, state)
 		// Normal return: the process stops itself (dormant).
 		_ = pt.kernel.Stop(id)
 		rt.alive = false
@@ -478,10 +475,7 @@ func (pt *Partition) noteTickConsumed() {
 func (pt *Partition) applyPendingKernelOps() bool {
 	if fd := pt.pendingFaultDecision; fd != nil {
 		pt.pendingFaultDecision = nil
-		pt.applyProcessDecision(fd.name, fd.decision)
-		switch fd.decision.Action {
-		case hm.ActionWarmStartPartition, hm.ActionColdStartPartition,
-			hm.ActionStopPartition, hm.ActionResetModule, hm.ActionShutdownModule:
+		if pt.applyProcessDecision(fd.name, fd.decision) {
 			return true
 		}
 	}
@@ -536,8 +530,9 @@ func (pt *Partition) services(id pos.ProcessID, rt *procRuntime) *Services {
 }
 
 // applyProcessDecision carries out a Health Monitor decision for a
-// process-level error (Sect. 5 recovery actions).
-func (pt *Partition) applyProcessDecision(process string, d hm.Decision) {
+// process-level error (Sect. 5 recovery actions). It reports whether the
+// decision acted on the whole partition or module.
+func (pt *Partition) applyProcessDecision(process string, d hm.Decision) bool {
 	m := pt.mod
 	// Any supervised recovery action counts as progress for the liveness
 	// watchdog: the partition is faulty but not silently hung.
@@ -562,17 +557,12 @@ func (pt *Partition) applyProcessDecision(process string, d hm.Decision) {
 		}
 		m.traceEvent(Event{Time: m.now, Kind: obs.KindProcessRestarted,
 			Partition: pt.name, Process: process, Detail: "HM restart"})
-	case hm.ActionWarmStartPartition:
-		pt.requestRestart(model.ModeWarmStart, "HM warm start")
-	case hm.ActionColdStartPartition:
-		pt.requestRestart(model.ModeColdStart, "HM cold start")
-	case hm.ActionStopPartition:
-		pt.stop()
-	case hm.ActionResetModule:
-		m.resetModule()
-	case hm.ActionShutdownModule:
-		m.shutdownModule()
+	case hm.ActionWarmStartPartition, hm.ActionColdStartPartition,
+		hm.ActionStopPartition, hm.ActionResetModule, hm.ActionShutdownModule:
+		pt.applyPartitionDecision(d)
+		return true
 	}
+	return false
 }
 
 // applyPartitionDecision carries out a decision for a partition-level error.
@@ -626,12 +616,9 @@ func (pt *Partition) requestRestart(mode model.OperatingMode, detail string) {
 
 // stopProcessByName stops a process and terminates its goroutine.
 func (pt *Partition) stopProcessByName(name string) {
-	proc, err := pt.kernel.Lookup(name)
-	if err != nil {
-		return
+	if proc, err := pt.kernel.Lookup(name); err == nil {
+		pt.killProcess(proc.ID)
 	}
-	_ = pt.kernel.Stop(proc.ID)
-	pt.killProcess(proc.ID)
 }
 
 // Accessors used by tests, diagnostics and the VITRAL front-end.

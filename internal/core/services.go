@@ -55,9 +55,10 @@ func (sv *Services) myName() string {
 	return ""
 }
 
-// terminateSelf ends the calling process goroutine after kernel-side state
-// was settled; never returns.
+// terminateSelf stops the calling process (it becomes dormant) and ends its
+// goroutine; never returns.
 func (sv *Services) terminateSelf() {
+	_ = sv.pt.kernel.Stop(sv.pid)
 	sv.rt.alive = false
 	panic(stopSentinel{})
 }
@@ -141,23 +142,11 @@ func (sv *Services) Replenish(budget tick.Ticks) apex.ReturnCode {
 // process that already exists with the same attributes returns NoAction with
 // the existing ID, making warm-start initialization idempotent.
 func (sv *Services) CreateProcess(spec model.TaskSpec, body ProcessBody) (pos.ProcessID, apex.ReturnCode) {
-	if sv.pt.mode == model.ModeNormal {
-		return pos.InvalidProcess, apex.InvalidMode
+	var fb ForkableBody
+	if body != nil {
+		fb.Run = func(sv *Services, _ any) { body(sv) }
 	}
-	if existing, err := sv.pt.kernel.Lookup(spec.Name); err == nil {
-		if existing.Spec == spec {
-			sv.pt.bodies[existing.ID] = body
-			delete(sv.pt.forkable, existing.ID)
-			return existing.ID, apex.NoAction
-		}
-		return pos.InvalidProcess, apex.InvalidConfig
-	}
-	id, err := sv.pt.kernel.Create(spec)
-	if err != nil {
-		return pos.InvalidProcess, apex.InvalidParam
-	}
-	sv.pt.bodies[id] = body
-	return id, apex.NoError
+	return sv.createProcess(spec, fb)
 }
 
 // CreateForkableProcess implements CREATE_PROCESS for a body written in the
@@ -170,22 +159,28 @@ func (sv *Services) CreateForkableProcess(spec model.TaskSpec, fb ForkableBody) 
 	if fb.New == nil || fb.Clone == nil || fb.Run == nil {
 		return pos.InvalidProcess, apex.InvalidParam
 	}
+	return sv.createProcess(spec, fb)
+}
+
+// createProcess registers fb as the body of the process spec names,
+// creating the process or, on an identical re-registration, replacing its
+// body.
+func (sv *Services) createProcess(spec model.TaskSpec, fb ForkableBody) (pos.ProcessID, apex.ReturnCode) {
 	if sv.pt.mode == model.ModeNormal {
 		return pos.InvalidProcess, apex.InvalidMode
 	}
 	if existing, err := sv.pt.kernel.Lookup(spec.Name); err == nil {
-		if existing.Spec == spec {
-			sv.pt.forkable[existing.ID] = fb
-			delete(sv.pt.bodies, existing.ID)
-			return existing.ID, apex.NoAction
+		if existing.Spec != spec {
+			return pos.InvalidProcess, apex.InvalidConfig
 		}
-		return pos.InvalidProcess, apex.InvalidConfig
+		sv.pt.bodies[existing.ID] = fb
+		return existing.ID, apex.NoAction
 	}
 	id, err := sv.pt.kernel.Create(spec)
 	if err != nil {
 		return pos.InvalidProcess, apex.InvalidParam
 	}
-	sv.pt.forkable[id] = fb
+	sv.pt.bodies[id] = fb
 	return id, apex.NoError
 }
 
@@ -235,7 +230,6 @@ func (sv *Services) StopProcess(name string) apex.ReturnCode {
 	if proc.State == model.StateDormant {
 		return apex.NoAction
 	}
-	_ = sv.pt.kernel.Stop(proc.ID)
 	sv.pt.killProcess(proc.ID)
 	return apex.NoError
 }
@@ -245,7 +239,6 @@ func (sv *Services) StopSelf() {
 	if !sv.inProcess() {
 		return
 	}
-	_ = sv.pt.kernel.Stop(sv.pid)
 	sv.terminateSelf()
 }
 
@@ -387,7 +380,6 @@ func (sv *Services) SetPartitionMode(mode model.OperatingMode) apex.ReturnCode {
 			return apex.InvalidMode
 		}
 		sv.pt.deferredMode = mode
-		_ = sv.pt.kernel.Stop(sv.pid)
 		sv.terminateSelf()
 		return apex.NoError // unreachable
 	default:
@@ -479,7 +471,6 @@ func (sv *Services) RaiseApplicationError(msg string) apex.ReturnCode {
 			return apex.NoError
 		}
 		sv.pt.pendingFaultDecision = &faultDecision{name: name, decision: decision}
-		_ = sv.pt.kernel.Stop(sv.pid)
 		sv.terminateSelf()
 		return apex.NoError // unreachable
 	}
@@ -548,7 +539,6 @@ func (sv *Services) StackProbe(bytes int) apex.ReturnCode {
 		return apex.InvalidConfig
 	default:
 		sv.pt.pendingFaultDecision = &faultDecision{name: name, decision: decision}
-		_ = sv.pt.kernel.Stop(sv.pid)
 		sv.terminateSelf()
 		return apex.InvalidConfig // unreachable
 	}
@@ -591,7 +581,6 @@ func (sv *Services) memAccess(access func() error) apex.ReturnCode {
 		return apex.InvalidConfig
 	default:
 		sv.pt.pendingPartitionDecision = &decision
-		_ = sv.pt.kernel.Stop(sv.pid)
 		sv.terminateSelf()
 		return apex.InvalidConfig // unreachable
 	}

@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"air/internal/hm"
 	"air/internal/model"
@@ -39,7 +40,9 @@ import (
 // deep-copies a cell (module fork), and Run is the body proper, reading and
 // writing only the given cell plus APEX services. Run must be an infinite
 // loop whose iterations end in sv.PeriodicWait(), so the loop top coincides
-// with the body entry point.
+// with the body entry point. The partition registers every process body in
+// this form: a CreateProcess closure body has only Run set and cannot be
+// forked.
 type ForkableBody struct {
 	New   func() any
 	Clone func(state any) any
@@ -120,20 +123,17 @@ func (pt *Partition) forkableNow() error {
 	if pt.pendingFaultDecision != nil || pt.pendingPartitionDecision != nil || pt.deferredMode != 0 {
 		return fmt.Errorf("%w: partition %s has pending kernel operations", ErrNotForkable, pt.name)
 	}
-	//air:allow(maprange): validation-only existence scan; order-insensitive
-	for id, body := range pt.bodies {
-		if body != nil {
-			return fmt.Errorf("%w: partition %s process %s has an opaque closure body; use CreateForkableProcess",
-				ErrNotForkable, pt.name, spec(pt, id))
-		}
-	}
 	for _, proc := range pt.kernel.Processes() {
+		fb := pt.bodies[proc.ID]
+		if fb.Run != nil && fb.Clone == nil {
+			return fmt.Errorf("%w: partition %s process %s has an opaque closure body; use CreateForkableProcess",
+				ErrNotForkable, pt.name, proc.Spec.Name)
+		}
 		rt := pt.runtimes[proc.ID]
 		if rt == nil || !rt.alive {
 			continue // dormant or model-only: kernel state only, no goroutine
 		}
-		fb, ok := pt.forkable[proc.ID]
-		if !ok || fb.Run == nil {
+		if fb.Run == nil {
 			return fmt.Errorf("%w: partition %s live process %s has no forkable body",
 				ErrNotForkable, pt.name, proc.Spec.Name)
 		}
@@ -239,16 +239,7 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 	pt2.pal = pal2
 
 	pt2.runtimes = make(map[pos.ProcessID]*procRuntime)
-	pt2.bodies = make(map[pos.ProcessID]ProcessBody, len(pt.bodies))
-	pt2.forkable = make(map[pos.ProcessID]ForkableBody, len(pt.forkable))
-	pt2.states = make(map[pos.ProcessID]any, len(pt.states))
-	for id := range pt.bodies { //air:allow(maprange): one-shot fork assembly off the hot path; order-insensitive copy
-		pt2.bodies[id] = nil // model-only registrations (validated nil)
-	}
-	//air:allow(maprange): one-shot fork assembly off the hot path.
-	for id, fb := range pt.forkable {
-		pt2.forkable[id] = fb
-	}
+	pt2.bodies = maps.Clone(pt.bodies)
 
 	pt2.buffers = make(map[string]*buffer, len(pt.buffers))
 	pt2.blackboards = make(map[string]*blackboard, len(pt.blackboards))
@@ -310,8 +301,8 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 		if rt == nil || !rt.alive {
 			continue
 		}
-		fb := pt.forkable[proc.ID]
-		pt2.spawnForkable(proc.ID, fb, fb.Clone(pt.states[proc.ID]))
+		fb := pt.bodies[proc.ID]
+		pt2.spawnBody(proc.ID, fb, fb.Clone(rt.state))
 		pt2.runtimes[proc.ID].stackUsed = rt.stackUsed
 	}
 	return pt2, nil

@@ -165,6 +165,9 @@ func (c *Coordinator) replay(r journalRecord) error {
 		if r.Spec == nil {
 			return fmt.Errorf("fleet: journal submit record for %q has no spec", r.ID)
 		}
+		if err := r.Spec.Validate(); err != nil {
+			return fmt.Errorf("fleet: journal submit record for %q: %w", r.ID, err)
+		}
 		if err := c.addCampaign(r.ID, *r.Spec, r.LeaseSize); err != nil {
 			return err
 		}
@@ -175,6 +178,10 @@ func (c *Coordinator) replay(r journalRecord) error {
 		}
 		if r.Lease < 0 || r.Lease >= len(cs.leases) || r.Aggregate == nil {
 			return fmt.Errorf("fleet: journal lease record %q/%d malformed", r.ID, r.Lease)
+		}
+		if ls := cs.leases[r.Lease]; r.Start != ls.start || r.End != ls.end {
+			return fmt.Errorf("fleet: journal lease record %q/%d bounds [%d,%d) mismatch lease [%d,%d)",
+				r.ID, r.Lease, r.Start, r.End, ls.start, ls.end)
 		}
 		if c.opts.KeepObservations && len(r.Observations) != r.End-r.Start {
 			return fmt.Errorf("fleet: journal lease %q/%d carries no observations — it was written without observation retention; resume with the same setting", r.ID, r.Lease)

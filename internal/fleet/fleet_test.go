@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,6 +314,63 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	defer c3.Close()
 	if st, _ := c3.Progress(id); !st.Done {
 		t.Fatalf("journal did not persist completion: %+v", st)
+	}
+}
+
+// TestJournalReplayRejectsInvalidRecords: replay applies the checks the live
+// path applies — Submit's spec validation and Complete's lease bounds. A
+// completion over [0,1) of the 2-run lease 0 would otherwise load, and the
+// finished 4-run campaign would report 3 observations.
+func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
+	cases := []struct {
+		name, want string
+		rec        func(id string) journalRecord
+	}{
+		{"completion outside lease bounds", "bounds [0,1) mismatch lease [0,2)", func(id string) journalRecord {
+			agg := campaign.NewAggregate()
+			return journalRecord{Op: opComplete, ID: id, Lease: 0, Start: 0, End: 1,
+				Aggregate: &agg, Observations: make([]campaign.Observation, 1)}
+		}},
+		{"invalid spec", "duplicate scenario name", func(string) journalRecord {
+			spec := testSpec(4).Defaulted()
+			spec.Matrix = []campaign.Scenario{{Name: "dup"}, {Name: "dup"}}
+			return journalRecord{Op: opSubmit, ID: "c2", Spec: &spec, LeaseSize: 2}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.journal")
+			opts := Options{LeaseSize: 2, JournalPath: path, KeepObservations: true}
+			c, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := c.Submit(testSpec(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.append(tc.rec(id)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.close(); err != nil {
+				t.Fatal(err)
+			}
+			c, err = New(opts)
+			if err == nil {
+				c.Close()
+				t.Fatal("New loaded a journal record the live path rejects")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

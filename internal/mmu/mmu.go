@@ -271,10 +271,12 @@ func New(size int) *MMU {
 	}
 }
 
-// minBacking is the backing store's initial allocation (64 pages): large
-// enough that a typical four-partition module never regrows, small enough
-// that constructing or cloning a module touches KiB, not the full
-// simulated physical size.
+// minBacking is the backing store's first allocation (64 pages). The store
+// then doubles as frames are mapped, capped at the simulated physical size,
+// so a module never allocates its full physical size up front. The Fig. 8
+// module's four default spaces map 384 pages, so its backing grows
+// 64→128→256→512 pages and the 448 pages (1.75 MiB) of outgrown buffers
+// are discarded while mapping.
 const minBacking = 64 * PageSize
 
 // MapSpace installs a partition's addressing space: for each descriptor,
