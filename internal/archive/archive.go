@@ -23,10 +23,12 @@
 //	<crc32-ieee, 8 lowercase hex digits> <JSON record>\n
 //
 // where the JSON payload is exactly the pinned obs.Record wire form, so an
-// archived stream re-encodes byte-identically to the live JSONL sink. The
-// transaction sequence is implicit: the i-th record of the concatenated
-// segment stream has seq i (1-based) — appending is the only mutation, so
-// position is identity.
+// archived stream re-encodes byte-identically to the live JSONL sink.
+// Every read decodes the payload with obs.ParseRecord, the inverse of
+// obs.AppendRecord, which accepts that canonical form only: a CRC-valid
+// frame in any other form is corrupt. The transaction sequence is
+// implicit: the i-th record of the concatenated segment stream has seq i
+// (1-based) — appending is the only mutation, so position is identity.
 //
 // Durability matches the fleet journal: a segment is fsynced when sealed and
 // the manifest is replaced atomically (write-temp, fsync, rename); the
@@ -35,10 +37,11 @@
 // suffix of its last buffer flush.
 //
 // The write path is allocation-free: Sink.Emit encodes frames into a
-// preallocated staging buffer with a hand-rolled JSON appender, and buffer
-// flushes / segment seals happen off the hot path, amortized over thousands
-// of appends, so a module tick with the sink attached stays on its 0 allocs
-// budget.
+// preallocated staging buffer with obs.AppendRecord, and buffer flushes /
+// segment seals happen off the hot path, amortized over thousands of
+// appends, so a module tick with the sink attached stays on its 0 allocs
+// budget. The read path reads frames in place from its bufio buffer and
+// decodes them without reflection.
 package archive
 
 import (

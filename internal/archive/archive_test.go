@@ -3,6 +3,7 @@ package archive_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -359,6 +360,115 @@ func TestTornTailRecovery(t *testing.T) {
 	for i, e := range append(append([]obs.Event(nil), events...), extra...) {
 		if got[i].Seq != uint64(i+1) || got[i].Event != e {
 			t.Fatalf("record %d wrong after torn-tail recovery", i)
+		}
+	}
+}
+
+// TestLongRecordRoundTrip archives records whose 10 KiB Detail outgrows a
+// 4 KiB read buffer — in sealed segments and in the unsealed tail — and
+// reads them back through every read path: Scan, AsOf, Diff, the tail an
+// OpenReader recovers, and a reopened Sink's recovery.
+func TestLongRecordRoundTrip(t *testing.T) {
+	events := genEvents(60)
+	long := strings.Repeat("0123456789", 1024)
+	for _, i := range []int{5, 20, 37, 55} {
+		rec := obs.Record{Time: int64(events[i].Time), Kind: "SCHEDULE_SWITCH",
+			Detail: fmt.Sprintf("requested schedule %s-%d", long, i)}
+		events[i] = rec.Event()
+	}
+	check := func(r *archive.Reader, want []obs.Event) {
+		t.Helper()
+		got, err := r.Events(archive.Query{UntilTick: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("read %d records, want %d", len(got), len(want))
+		}
+		for i, se := range got {
+			if se.Seq != uint64(i+1) || se.Event != want[i] {
+				t.Fatalf("record %d differs", i+1)
+			}
+		}
+		for _, i := range []int{5, 20, 37, 55} {
+			if i >= len(want) {
+				continue
+			}
+			seq := uint64(i + 1)
+			st, err := r.AsOf(int64(want[i].Time), seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := referenceAsOf(want, int64(want[i].Time), seq); !reflect.DeepEqual(st, ref) {
+				t.Fatalf("AsOf at record %d diverges from reference", seq)
+			}
+			if st.Schedule != fmt.Sprintf("%s-%d", long, i) {
+				t.Fatalf("AsOf at record %d: schedule of %d B", seq, len(st.Schedule))
+			}
+		}
+	}
+
+	// 2 sealed segments of 16 records, then an unsealed tail of 8.
+	dir := t.TempDir()
+	opts := archive.Options{SegmentRecords: 16}
+	s, err := archive.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events[:40] {
+		s.Emit(e)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, events[:40])
+
+	// Abandon the sink; a reopened one must recover the whole tail.
+	s2, err := archive.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Stats().Records; got != 40 {
+		t.Fatalf("reopened sink recovered %d records, want 40", got)
+	}
+	for _, e := range events[40:] {
+		s2.Emit(e)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, events)
+
+	twin := t.TempDir()
+	writeArchive(t, twin, events, opts)
+	variant := append([]obs.Event(nil), events...)
+	rec := obs.ToRecord(variant[37])
+	rec.Detail += "!"
+	variant[37] = rec.Event()
+	other := t.TempDir()
+	writeArchive(t, other, variant, opts)
+	for _, tc := range []struct {
+		dir     string
+		diverge bool
+	}{{twin, false}, {other, true}} {
+		r2, err := archive.OpenReader(tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := archive.Diff(r, r2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Diverged != tc.diverge || (tc.diverge && (d.Seq != 38 || d.B.Detail != rec.Detail)) {
+			t.Fatalf("Diff = diverged %v at seq %d, want diverged %v (at seq 38)", d.Diverged, d.Seq, tc.diverge)
 		}
 	}
 }

@@ -47,12 +47,12 @@ func TestDecodeFrameRejectsTruncation(t *testing.T) {
 	for _, e := range frameSeeds {
 		line := appendFrame(nil, e)
 		line = line[:len(line)-1]
-		rec, err := decodeFrame(line)
+		got, err := decodeFrame(line)
 		if err != nil {
 			t.Fatalf("whole frame rejected: %v", err)
 		}
-		if rec != obs.ToRecord(e) {
-			t.Fatalf("decoded %+v, want %+v", rec, obs.ToRecord(e))
+		if got != e {
+			t.Fatalf("decoded %+v, want %+v", got, e)
 		}
 		for cut := 0; cut < len(line); cut++ {
 			if _, err := decodeFrame(line[:cut]); !errors.Is(err, errFrame) {

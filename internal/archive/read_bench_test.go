@@ -1,0 +1,124 @@
+package archive_test
+
+import (
+	"testing"
+
+	"air/internal/archive"
+	"air/internal/core"
+	"air/internal/model"
+	"air/internal/tick"
+	"air/internal/timeline"
+	"air/internal/workload"
+)
+
+// sect6Fault is the Sect. 6 deadline overrun of the faulty P1 process.
+var sect6Fault = workload.FaultSpec{Kind: workload.FaultDeadlineOverrun, Partition: "P1", Deadline: 220}
+
+// mtfTicks is the Fig. 8 major time frame.
+var mtfTicks = model.Fig8System().Schedules[0].MTF
+
+// archiveRun archives mtfs major time frames of the Fig. 8 module with the
+// given faults and the timeline analyzer attached — the spine a flight
+// archive of airsim -fault holds — and opens it for reading.
+func archiveRun(tb testing.TB, mtfs int, faults ...workload.FaultSpec) *archive.Reader {
+	tb.Helper()
+	dir := tb.TempDir()
+	sink, err := archive.Open(dir, archive.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := core.NewModule(workload.Config(workload.Options{TraceCapacity: -1, Faults: faults}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer m.Shutdown()
+	tl := timeline.New(timeline.Options{System: model.Fig8System()})
+	tl.Bind(m.Bus())
+	m.Bus().Attach(tl)
+	m.Bus().Attach(sink)
+	if err := m.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.Run(mtfTicks * tick.Ticks(mtfs)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// lastTick is the valid time of r's last record.
+func lastTick(tb testing.TB, r *archive.Reader) int64 {
+	tb.Helper()
+	segs := r.Segments()
+	if len(segs) == 0 {
+		tb.Fatal("empty archive")
+	}
+	return segs[len(segs)-1].MaxTick
+}
+
+// BenchmarkArchiveAsOf folds a whole 1000-MTF Sect. 6 archive: the
+// flight-archive workload's AsOf at its last MTF boundary.
+func BenchmarkArchiveAsOf(b *testing.B) {
+	r := archiveRun(b, 1000, sect6Fault)
+	at := lastTick(b, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var folded uint64
+	for i := 0; i < b.N; i++ {
+		st, err := r.AsOf(at, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		folded = st.Events
+	}
+	b.ReportMetric(float64(folded), "records/op")
+}
+
+// BenchmarkArchiveDiff diffs two 1000-MTF Sect. 6 archives that split
+// halfway, when a memory violation on P2 joins the Sect. 6 fault: the
+// flight-archive workload's lockstep Diff.
+func BenchmarkArchiveDiff(b *testing.B) {
+	a := archiveRun(b, 1000, sect6Fault)
+	v := archiveRun(b, 1000, sect6Fault,
+		workload.FaultSpec{Kind: workload.FaultMemoryViolation, Partition: "P2", Phase: 500*mtfTicks + 37})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var walked uint64
+	for i := 0; i < b.N; i++ {
+		d, err := archive.Diff(a, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !d.Diverged {
+			b.Fatal("runs did not diverge")
+		}
+		walked = d.Seq
+	}
+	b.ReportMetric(float64(walked), "records/op")
+}
+
+// TestAsOfAllocsPerRecord bounds the read path's allocations: a fold over a
+// Sect. 6 archive makes fewer than three allocations per record, so the
+// decoder allocates little beyond the event strings themselves.
+func TestAsOfAllocsPerRecord(t *testing.T) {
+	r := archiveRun(t, 100, sect6Fault)
+	at := lastTick(t, r)
+	st, err := r.AsOf(at, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := r.AsOf(at, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(st.Events); per >= 3 {
+		t.Fatalf("AsOf makes %.2f allocations per folded record (%.0f for %d records), want < 3", per, allocs, st.Events)
+	}
+}

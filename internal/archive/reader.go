@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -71,26 +70,17 @@ func scanSegment(dir string, num int, seqStart uint64) (*segmentInfo, error) {
 		return nil, fmt.Errorf("archive: open segment: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
 	meta := SegmentMeta{Name: segmentName(num), SeqStart: seqStart}
-	var offset int64
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // torn write: no newline
-		}
-		rec, ferr := decodeFrame(line[:len(line)-1])
-		if ferr != nil {
-			break // torn or corrupt tail
-		}
+	meta.Bytes, err = validPrefix(f, func(e obs.Event, _ int64) {
 		if meta.Records == 0 {
-			meta.MinTick = rec.Time
+			meta.MinTick = int64(e.Time)
 		}
-		meta.MaxTick = rec.Time
+		meta.MaxTick = int64(e.Time)
 		meta.Records++
-		offset += int64(len(line))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("archive: scan segment: %w", err)
 	}
-	meta.Bytes = offset
 	if meta.Records == 0 {
 		return nil, nil
 	}
@@ -142,6 +132,7 @@ func (q Query) admitsKind(k obs.Kind) bool {
 // the middle of one) to reach SinceTick, and stops at the first record past
 // UntilTick or MaxSeq.
 func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
+	lr := newLineReader(nil) // one pair of buffers for every segment
 	for _, seg := range r.segs {
 		if q.MaxSeq > 0 && seg.meta.SeqStart > q.MaxSeq {
 			return nil
@@ -152,7 +143,7 @@ func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 		if seg.meta.MaxTick < q.SinceTick {
 			continue // whole segment precedes the window
 		}
-		if err := r.scanOne(seg, q, fn); err != nil {
+		if err := r.scanOne(seg, q, lr, fn); err != nil {
 			if errors.Is(err, errStop) {
 				return nil
 			}
@@ -165,7 +156,7 @@ func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 // errStop terminates a scan early from inside a segment.
 var errStop = errors.New("archive: stop scan")
 
-func (r *Reader) scanOne(seg segmentInfo, q Query, fn func(seq uint64, e obs.Event) error) error {
+func (r *Reader) scanOne(seg segmentInfo, q Query, lr *lineReader, fn func(seq uint64, e obs.Event) error) error {
 	f, err := os.Open(filepath.Join(r.dir, seg.meta.Name))
 	if err != nil {
 		return fmt.Errorf("archive: scan: %w", err)
@@ -187,19 +178,19 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, fn func(seq uint64, e obs.Eve
 			seq = ent.Seq
 		}
 	}
-	br := bufio.NewReader(f)
+	lr.br.Reset(f)
 	for {
 		if q.MaxSeq > 0 && seq > q.MaxSeq {
 			return errStop
 		}
-		line, err := br.ReadBytes('\n')
+		line, err := lr.line()
 		if err != nil {
 			if seg.sealed && (len(line) > 0 || seq != seg.meta.SeqStart+seg.meta.Records) {
 				return fmt.Errorf("archive: segment %s truncated at seq %d", seg.meta.Name, seq)
 			}
 			return nil // end of segment (or recovered tail boundary)
 		}
-		rec, ferr := decodeFrame(line[:len(line)-1])
+		e, ferr := decodeFrame(line[:len(line)-1])
 		if ferr != nil {
 			if seg.sealed {
 				return fmt.Errorf("archive: segment %s seq %d: %w", seg.meta.Name, seq, ferr)
@@ -209,11 +200,11 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, fn func(seq uint64, e obs.Eve
 		if seq > seg.meta.SeqStart+seg.meta.Records-1 {
 			return nil // recovered tail: past the validated prefix
 		}
-		if q.UntilTick >= 0 && rec.Time > q.UntilTick {
+		if q.UntilTick >= 0 && int64(e.Time) > q.UntilTick {
 			return errStop
 		}
-		if rec.Time >= q.SinceTick && q.admitsKind(obs.KindFromString(rec.Kind)) {
-			if err := fn(seq, rec.Event()); err != nil {
+		if int64(e.Time) >= q.SinceTick && q.admitsKind(e.Kind) {
+			if err := fn(seq, e); err != nil {
 				return err
 			}
 		}
@@ -409,11 +400,11 @@ type cursor struct {
 	segIdx int
 	left   uint64 // records remaining in the open segment
 	f      *os.File
-	br     *bufio.Reader
+	lr     *lineReader
 }
 
 func (r *Reader) cursor() (*cursor, error) {
-	return &cursor{r: r}, nil
+	return &cursor{r: r, lr: newLineReader(nil)}, nil
 }
 
 func (c *cursor) next() (obs.Event, bool, error) {
@@ -428,29 +419,30 @@ func (c *cursor) next() (obs.Event, bool, error) {
 			if err != nil {
 				return zero, false, fmt.Errorf("archive: diff: %w", err)
 			}
-			c.f, c.br, c.left = f, bufio.NewReader(f), seg.meta.Records
+			c.lr.br.Reset(f)
+			c.f, c.left = f, seg.meta.Records
 		}
 		if c.left == 0 {
 			c.close()
 			c.segIdx++
 			continue
 		}
-		line, err := c.br.ReadBytes('\n')
+		line, err := c.lr.line()
 		if err != nil {
 			return zero, false, fmt.Errorf("archive: diff: segment %s: %w", c.r.segs[c.segIdx].meta.Name, err)
 		}
-		rec, ferr := decodeFrame(line[:len(line)-1])
+		e, ferr := decodeFrame(line[:len(line)-1])
 		if ferr != nil {
 			return zero, false, fmt.Errorf("archive: diff: segment %s: %w", c.r.segs[c.segIdx].meta.Name, ferr)
 		}
 		c.left--
-		return rec.Event(), true, nil
+		return e, true, nil
 	}
 }
 
 func (c *cursor) close() {
 	if c.f != nil {
 		c.f.Close()
-		c.f, c.br = nil, nil
+		c.f = nil
 	}
 }

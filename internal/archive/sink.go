@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,20 +122,12 @@ func (s *Sink) recoverActive() error {
 	if err != nil {
 		return fmt.Errorf("archive: recover: %w", err)
 	}
-	br := bufio.NewReader(f)
-	var valid int64
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			// A line without its newline is a torn write; drop it.
-			break
-		}
-		rec, ferr := decodeFrame(line[:len(line)-1])
-		if ferr != nil {
-			break
-		}
-		s.noteRecord(rec.Time, valid)
-		valid += int64(len(line))
+	valid, err := validPrefix(f, func(e obs.Event, offset int64) {
+		s.noteRecord(int64(e.Time), offset)
+	})
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("archive: recover: %w", err)
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()

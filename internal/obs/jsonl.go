@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode/utf8"
 
@@ -49,8 +51,8 @@ func ToRecord(e Event) Record {
 	}
 }
 
-// FromRecord converts a wire record back to an event (unknown kind names
-// yield Kind 0, mirroring the historical trace reader).
+// Event converts a wire record back to an event (unknown kind names yield
+// Kind 0, mirroring the historical trace reader).
 func (r Record) Event() Event {
 	return Event{
 		Time:      tick.Ticks(r.Time),
@@ -168,6 +170,188 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// ParseRecord decodes one wire record — AppendRecord's output without its
+// newline — back into its event: the exact inverse of AppendRecord and the
+// one decoder of the spine wire form (DecodeEvents, archive frames). It
+// accepts only the form AppendRecord writes: the pinned field order and
+// omitempty set, no whitespace, integers as strconv.AppendInt writes them.
+// A string holding a backslash, a control byte or a non-ASCII byte is
+// unquoted by encoding/json, so escapes and invalid UTF-8 decode exactly as
+// json.Unmarshal decodes them; any other string is copied as it stands.
+// Unknown kind names yield Kind 0, as in KindFromString.
+func ParseRecord(b []byte) (Event, error) {
+	p := recordParser{b: b}
+	p.key(`{"t":`)
+	e := Event{Time: tick.Ticks(p.int())}
+	p.key(`,"kind":`)
+	if tok, plain := p.quoted(); plain {
+		e.Kind = kindByName[string(tok[1:len(tok)-1])]
+	} else if tok != nil {
+		e.Kind = kindByName[p.unquote(tok)]
+	}
+	if p.optional(`,"core":`) {
+		c := p.nonzeroInt()
+		if e.Core = int(c); int64(e.Core) != c {
+			p.fail("core overflows int")
+		}
+	}
+	e.Partition = model.PartitionName(p.str(`,"partition":`))
+	e.Process = p.str(`,"process":`)
+	e.Detail = p.str(`,"detail":`)
+	if p.optional(`,"latency":`) {
+		e.Latency = tick.Ticks(p.nonzeroInt())
+	}
+	e.Code = p.str(`,"code":`)
+	e.Level = p.str(`,"level":`)
+	e.Action = p.str(`,"action":`)
+	p.key("}")
+	if p.err == nil && p.i != len(b) {
+		p.fail("trailing bytes")
+	}
+	if p.err != nil {
+		return Event{}, p.err
+	}
+	return e, nil
+}
+
+// recordParser walks one wire record left to right. The first failure
+// sticks: later steps return zero values, and ParseRecord reports it.
+type recordParser struct {
+	b   []byte
+	i   int
+	err error
+}
+
+func (p *recordParser) fail(what string) {
+	if p.err == nil {
+		p.err = fmt.Errorf("obs: record: %s at byte %d", what, p.i)
+	}
+}
+
+// optional consumes key if the record carries it next.
+func (p *recordParser) optional(key string) bool {
+	if p.err != nil || len(p.b)-p.i < len(key) || string(p.b[p.i:p.i+len(key)]) != key {
+		return false
+	}
+	p.i += len(key)
+	return true
+}
+
+// key consumes a key (or delimiter) the form requires.
+func (p *recordParser) key(key string) {
+	if !p.optional(key) {
+		p.fail("want " + key)
+	}
+}
+
+// int consumes an integer as strconv.AppendInt writes it: an optional
+// minus, no leading zero, no "-0", within int64.
+func (p *recordParser) int() int64 {
+	if p.err != nil {
+		return 0
+	}
+	b, i := p.b, p.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if i-start == 19 { // 20 digits: past every int64
+			p.fail("integer overflows int64")
+			return 0
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	switch {
+	case i == start:
+		p.fail("want an integer")
+	case b[start] == '0' && (i-start > 1 || neg):
+		p.fail("non-canonical integer")
+	case u > limit:
+		p.fail("integer overflows int64")
+	}
+	if p.err != nil {
+		return 0
+	}
+	p.i = i
+	if neg {
+		return -int64(u-1) - 1 // u may be 1<<63
+	}
+	return int64(u)
+}
+
+// nonzeroInt consumes the integer of an omitempty field, which AppendRecord
+// never writes as 0.
+func (p *recordParser) nonzeroInt() int64 {
+	v := p.int()
+	if v == 0 {
+		p.fail("zero value of an omitempty field")
+	}
+	return v
+}
+
+// quoted consumes a JSON string and returns it with its quotes, plain when
+// the bytes between them hold no backslash, control byte or non-ASCII byte
+// and so are the string itself. tok is nil on failure.
+func (p *recordParser) quoted() (tok []byte, plain bool) {
+	if p.err != nil {
+		return nil, false
+	}
+	b, i := p.b, p.i
+	if i >= len(b) || b[i] != '"' {
+		p.fail("want a string")
+		return nil, false
+	}
+	plain = true
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			p.i = j + 1
+			return b[i : j+1], plain
+		case c == '\\':
+			plain = false
+			j++ // an escaped byte never closes the string
+		case c < 0x20 || c >= utf8.RuneSelf:
+			plain = false
+		}
+	}
+	p.fail("unterminated string")
+	return nil, false
+}
+
+// unquote decodes a quoted string by encoding/json's string rules.
+func (p *recordParser) unquote(tok []byte) string {
+	var s string
+	if err := json.Unmarshal(tok, &s); err != nil {
+		p.fail(err.Error())
+	}
+	return s
+}
+
+// str consumes an omitempty string field; "" when the record omits it.
+func (p *recordParser) str(key string) string {
+	if !p.optional(key) {
+		return ""
+	}
+	tok, plain := p.quoted()
+	switch {
+	case tok == nil:
+		return ""
+	case len(tok) == 2:
+		p.fail("empty omitempty string")
+		return ""
+	case plain:
+		return string(tok[1 : len(tok)-1])
+	}
+	return p.unquote(tok)
+}
+
 // JSONLSink streams events to a writer as one JSON record per line, during
 // the run rather than from a post-hoc copy. It buffers internally; callers
 // must Flush (or Close) before reading the destination.
@@ -214,18 +398,26 @@ func EncodeEvents(w io.Writer, events []Event) error {
 	return s.Flush()
 }
 
-// DecodeEvents reads JSONL records from r until EOF.
+// DecodeEvents reads JSONL as EncodeEvents writes it — one ParseRecord
+// record per line — until EOF, and names the line of a bad record. The last
+// line's newline is optional.
 func DecodeEvents(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReader(r)
 	var events []Event
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				return events, nil
+	for n := 1; ; n++ {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			e, perr := ParseRecord(bytes.TrimSuffix(line, []byte{'\n'}))
+			if perr != nil {
+				return events, fmt.Errorf("line %d: %w", n, perr)
 			}
+			events = append(events, e)
+		}
+		if err == io.EOF {
+			return events, nil
+		}
+		if err != nil {
 			return events, err
 		}
-		events = append(events, rec.Event())
 	}
 }

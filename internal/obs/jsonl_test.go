@@ -42,7 +42,84 @@ func FuzzAppendRecord(f *testing.F) {
 		if !bytes.Equal(append(embedded, '\n'), want.Bytes()) {
 			t.Fatalf("MarshalJSON:\n got %q\nwant %q", embedded, want.Bytes())
 		}
+		// ParseRecord reads the line back exactly as encoding/json does.
+		line := want.Bytes()[:want.Len()-1]
+		got, err := ParseRecord(line)
+		if err != nil {
+			t.Fatalf("ParseRecord(%q): %v", line, err)
+		}
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got != rec.Event() {
+			t.Fatalf("ParseRecord(%q):\n got %+v\nwant %+v", line, got, rec.Event())
+		}
 	})
+}
+
+// FuzzParseRecord feeds arbitrary bytes to the spine's one decoder: any
+// input it accepts, encoding/json must accept as well and decode to the
+// same event.
+func FuzzParseRecord(f *testing.F) {
+	for _, s := range []string{
+		`{"t":5200,"kind":"HM_REPORT","core":1,"partition":"P1","process":"faulty","detail":"d","latency":3,"code":"C","level":"L","action":"A"}`,
+		`{"t":-0,"kind":"PORT_SEND"}`,
+		`{"t":0,"kind":"PORT_SEND","latency":-0}`,
+		`{"t":007,"kind":"PORT_SEND"}`,
+		`{"t":9223372036854775807,"kind":"PORT_SEND","core":-9223372036854775808,"latency":-9223372036854775808}`,
+		`{"t":9223372036854775808,"kind":"PORT_SEND"}`,
+		`{"t":-9223372036854775809,"kind":"PORT_SEND"}`,
+		`{"t":1,"kind":"PORT_SEND","detail":"\ud800"}`,
+		`{"t":1,"kind":"PORT_SEND","detail":"\udc00\ud800\u0041"}`,
+		"{\"t\":1,\"kind\":\"PORT_SEND\",\"detail\":\"\xff\xfe\xed\xa0\x80\"}",
+		"{\"t\":1,\"kind\":\"PORT_SEND\",\"detail\":\"\x01\"}",
+		`{"t":1,"kind":"PORT_SEND","process":"a\/b"}`,
+		`{"t":1,"kind":"PORT\u005fSEND","detail":"deadline 4120 missed → RESTART_PROCESS"}`,
+		`{"t":1,"kind":"","detail":"\"\\\b\f\n\r\t\u003c\u2028"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := ParseRecord(b)
+		if err != nil {
+			return
+		}
+		var rec Record
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatalf("ParseRecord accepted %q; encoding/json rejects it: %v", b, err)
+		}
+		if want := rec.Event(); got != want {
+			t.Fatalf("ParseRecord(%q):\n got %+v\nwant %+v", b, got, want)
+		}
+	})
+}
+
+// TestParseRecordRejectsOtherForms pins the stricter contract: each input
+// is a Record to encoding/json, but not in the form AppendRecord writes, so
+// ParseRecord rejects it.
+func TestParseRecordRejectsOtherForms(t *testing.T) {
+	for _, tc := range []struct{ name, in string }{
+		{"whitespace", `{"t": 1,"kind":"PORT_SEND"}`},
+		{"trailing newline", `{"t":1,"kind":"PORT_SEND"}` + "\n"},
+		{"key order", `{"kind":"PORT_SEND","t":1}`},
+		{"case-folded key", `{"T":1,"kind":"PORT_SEND"}`},
+		{"unknown field", `{"t":1,"kind":"PORT_SEND","extra":"x"}`},
+		{"null", `{"t":1,"kind":"PORT_SEND","partition":null}`},
+		{"duplicate key", `{"t":1,"kind":"PORT_SEND","core":1,"core":2}`},
+		{"missing t", `{"kind":"PORT_SEND"}`},
+		{"negative zero", `{"t":-0,"kind":"PORT_SEND"}`},
+		{"omitempty zero", `{"t":1,"kind":"PORT_SEND","latency":0}`},
+		{"omitempty empty string", `{"t":1,"kind":"PORT_SEND","detail":""}`},
+	} {
+		var rec Record
+		if err := json.Unmarshal([]byte(tc.in), &rec); err != nil {
+			t.Fatalf("%s: encoding/json rejects %q: %v", tc.name, tc.in, err)
+		}
+		if e, err := ParseRecord([]byte(tc.in)); err == nil {
+			t.Errorf("%s: ParseRecord accepted %q as %+v", tc.name, tc.in, e)
+		}
+	}
 }
 
 func TestJSONLSinkEmitAllocFree(t *testing.T) {

@@ -230,15 +230,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// KindFromString parses a wire name back into a Kind (0 for unknown names).
-func KindFromString(s string) Kind {
+// kindByName inverts kindNames: the one name→Kind table, shared by
+// KindFromString and ParseRecord.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, kindCount)
 	for k := Kind(1); int(k) <= kindCount; k++ {
-		if kindNames[k] == s {
-			return k
-		}
+		m[kindNames[k]] = k
 	}
-	return 0
-}
+	return m
+}()
+
+// KindFromString parses a wire name back into a Kind (0 for unknown names).
+func KindFromString(s string) Kind { return kindByName[s] }
 
 // Event is one spine record. The zero value of every field other than Time
 // and Kind means "not applicable": events are small comparable values and

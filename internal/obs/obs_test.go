@@ -284,6 +284,17 @@ func TestEncodeDecodeEventsRoundTrip(t *testing.T) {
 	}
 }
 
+func TestDecodeEventsNamesBadLine(t *testing.T) {
+	in := `{"t":1,"kind":"PORT_SEND","partition":"P1"}` + "\n" + `{"t":2, "kind":"PORT_SEND"}` + "\n"
+	events, err := DecodeEvents(strings.NewReader(in))
+	if err == nil || !strings.HasPrefix(err.Error(), "line 2: ") {
+		t.Fatalf("err = %v, want one naming line 2", err)
+	}
+	if len(events) != 1 || events[0].Partition != "P1" {
+		t.Fatalf("events before the bad line = %+v", events)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{Time: 12, Kind: KindDeadlineMiss, Partition: "P1", Process: "ctl", Detail: "missed"}
 	if got := e.String(); got != "[    12] DEADLINE_MISS P1/ctl: missed" {
