@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"air/internal/mmu"
 	"air/internal/model"
 )
 
@@ -95,5 +96,56 @@ func TestSnapshotBodyForms(t *testing.T) {
 				t.Fatalf("fork run: %v", err)
 			}
 		})
+	}
+}
+
+// TestForkMemoryIsolation: forks share simulated RAM copy-on-write, so a
+// write into one fork reaches neither the parent nor a sibling fork taken
+// from the same snapshot.
+func TestForkMemoryIsolation(t *testing.T) {
+	m := startModule(t, Config{
+		System: twoPartitionSystem(),
+		Partitions: []PartitionConfig{
+			{Name: "A", Init: normalInit(nil)},
+			{Name: "B", Init: normalInit(nil)},
+		},
+	})
+	const va = mmu.VirtAddr(0x0010_0000) // the default data section
+	if err := m.Memory().WriteIn("A", va, []byte("parent"), mmu.PrivPOS); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := make([]*Module, 2)
+	for i := range forks {
+		if forks[i], err = snap.Fork(); err != nil {
+			t.Fatal(err)
+		}
+		defer forks[i].Shutdown()
+	}
+	if err := forks[0].Memory().WriteIn("A", va, []byte("fork-0"), mmu.PrivPOS); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mod  *Module
+		want string
+	}{
+		{"writer", forks[0], "fork-0"},
+		{"parent", m, "parent"},
+		{"sibling", forks[1], "parent"},
+	} {
+		buf := make([]byte, 6)
+		if err := tc.mod.Memory().ReadIn("A", va, buf, mmu.PrivPOS); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != tc.want {
+			t.Errorf("%s reads %q, want %q", tc.name, buf, tc.want)
+		}
 	}
 }

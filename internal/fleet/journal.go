@@ -52,7 +52,7 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	}
 	var records []journalRecord
 	var validBytes int64
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReader(f)
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {

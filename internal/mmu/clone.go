@@ -1,29 +1,38 @@
 package mmu
 
-import "air/internal/model"
+import (
+	"slices"
 
-// Clone returns a deep copy of the MMU and its simulated physical memory
-// for module snapshot/fork. The backing store grows lazily (see MMU.mem),
-// so the clone allocates and copies exactly the allocated frames — never
-// the full simulated physical size; a fork that maps further memory regrows
-// its own backing. Page tables are rebuilt node-by-node (all entries are plain
-// values), and the TLB plus its statistics are value-copied so a fork's
-// hit/miss profile replays exactly. Device ranges share the parent's Device
-// implementations — device models carry external state the MMU cannot copy,
-// so callers that need fork isolation must not map devices (the core
-// snapshot layer rejects them).
+	"air/internal/model"
+)
+
+// Clone returns an independent copy of the MMU and its simulated physical
+// memory for module snapshot/fork. It copies the frame table's pointers,
+// not frame bytes: every frame is shared copy-on-write, and bumping the
+// source's generation makes the frames the source had written shared for
+// it too, so a later write on either side copies the frame first and
+// never reaches the other or a sibling clone. The bump is Clone's only
+// write to the source and is atomic, so concurrent Clones of one source
+// are safe as long as nothing writes the source meanwhile. Page tables
+// are rebuilt node by node (all entries are plain values), and the TLB
+// plus its statistics are value-copied so a fork's hit/miss profile
+// replays exactly. Device ranges share the parent's Device
+// implementations — device models carry external state the MMU cannot
+// copy, so callers that need fork isolation must not map devices (the
+// core snapshot layer rejects them).
 func (m *MMU) Clone() *MMU {
 	c := &MMU{
-		mem:       make([]byte, m.nextFrame),
-		size:      m.size,
-		nextFrame: m.nextFrame,
-		contexts:  make(map[model.PartitionName]*context, len(m.contexts)),
-		current:   m.current,
-		hasCtx:    m.hasCtx,
-		tlb:       m.tlb,
-		tlbStats:  m.tlbStats,
+		size:     m.size,
+		contexts: make(map[model.PartitionName]*context, len(m.contexts)),
+		current:  m.current,
+		hasCtx:   m.hasCtx,
+		tlb:      m.tlb,
+		tlbStats: m.tlbStats,
 	}
-	copy(c.mem[:m.nextFrame], m.mem[:m.nextFrame])
+	// Every entry's gen is below the bumped value, so all frames are
+	// shared on both sides.
+	c.gen.Store(m.gen.Add(1))
+	c.frames = slices.Clone(m.frames)
 	for name, ctx := range m.contexts { //air:allow(maprange): one-shot fork assembly off the hot path; order-insensitive copy
 		c.contexts[name] = ctx.clone()
 	}

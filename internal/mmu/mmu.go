@@ -11,11 +11,19 @@
 // the current context's page table and faults — surfacing to the Health
 // Monitor as a MEMORY_VIOLATION — when the mapping is absent or the access
 // permissions of the executing privilege level are insufficient.
+//
+// The simulated physical memory behind the page tables is a frame table,
+// one entry per allocated 4 KiB frame indexed by PhysAddr >> 12. A frame
+// holds no bytes until its first write, and a never-written frame reads as
+// zeros, so mapping a partition's space costs table entries, not zeroed
+// megabytes. Clone shares every frame copy-on-write (see MMU.Clone).
 package mmu
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"air/internal/model"
 )
@@ -226,20 +234,31 @@ type TLBStats struct {
 	Flushes uint64
 }
 
+// frame is one frame-table entry: the frame's bytes, nil until the first
+// write, and the generation of the owning MMU at which those bytes were
+// made private to it.
+type frame struct {
+	data *[PageSize]byte
+	gen  uint64
+}
+
 // MMU is the simulated memory management unit together with the simulated
 // physical memory it fronts.
+//
+// Physical memory is the frame table: frames[pa>>pageShift] backs the 4 KiB
+// frame at pa, and frames are allocated in PhysAddr order, so len(frames)
+// is the number allocated. A frame's bytes may be shared with clones, so a
+// write goes in place only when the entry's gen equals the MMU's gen;
+// otherwise it first copies the frame (or allocates a nil one) and stamps
+// the entry with the current gen. Clone bumps gen, which makes every frame
+// shared again without touching the table.
 type MMU struct {
-	// mem is the backing store for the simulated physical memory. It grows
-	// lazily toward size as frames are allocated: a module maps a few
-	// hundred KiB of a default 16 MiB physical space, and eagerly zeroing
-	// the rest dominated module construction — and, worse, module fork,
-	// which clones the MMU per campaign variant.
-	mem       []byte
-	size      int // simulated physical capacity in bytes (≥ len(mem))
-	nextFrame PhysAddr
-	contexts  map[model.PartitionName]*context
-	current   model.PartitionName
-	hasCtx    bool
+	frames   []frame
+	gen      atomic.Uint64
+	size     int // simulated physical capacity in bytes
+	contexts map[model.PartitionName]*context
+	current  model.PartitionName
+	hasCtx   bool
 
 	// tlb caches current-context translations; it is flushed on every
 	// context switch, exactly like the hardware it models. Explicit-context
@@ -271,14 +290,6 @@ func New(size int) *MMU {
 	}
 }
 
-// minBacking is the backing store's first allocation (64 pages). The store
-// then doubles as frames are mapped, capped at the simulated physical size,
-// so a module never allocates its full physical size up front. The Fig. 8
-// module's four default spaces map 384 pages, so its backing grows
-// 64→128→256→512 pages and the 448 pages (1.75 MiB) of outgrown buffers
-// are discarded while mapping.
-const minBacking = 64 * PageSize
-
 // MapSpace installs a partition's addressing space: for each descriptor,
 // physical frames are allocated and the three-level page table populated.
 func (m *MMU) MapSpace(spec SpaceSpec) error {
@@ -287,6 +298,11 @@ func (m *MMU) MapSpace(spec SpaceSpec) error {
 		ctx = &context{root: &l1Table{}}
 		m.contexts[spec.Partition] = ctx
 	}
+	pages := 0
+	for _, d := range spec.Descriptors {
+		pages += int(d.Size / PageSize)
+	}
+	m.frames = slices.Grow(m.frames, min(pages, m.FreeBytes()/PageSize))
 	for _, d := range spec.Descriptors {
 		if err := m.mapDescriptor(ctx, d); err != nil {
 			return fmt.Errorf("partition %s %s descriptor at 0x%08x: %w",
@@ -323,28 +339,26 @@ func (m *MMU) mapDescriptor(ctx *context, d Descriptor) error {
 }
 
 func (m *MMU) allocFrame() (PhysAddr, error) {
-	need := int(m.nextFrame) + PageSize
-	if need > m.size {
+	if m.FreeBytes() < PageSize {
 		return 0, ErrOutOfMemory
 	}
-	if need > len(m.mem) {
-		grown := len(m.mem) * 2
-		if grown < minBacking {
-			grown = minBacking
-		}
-		for grown < need {
-			grown *= 2
-		}
-		if grown > m.size {
-			grown = m.size
-		}
-		buf := make([]byte, grown)
-		copy(buf, m.mem[:m.nextFrame])
-		m.mem = buf
-	}
-	f := m.nextFrame
-	m.nextFrame += PageSize
+	f := PhysAddr(len(m.frames)) << pageShift
+	m.frames = append(m.frames, frame{})
 	return f, nil
+}
+
+// writable returns the bytes of the frame at pa, made private to m first:
+// a nil frame is allocated and a shared one copied.
+func (m *MMU) writable(pa PhysAddr) *[PageSize]byte {
+	f := &m.frames[pa>>pageShift]
+	if gen := m.gen.Load(); f.data == nil || f.gen != gen {
+		page := new([PageSize]byte)
+		if f.data != nil {
+			*page = *f.data
+		}
+		f.data, f.gen = page, gen
+	}
+	return f.data
 }
 
 // walk returns the level-3 entry for va, or nil if any intermediate table is
@@ -540,10 +554,13 @@ func (m *MMU) access(p model.PartitionName, hasCtx bool, va VirtAddr, buf []byte
 		if n > len(remaining) {
 			n = len(remaining)
 		}
+		off := int(pa & pageOffset)
 		if mode == Write {
-			copy(m.mem[pa:int(pa)+n], remaining[:n])
+			copy(m.writable(pa)[off:off+n], remaining[:n])
+		} else if data := m.frames[pa>>pageShift].data; data != nil {
+			copy(remaining[:n], data[off:off+n])
 		} else {
-			copy(remaining[:n], m.mem[pa:int(pa)+n])
+			clear(remaining[:n])
 		}
 		va += VirtAddr(n)
 		remaining = remaining[n:]
@@ -587,4 +604,4 @@ func (m *MMU) MappedPages(p model.PartitionName) int {
 }
 
 // FreeBytes returns the unallocated simulated physical memory.
-func (m *MMU) FreeBytes() int { return m.size - int(m.nextFrame) }
+func (m *MMU) FreeBytes() int { return m.size - len(m.frames)*PageSize }

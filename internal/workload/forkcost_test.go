@@ -28,11 +28,12 @@ func forkParent(b *testing.B) *core.Snapshot {
 	return snap
 }
 
-// BenchmarkModuleFork isolates Fork() itself: the deep copy of every
-// subsystem (MMU frames, page tables, kernels, IPC channels, HM state,
-// trace ring) plus re-spawning the process goroutines. This is the
-// constant a campaign pays per prefix-shared variant, so it bounds how
-// short a per-run suffix can get before forking stops paying.
+// BenchmarkModuleFork isolates Fork() itself: the copy of every subsystem
+// (the MMU's frame table, whose frames are shared copy-on-write, page
+// tables, kernels, IPC channels, HM state, trace ring) plus re-spawning
+// the process goroutines. This is the constant a campaign pays per
+// prefix-shared variant, so it bounds how short a per-run suffix can get
+// before forking stops paying.
 func BenchmarkModuleFork(b *testing.B) {
 	snap := forkParent(b)
 	b.ResetTimer()
@@ -44,6 +45,48 @@ func BenchmarkModuleFork(b *testing.B) {
 		b.StopTimer()
 		f.Shutdown()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkModuleBuild is what a from-zero campaign run pays around its
+// ticks: NewModule + Start + Shutdown of the campaign-shaped module (no
+// retained trace, batched observability).
+func BenchmarkModuleBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := Config(Options{TraceCapacity: -1})
+		cfg.BatchObs = true
+		m, err := core.NewModule(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			b.Fatal(err)
+		}
+		m.Shutdown()
+	}
+}
+
+// TestModuleBuildAndForkAllocBound bounds the bytes a module build and a
+// fork allocate. Simulated RAM that nothing writes must cost frame-table
+// entries, not zeroed or copied frames: the Fig. 8 module maps 384 pages
+// (1.5 MiB), so either cost above 1 MiB means frames are being allocated
+// eagerly again.
+func TestModuleBuildAndForkAllocBound(t *testing.T) {
+	const bound = 1 << 20
+	for _, bm := range []struct {
+		name string
+		fn   func(*testing.B)
+	}{
+		{"build", BenchmarkModuleBuild},
+		{"fork", BenchmarkModuleFork},
+	} {
+		r := testing.Benchmark(bm.fn)
+		if r.N == 0 {
+			t.Fatalf("%s benchmark failed", bm.name)
+		}
+		if got := r.AllocedBytesPerOp(); got > bound {
+			t.Errorf("%s allocates %d B/op, want at most %d", bm.name, got, bound)
+		}
 	}
 }
 
