@@ -120,7 +120,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		runs        = fs.Int("runs", 100, "number of independent simulation runs")
 		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size (affects wall clock only, never results)")
-		journal     = fs.String("journal", "", "checkpoint journal (JSONL); an interrupted campaign re-invoked with the same spec and journal resumes, re-running only unfinished leases")
+		journal     = fs.String("journal", "", "checkpoint journal (CRC-framed records); an interrupted campaign re-invoked with the same spec and journal resumes, re-running only unfinished leases")
 		matrixPath  = fs.String("matrix", "", "campaign matrix JSON (default: built-in mixed-fault matrix)")
 		outPath     = fs.String("out", "", "write result JSON here (and Markdown to the .md sibling)")
 		seed        = fs.Uint64("seed", 1, "campaign master seed")

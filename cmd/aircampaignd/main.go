@@ -98,7 +98,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		confPath  = fs.String("config", "", "coordinator: fleet configuration JSON supplying flag defaults (explicit flags override)")
 		addr      = fs.String("addr", ":9464", "coordinator: HTTP listen address for the fleet API and telemetry endpoints")
-		journal   = fs.String("journal", "", "coordinator: JSONL lease journal path; set to make campaigns durable and resumable")
+		journal   = fs.String("journal", "", "coordinator: lease journal path (CRC-framed records); set to make campaigns durable and resumable")
 		leaseSize = fs.Int("lease", 64, "coordinator: runs per lease (the work-stealing and checkpoint grain)")
 		leaseTTL  = fs.Duration("lease-ttl", 2*time.Minute, "coordinator: reclaim an issued lease after this long without completion (0 = never)")
 		liveness  = fs.Duration("liveness", 15*time.Second, "coordinator: shard liveness window for /campaigns and /metrics")

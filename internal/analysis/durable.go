@@ -28,10 +28,12 @@ var DurableAnalyzer = &Analyzer{
 	Run:  runDurable,
 }
 
-// durablePkgs are the packages that own crash-recoverable state: the fleet
-// coordinator's journal and archive index, the flight archive's segments
-// and manifest, and the campaign engine's shipped-archive store.
+// durablePkgs are the packages that own crash-recoverable state: the shared
+// log format and atomic file writer, the fleet coordinator's journal and
+// archive index, the flight archive's segments and manifest, and the
+// campaign engine's shipped-archive store.
 var durablePkgs = map[string]bool{
+	"air/internal/durable":  true,
 	"air/internal/fleet":    true,
 	"air/internal/archive":  true,
 	"air/internal/campaign": true,

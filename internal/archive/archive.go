@@ -30,11 +30,12 @@
 // implicit: the i-th record of the concatenated segment stream has seq i
 // (1-based) — appending is the only mutation, so position is identity.
 //
-// Durability matches the fleet journal: a segment is fsynced when sealed and
-// the manifest is replaced atomically (write-temp, fsync, rename); the
-// active segment is recovered on reopen by validating frames and truncating
-// the torn tail, so a writer killed mid-append loses at most the unframed
-// suffix of its last buffer flush.
+// The frame and its recovery rule belong to internal/durable, which the
+// fleet journal shares: a segment is fsynced when sealed and the manifest is
+// replaced atomically (durable.WriteFile); the active segment is recovered
+// on reopen by validating frames and truncating the torn tail, so a writer
+// killed mid-append loses at most the unframed suffix of its last buffer
+// flush, and a corrupt complete frame is an error, never silently dropped.
 //
 // The write path is allocation-free: Sink.Emit encodes frames into a
 // preallocated staging buffer with obs.AppendRecord, and buffer flushes /
@@ -44,10 +45,7 @@
 // decodes them without reflection.
 package archive
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Defaults for Options.
 const (
@@ -145,10 +143,4 @@ type Stats struct {
 // filters, so the CLI and the archive agree on boundary semantics.
 func InTickRange(t, since, until int64) bool {
 	return t >= since && (until < 0 || t <= until)
-}
-
-// sortIndex keeps recovered index entries ordered by seq (they are built in
-// order; this is a guard for hand-edited manifests).
-func sortIndex(idx []IndexEntry) {
-	sort.Slice(idx, func(i, j int) bool { return idx[i].Seq < idx[j].Seq })
 }

@@ -364,6 +364,47 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestCorruptFrameIsAnError corrupts a complete frame of the active segment
+// that has valid frames after it: the reader and a reopening writer both
+// fail with the frame's byte offset instead of silently dropping — and
+// truncating away — the later frames.
+func TestCorruptFrameIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := archive.Open(dir, archive.Options{SegmentRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range genEvents(40) {
+		s.Emit(e)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// 2 sealed segments of 16 records, then 8 records in the active one:
+	// flip a digit of the third one's tick.
+	active := filepath.Join(dir, "seg-000003.jsonl")
+	data, err := os.ReadFile(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	off := len(lines[0]) + len(lines[1])
+	data[off+bytes.Index(lines[2], []byte(`"t":`))+4] ^= 1
+	if err := os.WriteFile(active, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("byte offset %d:", off)
+	if _, err := archive.OpenReader(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenReader over a corrupt frame = %v, want an error at %s", err, want)
+	}
+	if _, err := archive.Open(dir, archive.Options{SegmentRecords: 16}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over a corrupt frame = %v, want an error at %s", err, want)
+	}
+	if got, err := os.ReadFile(active); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("failed open changed the segment (%d bytes, %v), want it as written", len(got), err)
+	}
+}
+
 // TestLongRecordRoundTrip archives records whose 10 KiB Detail outgrows a
 // 4 KiB read buffer — in sealed segments and in the unsealed tail — and
 // reads them back through every read path: Scan, AsOf, Diff, the tail an

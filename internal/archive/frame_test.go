@@ -1,12 +1,14 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
 
+	"air/internal/durable"
 	"air/internal/obs"
 )
 
@@ -21,14 +23,14 @@ var frameSeeds = []obs.Event{
 
 // FuzzDecodeFrame feeds arbitrary lines — raw, and re-framed with a valid
 // CRC so the JSON decoder is reached — to decodeFrame: every rejection must
-// be errFrame-wrapped, and nothing may panic.
+// be durable.ErrCorrupt-wrapped, and nothing may panic.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, e := range frameSeeds {
 		line := appendFrame(nil, e)
 		line = line[:len(line)-1]
 		f.Add(line, false)
 		f.Add(line[:len(line)/2], false)
-		f.Add(line[crcHexLen+1:], true)
+		f.Add(line[bytes.IndexByte(line, ' ')+1:], true)
 	}
 	f.Add([]byte("0000000g {}"), false)
 	f.Add([]byte(`{"t":"x"}`), true)
@@ -37,8 +39,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		if reframe {
 			line = append([]byte(fmt.Sprintf("%08x ", crc32.ChecksumIEEE(line))), line...)
 		}
-		if _, err := decodeFrame(line); err != nil && !errors.Is(err, errFrame) {
-			t.Fatalf("decodeFrame(%q) = %v, not errFrame-wrapped", line, err)
+		if _, err := decodeFrame(line); err != nil && !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("decodeFrame(%q) = %v, not ErrCorrupt-wrapped", line, err)
 		}
 	})
 }
@@ -55,8 +57,8 @@ func TestDecodeFrameRejectsTruncation(t *testing.T) {
 			t.Fatalf("decoded %+v, want %+v", got, e)
 		}
 		for cut := 0; cut < len(line); cut++ {
-			if _, err := decodeFrame(line[:cut]); !errors.Is(err, errFrame) {
-				t.Fatalf("frame cut at %d/%d: err = %v, want errFrame", cut, len(line), err)
+			if _, err := decodeFrame(line[:cut]); !errors.Is(err, durable.ErrCorrupt) {
+				t.Fatalf("frame cut at %d/%d: err = %v, want ErrCorrupt", cut, len(line), err)
 			}
 		}
 	}

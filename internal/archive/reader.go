@@ -8,14 +8,16 @@ import (
 	"sort"
 	"strings"
 
+	"air/internal/durable"
 	"air/internal/obs"
 )
 
 // Reader opens an archive directory for queries. Sealed segments are taken
-// from the manifest; any trailing unsealed segment is recovered read-only by
-// frame validation (a torn tail is ignored, never an error), so a reader can
-// inspect the archive of a run that crashed — or one that is still being
-// written, up to its last buffer flush.
+// from the manifest; any trailing unsealed segment is recovered read-only
+// under the durable recovery rule (a torn tail is ignored, a corrupt
+// complete frame is an error), so a reader can inspect the archive of a run
+// that crashed — or one that is still being written, up to its last buffer
+// flush.
 type Reader struct {
 	dir     string
 	segs    []segmentInfo
@@ -71,15 +73,20 @@ func scanSegment(dir string, num int, seqStart uint64) (*segmentInfo, error) {
 	}
 	defer f.Close()
 	meta := SegmentMeta{Name: segmentName(num), SeqStart: seqStart}
-	meta.Bytes, err = validPrefix(f, func(e obs.Event, _ int64) {
+	meta.Bytes, err = durable.Walk(f, func(payload []byte, _ int64) error {
+		e, err := obs.ParseRecord(payload)
+		if err != nil {
+			return err
+		}
 		if meta.Records == 0 {
 			meta.MinTick = int64(e.Time)
 		}
 		meta.MaxTick = int64(e.Time)
 		meta.Records++
+		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("archive: scan segment: %w", err)
+		return nil, fmt.Errorf("archive: scan segment %s: %w", meta.Name, err)
 	}
 	if meta.Records == 0 {
 		return nil, nil
@@ -132,7 +139,7 @@ func (q Query) admitsKind(k obs.Kind) bool {
 // the middle of one) to reach SinceTick, and stops at the first record past
 // UntilTick or MaxSeq.
 func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
-	lr := newLineReader(nil) // one pair of buffers for every segment
+	lr := durable.NewLineReader(nil) // one pair of buffers for every segment
 	for _, seg := range r.segs {
 		if q.MaxSeq > 0 && seg.meta.SeqStart > q.MaxSeq {
 			return nil
@@ -156,7 +163,7 @@ func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 // errStop terminates a scan early from inside a segment.
 var errStop = errors.New("archive: stop scan")
 
-func (r *Reader) scanOne(seg segmentInfo, q Query, lr *lineReader, fn func(seq uint64, e obs.Event) error) error {
+func (r *Reader) scanOne(seg segmentInfo, q Query, lr *durable.LineReader, fn func(seq uint64, e obs.Event) error) error {
 	f, err := os.Open(filepath.Join(r.dir, seg.meta.Name))
 	if err != nil {
 		return fmt.Errorf("archive: scan: %w", err)
@@ -178,12 +185,12 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, lr *lineReader, fn func(seq u
 			seq = ent.Seq
 		}
 	}
-	lr.br.Reset(f)
+	lr.Reset(f)
 	for {
 		if q.MaxSeq > 0 && seq > q.MaxSeq {
 			return errStop
 		}
-		line, err := lr.line()
+		line, err := lr.Line()
 		if err != nil {
 			if seg.sealed && (len(line) > 0 || seq != seg.meta.SeqStart+seg.meta.Records) {
 				return fmt.Errorf("archive: segment %s truncated at seq %d", seg.meta.Name, seq)
@@ -192,10 +199,7 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, lr *lineReader, fn func(seq u
 		}
 		e, ferr := decodeFrame(line[:len(line)-1])
 		if ferr != nil {
-			if seg.sealed {
-				return fmt.Errorf("archive: segment %s seq %d: %w", seg.meta.Name, seq, ferr)
-			}
-			return nil // unsealed torn tail
+			return fmt.Errorf("archive: segment %s seq %d: %w", seg.meta.Name, seq, ferr)
 		}
 		if seq > seg.meta.SeqStart+seg.meta.Records-1 {
 			return nil // recovered tail: past the validated prefix
@@ -400,11 +404,11 @@ type cursor struct {
 	segIdx int
 	left   uint64 // records remaining in the open segment
 	f      *os.File
-	lr     *lineReader
+	lr     *durable.LineReader
 }
 
 func (r *Reader) cursor() (*cursor, error) {
-	return &cursor{r: r, lr: newLineReader(nil)}, nil
+	return &cursor{r: r, lr: durable.NewLineReader(nil)}, nil
 }
 
 func (c *cursor) next() (obs.Event, bool, error) {
@@ -419,7 +423,7 @@ func (c *cursor) next() (obs.Event, bool, error) {
 			if err != nil {
 				return zero, false, fmt.Errorf("archive: diff: %w", err)
 			}
-			c.lr.br.Reset(f)
+			c.lr.Reset(f)
 			c.f, c.left = f, seg.meta.Records
 		}
 		if c.left == 0 {
@@ -427,7 +431,7 @@ func (c *cursor) next() (obs.Event, bool, error) {
 			c.segIdx++
 			continue
 		}
-		line, err := c.lr.line()
+		line, err := c.lr.Line()
 		if err != nil {
 			return zero, false, fmt.Errorf("archive: diff: segment %s: %w", c.r.segs[c.segIdx].meta.Name, err)
 		}

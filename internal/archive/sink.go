@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
+	"air/internal/durable"
 	"air/internal/obs"
 )
 
@@ -45,10 +45,11 @@ type Sink struct {
 }
 
 // Open creates (or reopens) the archive directory for appending. Reopening
-// an archive whose writer died mid-append recovers exactly like the fleet
-// journal: sealed segments are authoritative via the manifest, and the
-// active segment's torn tail — any suffix that fails frame validation — is
-// truncated before appending resumes.
+// an archive whose writer died mid-append recovers under the durable
+// recovery rule, the same as the fleet journal: sealed segments are
+// authoritative via the manifest, the active segment's torn tail — a final
+// line without its newline — is truncated before appending resumes, and a
+// corrupt complete frame is an error.
 func Open(dir string, opts Options) (*Sink, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -110,9 +111,9 @@ func readManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// recoverActive validates the active (post-manifest) segment if one exists,
-// truncates its torn tail, and resumes the writer's counters and sparse
-// index from the valid prefix.
+// recoverActive validates the active (post-manifest) segment if one exists
+// under the durable recovery rule, truncates its torn tail, and resumes the
+// writer's counters and sparse index from its records.
 func (s *Sink) recoverActive() error {
 	path := filepath.Join(s.dir, segmentName(s.segNum))
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -122,20 +123,16 @@ func (s *Sink) recoverActive() error {
 	if err != nil {
 		return fmt.Errorf("archive: recover: %w", err)
 	}
-	valid, err := validPrefix(f, func(e obs.Event, offset int64) {
-		s.noteRecord(int64(e.Time), offset)
+	valid, err := durable.Recover(f, func(payload []byte, offset int64) error {
+		e, err := obs.ParseRecord(payload)
+		if err == nil {
+			s.noteRecord(int64(e.Time), offset)
+		}
+		return err
 	})
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("archive: recover: %w", err)
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return fmt.Errorf("archive: recover: truncate: %w", err)
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("archive: recover: %w", err)
+		return fmt.Errorf("archive: recover %s: %w", segmentName(s.segNum), err)
 	}
 	s.f = f
 	s.segBytes = valid
@@ -249,30 +246,13 @@ func (s *Sink) seal() {
 	s.err = s.openSegment()
 }
 
-// writeManifest atomically replaces the catalog: write to a temp file, fsync
-// it, rename over the manifest.
+// writeManifest atomically replaces the catalog.
 func writeManifest(dir string, m Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644)
+	}
 	if err != nil {
-		return fmt.Errorf("archive: manifest: %w", err)
-	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("archive: manifest: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("archive: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("archive: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("archive: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return fmt.Errorf("archive: manifest: %w", err)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"air/internal/archive"
+	"air/internal/durable"
 )
 
 // RunArchive is one run's flight archive packaged for shipment from a fleet
@@ -72,8 +73,8 @@ func CollectArchives(spec Spec, sh *Shard) error {
 }
 
 // StoreArchive writes a shipped run archive into dir — the coordinator's
-// durable store. File names are validated against path escapes; existing
-// files are overwritten (re-stored runs are deterministic duplicates).
+// durable store. File names are validated against path escapes; each file is
+// replaced atomically (re-stored runs are deterministic duplicates).
 func StoreArchive(dir string, a RunArchive) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: store run %d: %w", a.Run, err)
@@ -82,28 +83,9 @@ func StoreArchive(dir string, a RunArchive) error {
 		if f.Name == "" || f.Name != filepath.Base(f.Name) {
 			return fmt.Errorf("campaign: store run %d: archive file name %q escapes its directory", a.Run, f.Name)
 		}
-		if err := writeDurable(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
+		if err := durable.WriteFile(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
 			return fmt.Errorf("campaign: store run %d: %w", a.Run, err)
 		}
 	}
 	return nil
-}
-
-// writeDurable replaces path through an fsynced handle. The shipped-archive
-// store is crash-recoverable state: os.WriteFile never syncs, so a crash
-// shortly after a store could surface truncated archive files on resume.
-func writeDurable(path string, data []byte, mode os.FileMode) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, mode)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -138,8 +138,8 @@ func TestCampaignArchiveTransparent(t *testing.T) {
 
 // Regression: StoreArchive used os.WriteFile, which cannot fsync — the
 // shipped-archive store is crash-recoverable state, and a crash shortly
-// after a store could surface truncated files on resume. The writeDurable
-// rewrite opens with O_TRUNC and syncs before close; this locks in the
+// after a store could surface truncated files on resume. durable.WriteFile
+// syncs a temporary file and renames it over the old one; this locks in the
 // observable half: re-storing over a longer existing file leaves exactly
 // the new bytes.
 func TestStoreArchiveOverwriteTruncates(t *testing.T) {

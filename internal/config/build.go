@@ -15,7 +15,8 @@ import (
 //
 // The document's partition options map onto the runtime: policy
 // "round-robin" selects the non-real-time POS scheduler, deadlineQueue
-// "tree" selects the AVL deadline structure (Sect. 5.3 ablation), and
+// "list" selects the paper's sorted linked list and "tree" the AVL deadline
+// structure (Sect. 5.3 ablation) in place of the default array-heap, and
 // system: true authorizes module-level services.
 func (m *Module) BuildCoreConfig(inits map[string]core.InitFunc) (core.Config, error) {
 	sys, report, err := m.Verify()
@@ -47,9 +48,11 @@ func (m *Module) BuildCoreConfig(inits map[string]core.InitFunc) (core.Config, e
 				p.Name, p.Policy)
 		}
 		switch p.DeadlineQueue {
-		case "", "list":
+		case "":
+		case "list":
+			pc.Queue = core.QueueList
 		case "tree":
-			pc.UseTreeQueue = true
+			pc.Queue = core.QueueTree
 		default:
 			return core.Config{}, fmt.Errorf("config: partition %s: unknown deadline queue %q",
 				p.Name, p.DeadlineQueue)

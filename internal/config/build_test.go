@@ -33,7 +33,7 @@ func TestBuildCoreConfigAndRun(t *testing.T) {
 	if cfg.Partitions[1].Policy != pos.PolicyRoundRobin {
 		t.Error("policy not mapped")
 	}
-	if !cfg.Partitions[2].UseTreeQueue {
+	if cfg.Partitions[2].Queue != core.QueueTree {
 		t.Error("deadline queue not mapped")
 	}
 	if len(cfg.Sampling) != 1 || len(cfg.Queuing) != 1 {
@@ -53,6 +53,26 @@ func TestBuildCoreConfigAndRun(t *testing.T) {
 	}
 	if !p1Ran {
 		t.Error("P1 init never ran")
+	}
+}
+
+// TestBuildCoreConfigDeadlineQueue maps each document queue name to its
+// runtime queue: the default is the array-heap, and "list" is the paper's
+// sorted list, not the default.
+func TestBuildCoreConfigDeadlineQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want core.QueueKind
+	}{{"", core.QueueHeap}, {"list", core.QueueList}, {"tree", core.QueueTree}} {
+		doc := Fig8Module()
+		doc.Partitions[0].DeadlineQueue = tc.name
+		cfg, err := doc.BuildCoreConfig(nil)
+		if err != nil {
+			t.Fatalf("deadlineQueue %q: %v", tc.name, err)
+		}
+		if got := cfg.Partitions[0].Queue; got != tc.want {
+			t.Errorf("deadlineQueue %q selects queue %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -40,7 +40,9 @@ type Partition struct {
 	System bool `json:"system,omitempty"`
 	// Policy is "priority" (default) or "round-robin".
 	Policy string `json:"policy,omitempty"`
-	// DeadlineQueue is "list" (default) or "tree" (Sect. 5.3 ablation).
+	// DeadlineQueue is empty for the array-heap (default), "list" for the
+	// paper's sorted linked list or "tree" for the AVL tree (Sect. 5.3
+	// ablation).
 	DeadlineQueue string `json:"deadlineQueue,omitempty"`
 	// Processes declares the partition's task set for offline analysis.
 	Processes []Process `json:"processes,omitempty"`

@@ -17,8 +17,8 @@ type Fleet struct {
 	// Addr is the HTTP listen address for the fleet API and telemetry
 	// endpoints (default ":9464").
 	Addr string `json:"addr,omitempty"`
-	// Journal is the JSONL lease journal path; empty runs without
-	// durability.
+	// Journal is the lease journal path (CRC-framed records); empty runs
+	// without durability.
 	Journal string `json:"journal,omitempty"`
 	// LeaseRuns is the number of runs per lease — the work-stealing and
 	// checkpoint grain (default 64).

@@ -51,14 +51,11 @@ type PartitionConfig struct {
 	System bool
 	// Policy selects the POS scheduler; zero value = priority preemptive.
 	Policy pos.Policy
-	// UseTreeQueue selects the AVL deadline queue instead of the default
-	// flat array-heap (Sect. 5.3 ablation).
-	UseTreeQueue bool
-	// UseListQueue selects the paper's sorted linked list (the original
-	// production structure) instead of the default flat array-heap. All
-	// three queues share the (deadline, pid) total order, so the choice
-	// never changes a trace byte — only the constant factors.
-	UseListQueue bool
+	// Queue selects the PAL deadline queue (Sect. 5.3 ablation); the zero
+	// value is the flat array-heap. All three queues share the (deadline,
+	// pid) total order, so the choice never changes a trace byte — only the
+	// constant factors.
+	Queue QueueKind
 	// Init is the partition initialization entry point.
 	Init InitFunc
 	// Descriptors optionally overrides the partition's addressing space;
@@ -75,6 +72,16 @@ type PartitionConfig struct {
 	// MaxProcesses bounds the process table (0 = POS default).
 	MaxProcesses int
 }
+
+// QueueKind selects a partition's PAL deadline queue.
+type QueueKind uint8
+
+// Deadline queue kinds.
+const (
+	QueueHeap QueueKind = iota // flat array-heap, the default
+	QueueList                  // the paper's sorted doubly linked list
+	QueueTree                  // AVL tree, the discussed alternative
+)
 
 // Config describes the whole module at integration time.
 type Config struct {
@@ -117,11 +124,6 @@ type Config struct {
 	// monitor and the observability spine are shared across cores while
 	// each core keeps its own partition scheduler and dispatcher.
 	Shared *SharedPlatform
-	// InterpretedScheduler runs the Partition Scheduler in its interpreted
-	// reference form (preemption-point struct walk, map-backed pending
-	// actions) instead of the compiled flat tables. Retained so the golden
-	// equivalence test can diff the two forms trace-byte for trace-byte.
-	InterpretedScheduler bool
 	// BatchObs defers spine sink delivery to once per partition window: hot
 	// layers stage events into the bus's fixed buffer and the kernel flushes
 	// at each partition preemption point. Metrics observe immediately either
@@ -277,9 +279,6 @@ func NewModule(cfg Config) (*Module, error) {
 	sched, err := pmk.NewScheduler(compiled)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.InterpretedScheduler {
-		sched.UseInterpreted()
 	}
 	m.sched = sched
 	m.sched.AttachObs(obs.NewEmitter(m.bus, m.coreID))

@@ -152,14 +152,12 @@ func newPartition(m *Module, cfg PartitionConfig) (*Partition, error) {
 func (pt *Partition) buildKernel() {
 	nowFn := func() tick.Ticks { return pt.mod.now }
 	var queue pal.DeadlineQueue
-	switch {
-	case pt.cfg.UseTreeQueue:
+	switch pt.cfg.Queue {
+	case QueueTree:
 		queue = pal.NewTreeQueue()
-	case pt.cfg.UseListQueue:
+	case QueueList:
 		queue = pal.NewListQueue()
 	default:
-		// Production default: the compiled flat array-heap. All queues share
-		// the (deadline, pid) total order, so traces are identical.
 		queue = pal.NewHeapQueue()
 	}
 	p := pal.New(pal.Config{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"air/internal/campaign"
+	"air/internal/durable"
 	"air/internal/obs"
 	"air/internal/recovery"
 	"air/internal/tick"
@@ -106,7 +107,7 @@ type Coordinator struct {
 	//air:guard(mu)
 	workers map[string]*workerInfo
 	//air:guard(mu)
-	journal *journal
+	journal *durable.Log
 	// metrics is the fleet-level registry: lease/shard/campaign events,
 	// exported through the same /metrics page as the merged simulation
 	// counters.
@@ -136,7 +137,7 @@ func New(opts Options) (*Coordinator, error) {
 		c.journal = j
 		for _, r := range records {
 			if err := c.replay(r); err != nil {
-				j.close()
+				j.Close()
 				return nil, err
 			}
 		}
@@ -151,7 +152,7 @@ func (c *Coordinator) Close() error {
 	if c.journal == nil {
 		return nil
 	}
-	err := c.journal.close()
+	err := c.journal.Close()
 	c.journal = nil
 	return err
 }
@@ -206,10 +207,10 @@ func (c *Coordinator) Submit(spec campaign.Spec) (string, error) {
 	defer c.mu.Unlock()
 	id := fmt.Sprintf("c%d", c.seq+1)
 	if c.journal != nil {
-		if err := c.journal.append(journalRecord{
+		if err := c.journal.Append(journalRecord{
 			Op: opSubmit, ID: id, Spec: &spec, LeaseSize: c.opts.LeaseSize,
 		}); err != nil {
-			return "", err
+			return "", fmt.Errorf("fleet: journal append: %w", err)
 		}
 	}
 	if err := c.addCampaign(id, spec, c.opts.LeaseSize); err != nil {
@@ -444,11 +445,11 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 		}
 	}
 	if c.journal != nil {
-		if err := c.journal.append(journalRecord{
+		if err := c.journal.Append(journalRecord{
 			Op: opComplete, ID: cs.id, Lease: l.Index, Start: sh.Start, End: sh.End,
 			Aggregate: &sh.Aggregate, Observations: c.keptObservations(sh),
 		}); err != nil {
-			return err
+			return fmt.Errorf("fleet: journal append: %w", err)
 		}
 	}
 	c.finishLease(cs, l.Index, &sh.Aggregate, c.keptObservations(sh), worker, true)
@@ -579,29 +580,10 @@ func (c *Coordinator) writeArchiveIndex(cs *campaignState) error {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Run < entries[j].Run })
 	data, err := json.MarshalIndent(entries, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(filepath.Join(c.campaignArchiveDir(cs.id), "index.json"), append(data, '\n'), 0o644)
+	}
 	if err != nil {
-		return fmt.Errorf("fleet: archive index: %w", err)
-	}
-	path := filepath.Join(c.campaignArchiveDir(cs.id), "index.json")
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("fleet: archive index: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: archive index: %w", err)
-	}
-	// Sync before the rename publishes the index: without the fsync a crash
-	// can leave the new directory entry pointing at torn or empty contents.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: archive index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("fleet: archive index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("fleet: archive index: %w", err)
 	}
 	return nil

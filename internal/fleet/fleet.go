@@ -20,9 +20,11 @@
 // final aggregate is byte-identical to a single-process campaign.Run.
 //
 // Durability: every accepted campaign and every completed lease is appended
-// to a JSONL journal. A restarted coordinator replays the journal and
-// reissues only the leases that never completed; a killed shard loses only
-// its in-flight leases. Completion is idempotent — if a reclaimed lease is
+// to the journal, a durable.Log of CRC-framed JSON records synced per
+// record. A restarted coordinator replays the journal under the durable
+// recovery rule (a torn final record is dropped, a corrupt one fails the
+// start) and reissues only the leases that never completed; a killed shard
+// loses only its in-flight leases. Completion is idempotent — if a reclaimed lease is
 // finished by both the slow original holder and the reissued one, the
 // second completion is dropped (both are byte-identical by determinism).
 //

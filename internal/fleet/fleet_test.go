@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"air/internal/campaign"
 	"air/internal/config"
+	"air/internal/durable"
 )
 
 // fakeClock is an injectable wall clock for lease TTL / liveness tests.
@@ -317,6 +319,80 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalCorruptRecordIsAnError flips one digit of a journaled spec's
+// seed. The record stays valid JSON and passes replay validation, so only
+// its frame's CRC tells it from the campaign that was submitted: New must
+// refuse the journal rather than replay a different campaign.
+func TestJournalCorruptRecordIsAnError(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "fleet.journal")
+	c, err := New(Options{LeaseSize: 4, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(testSpec(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"Seed":99`))
+	if i < 0 {
+		t.Fatalf("journal does not carry the spec's seed: %q", data)
+	}
+	data[i+len(`"Seed":9`)] = '8'
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = New(Options{LeaseSize: 4, JournalPath: journal})
+	if err == nil {
+		c.Close()
+		t.Fatal("New replayed a corrupt journal record")
+	}
+	if !errors.Is(err, durable.ErrCorrupt) || !strings.Contains(err.Error(), "byte offset 0:") {
+		t.Fatalf("New = %v, want ErrCorrupt at byte offset 0", err)
+	}
+}
+
+// FuzzJournalReplay hands New arbitrary bytes as its journal file: it must
+// return a coordinator or an error, never panic.
+func FuzzJournalReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "fleet.journal")
+	c, err := New(Options{LeaseSize: 2, JournalPath: path, KeepObservations: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.Submit(testSpec(4)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Work(c, WorkerOptions{ID: "w"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		f.Fatal(err)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)/2])
+	f.Add([]byte(`{"op":"submit","id":"c1","spec":{"Runs":4,"Seed":99},"leaseSize":2}` + "\n"))
+	f.Add([]byte("00000000 {}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fleet.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := New(Options{LeaseSize: 2, JournalPath: path, KeepObservations: true}); err == nil {
+			c.Close()
+		}
+	})
+}
+
 // TestJournalReplayRejectsInvalidRecords: replay applies the checks the live
 // path applies — Submit's spec validation and Complete's lease bounds. A
 // completion over [0,1) of the 2-run lease 0 would otherwise load, and the
@@ -356,10 +432,10 @@ func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.append(tc.rec(id)); err != nil {
+			if err := j.Append(tc.rec(id)); err != nil {
 				t.Fatal(err)
 			}
-			if err := j.close(); err != nil {
+			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
 			c, err = New(opts)

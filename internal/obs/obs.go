@@ -311,7 +311,9 @@ type Sink interface {
 // window instead of paying the sink fan-out per event. The metrics registry
 // always observes immediately, so counter reads never need a flush; only
 // sink-visible state (the trace ring, streaming exporters) is deferred, and
-// every read path of those goes through Flush first.
+// every read path of those goes through Flush first. An event a sink emits
+// while a flush delivers (the timeline analyzer's findings) goes straight to
+// the sinks, as it would without batching.
 type Bus struct {
 	metrics Metrics
 	sinks   []Sink
@@ -319,6 +321,8 @@ type Bus struct {
 	// 0, capacity retained) by Flush. Appends never grow it past its initial
 	// capacity, so steady-state staging allocates nothing.
 	staged []Event
+	// flushing is set while Flush delivers staged events.
+	flushing bool
 }
 
 // batchCapacity is the staging buffer size: comfortably more events than the
@@ -349,19 +353,22 @@ func (b *Bus) SetBatching(on bool) {
 func (b *Bus) Batching() bool { return b != nil && b.staged != nil }
 
 // Flush delivers every staged event to the sinks in emission (FIFO) order.
-// It is a no-op when batching is off or nothing is staged.
+// It is a no-op when batching is off, nothing is staged, or a flush is
+// already delivering.
 //
 //air:hotpath
 func (b *Bus) Flush() {
-	if b == nil || len(b.staged) == 0 {
+	if b == nil || len(b.staged) == 0 || b.flushing {
 		return
 	}
+	b.flushing = true
 	for _, e := range b.staged {
 		for _, s := range b.sinks {
 			s.Emit(e) //air:allow(call): sink fan-out, amortized to once per partition window by batching
 		}
 	}
 	b.staged = b.staged[:0]
+	b.flushing = false
 }
 
 // Attach adds a sink. Attaching a nil sink is a no-op.
@@ -386,7 +393,7 @@ func (b *Bus) Emit(e Event) {
 		return
 	}
 	b.metrics.observe(e)
-	if b.staged != nil {
+	if b.staged != nil && !b.flushing {
 		if len(b.staged) == cap(b.staged) {
 			b.Flush()
 		}

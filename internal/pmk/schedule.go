@@ -54,10 +54,9 @@ type CompiledSchedule struct {
 
 	// Flat compiled form, derived from Points/ChangeActions at Compile time
 	// and consumed by the Algorithm 1/2 hot paths: parallel per-point arrays
-	// (no struct-field hops), a dense change-action table indexed by
-	// partition ordinal, and an optional per-tick heir lookup table. These
-	// tables are immutable after Compile and shared read-only between a
-	// module and all its snapshot forks.
+	// (no struct-field hops) and a dense change-action table indexed by
+	// partition ordinal. These tables are immutable after Compile and shared
+	// read-only between a module and all its snapshot forks.
 	offsets []tick.Ticks // per point: MTF offset
 	heirs   []Heir       // per point: heir selected at that offset
 	// partNames is the module-wide partition ordinal table (the order of
@@ -67,14 +66,7 @@ type CompiledSchedule struct {
 	// actionByOrd is ChangeActions as a dense slice indexed by partition
 	// ordinal; 0 marks a partition with no requirement in this schedule.
 	actionByOrd []model.ScheduleChangeAction
-	// heirAt is the per-tick heir lookup table (heirAt[offset] for every
-	// offset in [0,MTF)), built when the MTF is small enough to afford it.
-	heirAt []Heir
 }
-
-// maxHeirTableMTF bounds the per-tick heir table: MTFs beyond this fall back
-// to the point-scan PartitionAt (the table would cost MTF*sizeof(Heir)).
-const maxHeirTableMTF = 1 << 16
 
 // compileFlat derives the flat tables from Points/ChangeActions.
 func (cs *CompiledSchedule) compileFlat(sys *model.System) {
@@ -92,35 +84,11 @@ func (cs *CompiledSchedule) compileFlat(sys *model.System) {
 			cs.actionByOrd[i] = a
 		}
 	}
-	if cs.MTF <= maxHeirTableMTF {
-		cs.heirAt = make([]Heir, cs.MTF)
-		next := 1
-		heir := cs.heirs[0]
-		for off := tick.Ticks(0); off < cs.MTF; off++ {
-			if next < len(cs.offsets) && cs.offsets[next] == off {
-				heir = cs.heirs[next]
-				next++
-			}
-			cs.heirAt[off] = heir
-		}
-	}
 }
 
 // PartitionNames returns the partition ordinal table the schedule was
 // compiled against: ordinal i is sys.Partitions[i].Name.
 func (cs *CompiledSchedule) PartitionNames() []model.PartitionName { return cs.partNames }
-
-// ordinalOf resolves a partition name to its ordinal, or -1. The table is a
-// handful of entries, so a linear scan beats a map (no hashing, no pointer
-// chase) and stays allocation-free.
-func (cs *CompiledSchedule) ordinalOf(p model.PartitionName) int {
-	for i, n := range cs.partNames {
-		if n == p {
-			return i
-		}
-	}
-	return -1
-}
 
 // ErrInvalidSchedule is returned when compiling a schedule that fails model
 // verification.
@@ -169,13 +137,9 @@ func Compile(sys *model.System, s *model.Schedule) (*CompiledSchedule, error) {
 }
 
 // PartitionAt returns the heir at a given offset within the MTF — useful for
-// timeline rendering and analysis. O(1) through the per-tick heir table when
-// the schedule carries one.
+// timeline rendering and analysis.
 func (cs *CompiledSchedule) PartitionAt(offset tick.Ticks) Heir {
 	offset %= cs.MTF
-	if cs.heirAt != nil {
-		return cs.heirAt[offset]
-	}
 	heir := cs.Points[len(cs.Points)-1].Heir
 	for _, pt := range cs.Points {
 		if pt.Offset > offset {

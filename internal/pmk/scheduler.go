@@ -34,14 +34,11 @@ type ScheduleStatus struct {
 // computations: incrementing the tick counter and testing for a partition
 // preemption point.
 //
-// Two execution forms are supported. The compiled form (the default) runs
-// Algorithm 1 over the flat tables built at Compile time — parallel
+// It runs Algorithm 1 over the flat tables built at Compile time: parallel
 // offset/heir arrays cached in the scheduler on every schedule activation,
-// and a dense pending-action slice indexed by partition ordinal. The
-// interpreted form walks the original preemption-point structs and keeps the
-// pending actions in a map; it is retained as the executable reference
-// semantics that TestCompiledScheduleEquivalence diffs the compiled form
-// against, trace-byte for trace-byte.
+// and a dense pending-action slice indexed by partition ordinal.
+// TestSchedulerLockstep checks it tick by tick against a test-only
+// transcription of Algorithm 1 over Points and ChangeActions.
 type Scheduler struct {
 	schedules []*CompiledSchedule
 
@@ -64,18 +61,12 @@ type Scheduler struct {
 	offsets []tick.Ticks
 	heirs   []Heir
 
-	// Compiled-form pending actions: dense slice indexed by partition
-	// ordinal (0 = none armed), with the ordinal table shared read-only
-	// from the compiled schedules.
+	// Pending actions: dense slice indexed by partition ordinal (0 = none
+	// armed), with the ordinal table shared read-only from the compiled
+	// schedules.
 	partNames    []model.PartitionName
 	pendingActs  []model.ScheduleChangeAction
 	pendingCount int
-
-	// interpreted selects the reference execution form.
-	interpreted bool
-	// pendingActions is the interpreted form's pending-action store,
-	// keeping the pre-compilation semantics bit-for-bit.
-	pendingActions map[model.PartitionName]model.ScheduleChangeAction
 
 	obs obs.Emitter
 }
@@ -98,21 +89,13 @@ func NewScheduler(schedules []*CompiledSchedule) (*Scheduler, error) {
 		}
 	}
 	s := &Scheduler{
-		schedules:      schedules,
-		partNames:      names,
-		pendingActs:    make([]model.ScheduleChangeAction, len(names)),
-		pendingActions: make(map[model.PartitionName]model.ScheduleChangeAction),
+		schedules:   schedules,
+		partNames:   names,
+		pendingActs: make([]model.ScheduleChangeAction, len(names)),
 	}
 	s.activate(schedules[0])
 	return s, nil
 }
-
-// UseInterpreted switches the scheduler to the interpreted reference form.
-// It must be called before Start.
-func (s *Scheduler) UseInterpreted() { s.interpreted = true }
-
-// Interpreted reports whether the scheduler runs the interpreted form.
-func (s *Scheduler) Interpreted() bool { return s.interpreted }
 
 // activate caches the flat tables of the schedule now in force.
 func (s *Scheduler) activate(cs *CompiledSchedule) {
@@ -144,9 +127,6 @@ func (s *Scheduler) Start() (Heir, error) {
 func (s *Scheduler) Tick() bool {
 	// Line 1: increment the global system clock tick counter.
 	s.ticks++
-	if s.interpreted {
-		return s.tickInterpreted() //air:allow(call): ablation branch — the interpreted reference scheduler is never the production configuration
-	}
 	// Line 2: partition preemption point test against ticks elapsed since
 	// the last schedule switch — one compare over the cached flat table.
 	off := (s.ticks - s.lastSwitch) % s.mtf
@@ -170,8 +150,8 @@ func (s *Scheduler) Tick() bool {
 	return true
 }
 
-// commitSwitch performs Algorithm 1 lines 4–6 in compiled form and arms the
-// dense per-partition restart actions for the new schedule; the Dispatcher
+// commitSwitch performs Algorithm 1 lines 4–6 and arms the dense
+// per-partition restart actions for the new schedule; the Dispatcher
 // performs each partition's action the first time that partition is
 // dispatched under the new schedule (Sect. 4.3).
 func (s *Scheduler) commitSwitch() {
@@ -191,38 +171,6 @@ func (s *Scheduler) commitSwitch() {
 		}
 		s.pendingActs[ord] = action
 	}
-}
-
-// tickInterpreted is the pre-compilation Algorithm 1 body, retained verbatim
-// as the reference semantics for the golden equivalence test. The tick
-// counter has already been incremented by Tick.
-func (s *Scheduler) tickInterpreted() bool {
-	cs := s.schedules[s.currentSchedule]
-	// Line 2: partition preemption point test.
-	if cs.Points[s.tableIterator].Offset != (s.ticks-s.lastSwitch)%cs.MTF {
-		return false
-	}
-	// Line 3: pending schedule switch takes effect only at the end of the
-	// MTF.
-	if s.currentSchedule != s.nextSchedule && (s.ticks-s.lastSwitch)%cs.MTF == 0 {
-		// Lines 4–6.
-		s.currentSchedule = s.nextSchedule
-		s.lastSwitch = s.ticks
-		s.tableIterator = 0
-		s.everSwitch = true
-		s.switchCount++
-		cs = s.schedules[s.currentSchedule]
-		for p, action := range cs.ChangeActions { //air:allow(maprange): map-to-map copy; order-insensitive
-			s.pendingActions[p] = action
-		}
-	}
-	// Line 8: select the heir partition.
-	s.heir = cs.Points[s.tableIterator].Heir
-	// Line 9: advance the table iterator modulo the number of partition
-	// preemption points.
-	s.tableIterator = (s.tableIterator + 1) % len(cs.Points)
-	s.obs.Emit(obs.Event{Time: s.ticks, Kind: obs.KindHeirSelection, Partition: s.heir.Partition})
-	return true
 }
 
 // AttachObs publishes every partition preemption point's heir selection as
@@ -276,13 +224,6 @@ func (s *Scheduler) SwitchCount() int { return s.switchCount }
 // for a partition, if any. The Dispatcher calls this when the partition is
 // first dispatched after a switch.
 func (s *Scheduler) ConsumePendingAction(p model.PartitionName) (model.ScheduleChangeAction, bool) {
-	if s.interpreted {
-		action, ok := s.pendingActions[p]
-		if ok {
-			delete(s.pendingActions, p)
-		}
-		return action, ok
-	}
 	for ord, n := range s.partNames {
 		if n != p {
 			continue
@@ -300,12 +241,7 @@ func (s *Scheduler) ConsumePendingAction(p model.PartitionName) (model.ScheduleC
 
 // PendingActionCount returns the number of partitions with unconsumed change
 // actions (those not yet dispatched since the last switch).
-func (s *Scheduler) PendingActionCount() int {
-	if s.interpreted {
-		return len(s.pendingActions)
-	}
-	return s.pendingCount
-}
+func (s *Scheduler) PendingActionCount() int { return s.pendingCount }
 
 // Clone returns a deep copy of the scheduler's mutable Algorithm 1 state.
 // The compiled schedules (and the flat tables inside them) are immutable
@@ -315,10 +251,6 @@ func (s *Scheduler) Clone() *Scheduler {
 	c := *s
 	c.pendingActs = make([]model.ScheduleChangeAction, len(s.pendingActs))
 	copy(c.pendingActs, s.pendingActs)
-	c.pendingActions = make(map[model.PartitionName]model.ScheduleChangeAction, len(s.pendingActions))
-	for p, a := range s.pendingActions { //air:allow(maprange): map-to-map copy; order-insensitive
-		c.pendingActions[p] = a
-	}
 	c.obs = obs.Emitter{}
 	return &c
 }

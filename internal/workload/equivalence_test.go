@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"air/internal/core"
+	"air/internal/obs"
 	"air/internal/recovery"
 	"air/internal/tick"
+	"air/internal/timeline"
 )
 
 // equivalenceScenarios is the committed scenario set the compiled tick
@@ -49,11 +51,12 @@ func runTraced(t *testing.T, cfg core.Config, n tick.Ticks) (trace, health []byt
 	return tb.Bytes(), hb.Bytes(), m.Metrics()
 }
 
-// TestCompiledScheduleEquivalence proves the compiled tick engine — flat
-// PST index tables, array-heap deadline queue, batched obs emission — is
-// observationally identical to the interpreted scheduler with the paper's
-// sorted-list deadline queue: the full JSONL trace, the health log and the
-// metrics snapshot must match byte for byte on every committed scenario.
+// TestCompiledScheduleEquivalence proves the compiled deadline queue — the
+// flat array-heap — is observationally identical to the paper's sorted-list
+// deadline queue: the full JSONL trace, the health log and the metrics
+// snapshot must match byte for byte on every committed scenario. The
+// Partition Scheduler's compiled tables are checked against Algorithm 1 by
+// pmk's TestSchedulerLockstep.
 func TestCompiledScheduleEquivalence(t *testing.T) {
 	const horizon = 8 * forkMTF
 	for name, opts := range equivalenceScenarios() { //air:allow(maprange): subtests; t.Run output is name-keyed
@@ -61,40 +64,76 @@ func TestCompiledScheduleEquivalence(t *testing.T) {
 			compiled := Config(opts)
 			trace1, health1, metrics1 := runTraced(t, compiled, horizon)
 
-			interpreted := Config(opts)
-			interpreted.InterpretedScheduler = true
-			for i := range interpreted.Partitions {
-				interpreted.Partitions[i].UseListQueue = true
+			list := Config(opts)
+			for i := range list.Partitions {
+				list.Partitions[i].Queue = core.QueueList
 			}
-			trace2, health2, metrics2 := runTraced(t, interpreted, horizon)
+			trace2, health2, metrics2 := runTraced(t, list, horizon)
 
 			if !bytes.Equal(trace1, trace2) {
-				t.Errorf("compiled trace differs from interpreted trace (%d vs %d bytes)",
+				t.Errorf("array-heap trace differs from sorted-list trace (%d vs %d bytes)",
 					len(trace1), len(trace2))
 			}
 			if !bytes.Equal(health1, health2) {
-				t.Errorf("compiled health log differs from interpreted health log")
+				t.Errorf("array-heap health log differs from sorted-list health log")
 			}
 			if !reflect.DeepEqual(metrics1, metrics2) {
-				t.Errorf("compiled metrics differ from interpreted metrics")
+				t.Errorf("array-heap metrics differ from sorted-list metrics")
 			}
 		})
 	}
 }
 
+// recorder is a sink that keeps every event it receives.
+type recorder struct{ events []obs.Event }
+
+func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
+
+// runObserved runs cfg with the timeline analyzer attached between two
+// recording sinks, and returns what each sink received.
+func runObserved(t *testing.T, cfg core.Config, n tick.Ticks) (before, after []obs.Event) {
+	t.Helper()
+	first, last := &recorder{}, &recorder{}
+	cfg.Sinks = append(cfg.Sinks, first)
+	m, err := core.NewModule(cfg)
+	if err != nil {
+		t.Fatalf("NewModule: %v", err)
+	}
+	defer m.Shutdown()
+	timeline.Attach(m.Bus(), timeline.Options{System: cfg.System})
+	m.Bus().Attach(last)
+	if err := m.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := m.Run(n); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	m.Bus().Flush()
+	return first.events, last.events
+}
+
 // TestBatchedObsEquivalence proves window-batched sink delivery is
 // reader-transparent: a module with BatchObs produces the identical JSONL
-// trace and health log as the per-event baseline.
+// trace and health log as the per-event baseline, and sinks on either side
+// of the timeline analyzer receive the same events, its findings included.
 func TestBatchedObsEquivalence(t *testing.T) {
 	const horizon = 8 * forkMTF
 	for name, opts := range equivalenceScenarios() { //air:allow(maprange): subtests; t.Run output is name-keyed
 		t.Run(name, func(t *testing.T) {
 			baseline := Config(opts)
 			trace1, health1, metrics1 := runTraced(t, baseline, horizon)
+			before1, after1 := runObserved(t, Config(opts), horizon)
 
 			batched := Config(opts)
 			batched.BatchObs = true
 			trace2, health2, metrics2 := runTraced(t, batched, horizon)
+			observed := Config(opts)
+			observed.BatchObs = true
+			before2, after2 := runObserved(t, observed, horizon)
+			if !reflect.DeepEqual(before1, before2) || !reflect.DeepEqual(after1, after2) {
+				t.Errorf("batched sinks received %d and %d events, per-event sinks %d and %d",
+					len(before2), len(after2), len(before1), len(after1))
+			}
 
 			if !bytes.Equal(trace1, trace2) {
 				t.Errorf("batched trace differs from per-event trace (%d vs %d bytes)",
