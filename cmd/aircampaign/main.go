@@ -10,7 +10,7 @@
 //	aircampaign [-runs n] [-workers n] [-matrix file.json] [-out result.json]
 //	            [-seed n] [-mtfs n] [-watchdog d] [-timing] [-scaling] [-metrics]
 //	            [-recovery] [-fork-prefix] [-prefix-mtfs n] [-journal file]
-//	            [-archive dir] [-telemetry addr] [-pprof addr]
+//	            [-archive dir] [-telemetry addr]
 //	aircampaign -write-matrix file.json
 //
 // Campaigns execute through the fleet coordinator (internal/fleet) with
@@ -22,8 +22,7 @@
 // -telemetry serves the campaign's merged timeliness view live on the given
 // address (/metrics Prometheus text, /timeline.json for cmd/airmon, /flight,
 // /debug/pprof): each finished run folds into the served aggregate, so
-// watching the endpoints shows the campaign converge. -pprof serves only the
-// Go runtime profiles.
+// watching the endpoints shows the campaign converge.
 //
 // -archive attaches the bitemporal flight archive (internal/archive) to every
 // run: run r's spine events land durably under <dir>/<campaignID>/run-0000r/,
@@ -54,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -110,10 +108,10 @@ func main() {
 	}
 }
 
-// serveHook, when set (tests), is called with each started HTTP endpoint
-// while it is live — the seam the -telemetry/-pprof smoke tests probe
-// through, since both servers shut down when run returns.
-var serveHook func(kind, addr string)
+// serveHook, when set (tests), is called with the telemetry server's address
+// while it is live — the seam the -telemetry smoke test probes through,
+// since the server shuts down when run returns.
+var serveHook func(addr string)
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aircampaign", flag.ContinueOnError)
@@ -135,7 +133,6 @@ func run(args []string, out io.Writer) error {
 		archiveDir  = fs.String("archive", "", "store each run's bitemporal flight archive under this directory (time-travel queries and run diffing via airtrace or /archive/* on -telemetry)")
 		writeMatrix = fs.String("write-matrix", "", "write the built-in matrix to this file and exit")
 		telemetry   = fs.String("telemetry", "", "serve the merged campaign timeliness view (/metrics, /timeline.json, /flight, /debug/pprof) on this address while running")
-		pprofAddr   = fs.String("pprof", "", "serve Go runtime profiles (/debug/pprof) on this address while running")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -195,38 +192,24 @@ func run(args []string, out io.Writer) error {
 		spec.Recovery = &pol
 	}
 
-	if *pprofAddr != "" {
-		addr, shutdown, err := timeline.ServePprof(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		fmt.Fprintf(out, "pprof serving on %s\n", addr)
-		if serveHook != nil {
-			defer serveHook("pprof", addr)
-		}
-	}
 	if *telemetry != "" {
 		src := &mergedSource{}
 		spec.OnObservation = src.fold
-		h := timeline.Handler(src)
+		mux := timeline.Handler(src)
 		if spec.ArchiveDir != "" {
 			// Historical forensics ride the same server as live telemetry:
 			// /archive/asof, /archive/range and /archive/diff answer over the
 			// runs the campaign has archived so far.
-			mux := http.NewServeMux()
 			mux.Handle("/archive/", archive.Handler(spec.ArchiveDir))
-			mux.Handle("/", h)
-			h = mux
 		}
-		addr, shutdown, err := timeline.ServeHandler(*telemetry, h)
+		addr, shutdown, err := timeline.Serve(*telemetry, mux)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
 		fmt.Fprintf(out, "telemetry serving on %s\n", addr)
 		if serveHook != nil {
-			defer serveHook("telemetry", addr)
+			defer serveHook(addr)
 		}
 	}
 

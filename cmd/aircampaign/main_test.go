@@ -134,42 +134,41 @@ func TestRunTimelineArtifacts(t *testing.T) {
 	}
 }
 
-// TestRunPprofAndTelemetrySmoke: -pprof and -telemetry serve live endpoints
-// for the campaign's duration; the merged /metrics view reflects finished
-// runs by the time the campaign completes.
+// TestRunPprofAndTelemetrySmoke: -telemetry serves the Go runtime profiles
+// and the merged /metrics view for the campaign's duration; the merged view
+// reflects finished runs by the time the campaign completes.
 func TestRunPprofAndTelemetrySmoke(t *testing.T) {
 	got := map[string]string{}
-	serveHook = func(kind, addr string) {
-		path := map[string]string{"pprof": "/debug/pprof/", "telemetry": "/metrics"}[kind]
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Errorf("%s endpoint: %v", kind, err)
-			return
+	serveHook = func(addr string) {
+		for _, path := range []string{"/debug/pprof/", "/metrics"} {
+			resp, err := http.Get("http://" + addr + path)
+			if err != nil {
+				t.Errorf("telemetry endpoint %s: %v", path, err)
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("telemetry endpoint %s = %d", path, resp.StatusCode)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			got[path] = string(body)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s endpoint %s = %d", kind, path, resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		got[kind] = string(body)
 	}
 	defer func() { serveHook = nil }()
 	var sb strings.Builder
 	err := run([]string{"-runs", "2", "-workers", "1", "-seed", "5", "-mtfs", "2",
-		"-pprof", "127.0.0.1:0", "-telemetry", "127.0.0.1:0"}, &sb)
+		"-telemetry", "127.0.0.1:0"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pprof serving on", "telemetry serving on"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("stdout missing %q:\n%s", want, sb.String())
-		}
+	if !strings.Contains(sb.String(), "telemetry serving on") {
+		t.Errorf("stdout missing the serving line:\n%s", sb.String())
 	}
-	if !strings.Contains(got["pprof"], "goroutine") {
-		t.Errorf("pprof index lacks profiles:\n%s", got["pprof"])
+	if !strings.Contains(got["/debug/pprof/"], "goroutine") {
+		t.Errorf("pprof index lacks profiles:\n%s", got["/debug/pprof/"])
 	}
-	if !strings.Contains(got["telemetry"], "air_response_ticks") {
-		t.Errorf("merged /metrics lacks analyzer series:\n%s", got["telemetry"])
+	if !strings.Contains(got["/metrics"], "air_response_ticks") {
+		t.Errorf("merged /metrics lacks analyzer series:\n%s", got["/metrics"])
 	}
 }
 

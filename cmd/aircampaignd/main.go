@@ -7,8 +7,8 @@
 //
 // Coordinator mode (default):
 //
-//	aircampaignd [-config fleet.json] [-addr :9464] [-journal fleet.journal]
-//	             [-lease n] [-lease-ttl d] [-liveness d] [-keep-observations]
+//	aircampaignd [-addr :9464] [-journal fleet.journal] [-lease n]
+//	             [-lease-ttl d] [-liveness d] [-keep-observations]
 //	             [-workers n] [-matrix file.json] [-archive-root dir]
 //
 // The daemon serves the fleet API (POST /campaigns submits a campaign
@@ -16,13 +16,14 @@
 // /campaigns/{id}/result returns the final artifact) alongside the standard
 // telemetry endpoints: /metrics carries the merged simulation counters plus
 // the air_fleet_* coordination gauges (lease ledgers, shard liveness),
-// /timeline.json the merged timeliness view. Leases are dispatched
-// pull-style — fast shards acquire more, and an issued lease uncompleted
-// past -lease-ttl is reclaimed and reissued, so slow or dead shards only
-// cost latency, never results. With -journal the fleet is durable: a
-// restarted daemon replays the journal and re-runs only the leases that
-// never completed. -workers N additionally runs N in-process worker shards,
-// so a single daemon is also a complete execution fleet.
+// /timeline.json the merged timeliness view and /debug/pprof/ the daemon's
+// own Go runtime profiles. Leases are dispatched pull-style — fast shards
+// acquire more, and an issued lease uncompleted past -lease-ttl is
+// reclaimed and reissued, so slow or dead shards only cost latency, never
+// results. With -journal the fleet is durable: a restarted daemon replays
+// the journal and re-runs only the leases that never completed. -workers N
+// additionally runs N in-process worker shards, so a single daemon is also
+// a complete execution fleet.
 //
 // -archive-root stores the flight archives that workers executing archiving
 // campaigns (matrix documents with "archiveDir", or aircampaign -archive
@@ -96,7 +97,6 @@ var serveHook func(kind, addr string)
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aircampaignd", flag.ContinueOnError)
 	var (
-		confPath  = fs.String("config", "", "coordinator: fleet configuration JSON supplying flag defaults (explicit flags override)")
 		addr      = fs.String("addr", ":9464", "coordinator: HTTP listen address for the fleet API and telemetry endpoints")
 		journal   = fs.String("journal", "", "coordinator: lease journal path (CRC-framed records); set to make campaigns durable and resumable")
 		leaseSize = fs.Int("lease", 64, "coordinator: runs per lease (the work-stealing and checkpoint grain)")
@@ -141,53 +141,6 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	// A -config document supplies coordinator defaults; explicit flags
-	// override it, matching aircampaign's matrix-document precedence.
-	if *confPath != "" {
-		doc, err := config.LoadFleet(*confPath)
-		if err != nil {
-			return err
-		}
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["addr"] && doc.Addr != "" {
-			*addr = doc.Addr
-		}
-		if !set["journal"] && doc.Journal != "" {
-			*journal = doc.Journal
-		}
-		if !set["lease"] && doc.LeaseRuns != 0 {
-			*leaseSize = doc.LeaseRuns
-		}
-		if !set["lease-ttl"] && doc.LeaseTTLMillis != 0 {
-			*leaseTTL = time.Duration(doc.LeaseTTLMillis) * time.Millisecond
-		}
-		if !set["liveness"] && doc.LivenessMillis != 0 {
-			*liveness = time.Duration(doc.LivenessMillis) * time.Millisecond
-		}
-		if !set["workers"] && doc.Workers != 0 {
-			*workers = doc.Workers
-		}
-		if !set["keep-observations"] {
-			*keepObs = doc.KeepObservations
-		}
-		if !set["quarantine-after"] && doc.QuarantineAfter != 0 {
-			*qAfter = doc.QuarantineAfter
-		}
-		if !set["quarantine-window"] && doc.QuarantineWindowMillis != 0 {
-			*qWindow = time.Duration(doc.QuarantineWindowMillis) * time.Millisecond
-		}
-		if !set["quarantine-cooldown"] && doc.QuarantineCooldownMillis != 0 {
-			*qCooldown = time.Duration(doc.QuarantineCooldownMillis) * time.Millisecond
-		}
-		if !set["quarantine-cooldown-max"] && doc.QuarantineCooldownMaxMillis != 0 {
-			*qMax = time.Duration(doc.QuarantineCooldownMaxMillis) * time.Millisecond
-		}
-		if !set["archive-root"] && doc.ArchiveRoot != "" {
-			*archRoot = doc.ArchiveRoot
-		}
-	}
-
 	c, err := fleet.New(fleet.Options{
 		LeaseSize:             *leaseSize,
 		LeaseTTL:              *leaseTTL,
@@ -221,7 +174,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "submitted %s as campaign %s\n", *matrix, cid)
 	}
 
-	bound, shutdown, err := timeline.ServeHandler(*addr, fleetMux(c, *archRoot))
+	bound, shutdown, err := timeline.Serve(*addr, fleetMux(c, *archRoot))
 	if err != nil {
 		return err
 	}

@@ -147,6 +147,96 @@ func TestDaemonMatrixStartupAndLocalShards(t *testing.T) {
 	}
 }
 
+// TestDaemonEndpointTable pins the daemon's HTTP surface with -archive-root
+// set and two in-process shards: method and path map to status code and
+// content type, across the fleet API, wrong-method 405s, the telemetry
+// endpoints, the archive queries over the shipped runs, and 404s.
+func TestDaemonEndpointTable(t *testing.T) {
+	doc := testDoc()
+	doc.Runs = 4
+	doc.ArchiveDir = "staged" // any value: shards stage locally and ship to -archive-root
+	matrix, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		jsonType = "application/json"
+		textType = "text/plain; charset=utf-8"
+		promType = "text/plain; version=0.0.4; charset=utf-8"
+		htmlType = "text/html; charset=utf-8"
+	)
+	serveHook = func(_, addr string) {
+		base := "http://" + addr
+		do := func(method, path, body string) (int, string) {
+			req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", method, path, err)
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatalf("%s %s: %v", method, path, err)
+			}
+			return resp.StatusCode, resp.Header.Get("Content-Type")
+		}
+		if code, ctype := do(http.MethodPost, "/campaigns", string(matrix)); code != http.StatusCreated || ctype != jsonType {
+			t.Fatalf("POST /campaigns = %d %q", code, ctype)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var st fleet.Status
+			getJSON(t, base+"/campaigns/c1", &st)
+			if st.Done {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("in-process shards never drained the campaign: %+v", st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for _, tc := range []struct {
+			method, path, body string
+			code               int
+			ctype              string
+		}{
+			{"GET", "/campaigns", "", 200, jsonType},
+			{"GET", "/campaigns/c1", "", 200, jsonType},
+			{"GET", "/campaigns/c1/spec", "", 200, jsonType},
+			{"GET", "/campaigns/c1/result", "", 200, jsonType},
+			{"GET", "/campaigns/c1/archives", "", 200, jsonType},
+			{"POST", "/fleet/acquire", `{"worker":"probe"}`, 200, jsonType},
+			{"POST", "/fleet/heartbeat", `{"worker":"probe"}`, 204, ""},
+			{"DELETE", "/campaigns", "", 405, textType},
+			{"GET", "/fleet/acquire", "", 405, textType},
+			{"GET", "/metrics", "", 200, promType},
+			{"POST", "/metrics", "", 200, promType},
+			{"GET", "/timeline.json", "", 200, jsonType},
+			{"GET", "/flight", "", 200, jsonType},
+			{"GET", "/debug/pprof/", "", 200, htmlType},
+			{"GET", "/archive/asof?run=c1/run-00000&tick=1000", "", 200, jsonType},
+			{"GET", "/archive/range?run=c1/run-00000&limit=5", "", 200, jsonType},
+			{"GET", "/archive/diff?a=c1/run-00000&b=c1/run-00001", "", 200, jsonType},
+			{"GET", "/campaigns/c9", "", 404, textType},
+			{"GET", "/nope", "", 404, textType},
+		} {
+			if code, ctype := do(tc.method, tc.path, tc.body); code != tc.code || ctype != tc.ctype {
+				t.Errorf("%s %s = %d %q, want %d %q", tc.method, tc.path, code, ctype, tc.code, tc.ctype)
+			}
+		}
+	}
+	defer func() { serveHook = nil }()
+
+	var sb strings.Builder
+	err = run([]string{"-addr", "127.0.0.1:0", "-archive-root", t.TempDir(), "-lease", "2",
+		"-workers", "2", "-poll", "1ms"}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func get(t *testing.T, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url)

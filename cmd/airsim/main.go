@@ -8,8 +8,7 @@
 // Usage:
 //
 //	airsim [-mtfs n] [-fault] [-faults list] [-recovery] [-switch-at mtf]
-//	       [-frames n] [-telemetry addr] [-pprof addr] [-archive dir]
-//	       [-obs-out file]
+//	       [-frames n] [-telemetry addr] [-archive dir] [-obs-out file]
 //
 // -fault injects the faulty process on P1 (deadline violation every P1
 // dispatch except the first). -faults injects a comma-separated list of
@@ -19,11 +18,11 @@
 // requests the chi2 schedule at the given MTF boundary, exercising
 // mode-based schedules. -telemetry serves /metrics (Prometheus text),
 // /timeline.json (cmd/airmon's feed), /flight (post-mortem JSON) and
-// /debug/pprof on the given address while the simulation runs; -pprof
-// serves only the Go runtime profiles. -archive appends every spine event
-// to a bitemporal flight archive (internal/archive) for time-travel
-// queries and run diffing — with -telemetry the /archive/asof, /archive/range
-// and /archive/diff endpoints serve it live. -obs-out writes the raw spine
+// /debug/pprof (Go runtime profiles) on the given address while the
+// simulation runs. -archive appends every spine event to a bitemporal
+// flight archive (internal/archive) for time-travel queries and run
+// diffing — with -telemetry the /archive/asof, /archive/range and
+// /archive/diff endpoints serve it live. -obs-out writes the raw spine
 // stream as JSON lines.
 package main
 
@@ -31,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 
@@ -53,10 +51,10 @@ func main() {
 	}
 }
 
-// serveHook, when set (tests), is called with each started HTTP endpoint
-// while it is live — the seam the -telemetry/-pprof smoke tests probe
-// through, since both servers shut down when run returns.
-var serveHook func(kind, addr string)
+// serveHook, when set (tests), is called with the telemetry server's address
+// while it is live — the seam the -telemetry smoke test probes through,
+// since the server shuts down when run returns.
+var serveHook func(addr string)
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("airsim", flag.ContinueOnError)
@@ -70,7 +68,6 @@ func run(args []string, out io.Writer) error {
 		traceOut   = fs.String("trace-out", "", "write the module trace as JSON lines to this file")
 		hmOut      = fs.String("hm-out", "", "write the health monitor log as JSON lines to this file")
 		telemetry  = fs.String("telemetry", "", "serve telemetry (/metrics, /timeline.json, /flight, /debug/pprof) on this address while running")
-		pprofAddr  = fs.String("pprof", "", "serve Go runtime profiles (/debug/pprof) on this address while running")
 		archiveDir = fs.String("archive", "", "append every spine event to a bitemporal flight archive in this directory")
 		obsOut     = fs.String("obs-out", "", "write the raw spine event stream as JSON lines to this file")
 	)
@@ -123,15 +120,11 @@ func run(args []string, out io.Writer) error {
 
 	// The timeliness analyzer always rides the spine (its summary line
 	// costs nothing); the HTTP endpoints are opt-in.
-	tl := timeline.Attach(m.Bus(), config.DefaultTelemetry().Options(model.Fig8System()))
+	tl := timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
 
 	var asink *archive.Sink
 	if *archiveDir != "" {
-		acfg := config.DefaultArchive(*archiveDir)
-		if err := acfg.Validate(); err != nil {
-			return err
-		}
-		if asink, err = archive.Open(acfg.Dir, acfg.Options()); err != nil {
+		if asink, err = archive.Open(*archiveDir, archive.Options{}); err != nil {
 			return err
 		}
 		defer asink.Close()
@@ -153,33 +146,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *telemetry != "" {
-		h := timeline.Handler(tl)
+		mux := timeline.Handler(tl)
 		if asink != nil {
 			// One server answers live metrics and historical forensics.
-			mux := http.NewServeMux()
 			mux.Handle("/archive/", archive.Handler(*archiveDir))
-			mux.Handle("/", h)
-			h = mux
 		}
-		addr, shutdown, err := timeline.ServeHandler(*telemetry, h)
+		addr, shutdown, err := timeline.Serve(*telemetry, mux)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
 		fmt.Fprintln(out, "telemetry serving on", addr)
 		if serveHook != nil {
-			defer serveHook("telemetry", addr)
-		}
-	}
-	if *pprofAddr != "" {
-		addr, shutdown, err := timeline.ServePprof(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		fmt.Fprintln(out, "pprof serving on", addr)
-		if serveHook != nil {
-			defer serveHook("pprof", addr)
+			defer serveHook(addr)
 		}
 	}
 

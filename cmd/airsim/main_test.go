@@ -64,54 +64,46 @@ func TestRunRecoveryStorm(t *testing.T) {
 	}
 }
 
-// probeEndpoints wires serveHook to GET the given paths on each endpoint the
-// run starts (the hook fires while the server is still live) and returns the
-// collected kind→body results after run returns.
-func probeEndpoints(t *testing.T, paths map[string]string) (map[string]string, func()) {
+// probeEndpoint wires serveHook to GET path on the telemetry server (the
+// hook fires while the server is still live); the returned body is filled
+// in by the time run returns.
+func probeEndpoint(t *testing.T, path string) (*string, func()) {
 	t.Helper()
-	got := map[string]string{}
-	serveHook = func(kind, addr string) {
-		path, ok := paths[kind]
-		if !ok {
-			t.Errorf("unexpected endpoint kind %q", kind)
-			return
-		}
+	var got string
+	serveHook = func(addr string) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
-			t.Errorf("%s endpoint: %v", kind, err)
+			t.Errorf("telemetry endpoint %s: %v", path, err)
 			return
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s endpoint %s = %d", kind, path, resp.StatusCode)
+			t.Errorf("telemetry endpoint %s = %d", path, resp.StatusCode)
 		}
 		body, _ := io.ReadAll(resp.Body)
-		got[kind] = string(body)
+		got = string(body)
 	}
-	return got, func() { serveHook = nil }
+	return &got, func() { serveHook = nil }
 }
 
-// TestRunPprofSmoke: -pprof serves the Go runtime profile index on a local
-// port for the lifetime of the run.
+// TestRunPprofSmoke: -telemetry serves the Go runtime profile index on a
+// local port for the lifetime of the run.
 func TestRunPprofSmoke(t *testing.T) {
-	got, done := probeEndpoints(t, map[string]string{"pprof": "/debug/pprof/"})
+	got, done := probeEndpoint(t, "/debug/pprof/")
 	defer done()
 	var out bytes.Buffer
-	if err := run([]string{"-mtfs", "1", "-frames", "0", "-pprof", "127.0.0.1:0"}, &out); err != nil {
+	if err := run([]string{"-mtfs", "1", "-frames", "0", "-telemetry", "127.0.0.1:0"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "pprof serving on") {
-		t.Errorf("serving line missing:\n%s", out.String())
-	}
-	if !strings.Contains(got["pprof"], "goroutine") {
-		t.Errorf("pprof index lacks profiles:\n%s", got["pprof"])
+	if !strings.Contains(*got, "goroutine") {
+		t.Errorf("pprof index lacks profiles:\n%s", *got)
 	}
 }
 
 // TestRunTelemetrySmoke: -telemetry serves the analyzer's Prometheus text
 // while the simulation runs.
 func TestRunTelemetrySmoke(t *testing.T) {
-	got, done := probeEndpoints(t, map[string]string{"telemetry": "/metrics"})
+	got, done := probeEndpoint(t, "/metrics")
 	defer done()
 	var out bytes.Buffer
 	if err := run([]string{"-mtfs", "1", "-frames", "0", "-telemetry", "127.0.0.1:0"}, &out); err != nil {
@@ -120,8 +112,8 @@ func TestRunTelemetrySmoke(t *testing.T) {
 	if !strings.Contains(out.String(), "telemetry serving on") {
 		t.Errorf("serving line missing:\n%s", out.String())
 	}
-	if !strings.Contains(got["telemetry"], "air_response_ticks") {
-		t.Errorf("/metrics lacks analyzer series:\n%s", got["telemetry"])
+	if !strings.Contains(*got, "air_response_ticks") {
+		t.Errorf("/metrics lacks analyzer series:\n%s", *got)
 	}
 }
 

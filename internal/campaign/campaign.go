@@ -169,9 +169,19 @@ func wallClock() time.Time {
 	return time.Now()
 }
 
+// MaxRuns bounds Spec.Runs. A fleet coordinator allocates one lease record
+// per lease when it accepts a campaign, before any run executes, so an
+// unbounded run count in one remote submission — journaled, and so
+// replayed on every restart — could exhaust its memory. 2^24 runs are
+// 262,144 leases of 64.
+const MaxRuns = 1 << 24
+
 // Validate rejects structurally broken campaign specifications. It operates
 // on the defaulted spec, so a zero Spec is valid.
 func (s Spec) Validate() error {
+	if s.Runs > MaxRuns {
+		return fmt.Errorf("campaign: %d runs exceed the maximum of %d", s.Runs, MaxRuns)
+	}
 	seen := make(map[string]bool, len(s.Matrix))
 	for i, sc := range s.Matrix {
 		if sc.Name == "" {

@@ -239,6 +239,7 @@ func TestCampaignSpecValidate(t *testing.T) {
 			{Kind: workload.FaultIPCFlood, Partition: "P9"}}}}},
 		{Matrix: []Scenario{{Name: "a", Faults: []FaultRange{
 			{Kind: workload.FaultIPCFlood, Period: Range{Min: -1}}}}}},
+		{Runs: MaxRuns + 1},
 	}
 	for i, spec := range bad {
 		if err := spec.withDefaults().Validate(); err == nil {

@@ -177,15 +177,8 @@ func (c *Coordinator) replay(r journalRecord) error {
 		if cs == nil {
 			return fmt.Errorf("fleet: journal completes lease of unknown campaign %q", r.ID)
 		}
-		if r.Lease < 0 || r.Lease >= len(cs.leases) || r.Aggregate == nil {
-			return fmt.Errorf("fleet: journal lease record %q/%d malformed", r.ID, r.Lease)
-		}
-		if ls := cs.leases[r.Lease]; r.Start != ls.start || r.End != ls.end {
-			return fmt.Errorf("fleet: journal lease record %q/%d bounds [%d,%d) mismatch lease [%d,%d)",
-				r.ID, r.Lease, r.Start, r.End, ls.start, ls.end)
-		}
-		if c.opts.KeepObservations && len(r.Observations) != r.End-r.Start {
-			return fmt.Errorf("fleet: journal lease %q/%d carries no observations — it was written without observation retention; resume with the same setting", r.ID, r.Lease)
+		if err := c.checkCompletion(cs, r.Lease, r.Start, r.End, r.Aggregate, len(r.Observations)); err != nil {
+			return fmt.Errorf("fleet: journal: %w", err)
 		}
 		c.finishLease(cs, r.Lease, r.Aggregate, r.Observations, "journal", false)
 	default:
@@ -421,19 +414,14 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 	if cs == nil {
 		return fmt.Errorf("fleet: completion for unknown campaign %q", l.Campaign)
 	}
-	if l.Index < 0 || l.Index >= len(cs.leases) {
-		return fmt.Errorf("fleet: completion for unknown lease %s/%d", l.Campaign, l.Index)
-	}
-	ls := cs.leases[l.Index]
-	if ls.state == leaseDone {
+	if l.Index >= 0 && l.Index < len(cs.leases) && cs.leases[l.Index].state == leaseDone {
 		return nil
 	}
-	if sh == nil || sh.Start != ls.start || sh.End != ls.end {
-		return fmt.Errorf("fleet: shard result bounds mismatch lease %s/%d", l.Campaign, l.Index)
+	if sh == nil {
+		return fmt.Errorf("fleet: completion of lease %s/%d carries no shard result", l.Campaign, l.Index)
 	}
-	if c.opts.KeepObservations && len(sh.Observations) != ls.end-ls.start {
-		return fmt.Errorf("fleet: lease %s/%d shipped %d observations for %d runs; this coordinator retains observations — run the shard without observation dropping",
-			l.Campaign, l.Index, len(sh.Observations), ls.end-ls.start)
+	if err := c.checkCompletion(cs, l.Index, sh.Start, sh.End, &sh.Aggregate, len(sh.Observations)); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	// Store shipped archives before journaling the completion: a crash
 	// between the two re-runs the lease on resume and re-stores byte-identical
@@ -459,6 +447,37 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 	if wi := c.workers[worker]; wi != nil && wi.breaker.State() == recovery.BreakerHalfOpen && wi.probe == l {
 		wi.breaker.Close()
 		c.metrics.Observe(obs.Event{Kind: obs.KindShardReadmitted, Process: worker})
+	}
+	return nil
+}
+
+// checkCompletion rejects a completion of lease idx that the merge cannot
+// take: an unknown lease, bounds other than the lease's, a missing
+// observation while this coordinator retains them, or a missing aggregate
+// or per-class accumulator. Complete runs it before anything is stored or
+// journaled, and journal replay runs it on every completion record, so
+// replay loads exactly what the live path accepts.
+func (c *Coordinator) checkCompletion(cs *campaignState, idx, start, end int, agg *campaign.Aggregate, observations int) error {
+	if idx < 0 || idx >= len(cs.leases) {
+		return fmt.Errorf("completion for unknown lease %s/%d", cs.id, idx)
+	}
+	if ls := cs.leases[idx]; start != ls.start || end != ls.end {
+		return fmt.Errorf("lease %s/%d completion bounds [%d,%d) mismatch lease [%d,%d)",
+			cs.id, idx, start, end, ls.start, ls.end)
+	}
+	if c.opts.KeepObservations && observations != end-start {
+		return fmt.Errorf("lease %s/%d carries %d observations for %d runs; this coordinator retains observations, so shards must ship them and a journal must be resumed with the retention it was written with",
+			cs.id, idx, observations, end-start)
+	}
+	if agg == nil {
+		return fmt.Errorf("lease %s/%d completion has no aggregate", cs.id, idx)
+	}
+	for _, classes := range []map[string]*campaign.ClassAgg{agg.ByScenario, agg.ByFaultKind} {
+		for name, cl := range classes {
+			if cl == nil {
+				return fmt.Errorf("lease %s/%d aggregate has a null class %q", cs.id, idx, name)
+			}
+		}
 	}
 	return nil
 }

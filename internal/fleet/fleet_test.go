@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -393,10 +394,56 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
+// FuzzHandlerBodies sends one arbitrary body to each POST endpoint of
+// Handler, over a fresh coordinator holding one submitted campaign. Remote
+// input must be answered with a 2xx or a 4xx, never a panic, and must leave
+// the coordinator's read side working. ServeHTTP is driven directly, so a
+// panic fails the run instead of being recovered by net/http.
+func FuzzHandlerBodies(f *testing.F) {
+	// The valid completion is hand-sized: a real shard's aggregate runs to
+	// kilobytes, and the fuzzer spends its time minimizing inputs grown
+	// from a seed that large instead of executing new ones.
+	f.Add([]byte(`{"worker":"w","lease":{"campaign":"c1","index":0},"shard":{"start":0,"end":1,"aggregate":{` +
+		`"runs":1,"ticks":1300,"hmByLevel":{"PROCESS":1},` +
+		`"metrics":{"events":9,"counts":{"DEADLINE_MISS":1},"detectionLatency":{"count":1,"sum":3,"max":3,"buckets":[0,0,1]}},` +
+		`"timeline":{"ticks":1300,"partitions":[{"partition":"P1","windows":2,"suppliedTicks":200}],` +
+		`"response":{"count":1,"sum":5,"min":5,"max":5,"buckets":[0,0,0,1]}},` +
+		`"byScenario":{"overrun":{"runs":1}},"byFaultKind":{"deadline-overrun":{"runs":1}}}}}`))
+	f.Add([]byte(`{"worker":"w","lease":{"campaign":"c1","index":0},` +
+		`"shard":{"start":0,"end":1,"aggregate":{"byScenario":{"b":null}}}}`))
+	f.Add([]byte(`{"name":"huge","runs":1099511627776,"scenarios":[{"name":"baseline"}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.Submit(testSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := Handler(c)
+		for _, path := range []string{pathCampaigns, pathAcquire, pathComplete, pathHeartbeat} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code/100 != 2 && rec.Code/100 != 4 {
+				t.Fatalf("POST %s = %d: %s", path, rec.Code, rec.Body)
+			}
+		}
+		// Whatever the bodies left behind, the read side answers; an
+		// incomplete campaign's Result is an error, not a panic.
+		_, _ = c.Result(id)
+		c.FleetStatus()
+		c.Snapshot()
+		c.Registry()
+	})
+}
+
 // TestJournalReplayRejectsInvalidRecords: replay applies the checks the live
-// path applies — Submit's spec validation and Complete's lease bounds. A
+// path applies — Submit's spec validation and Complete's completion check. A
 // completion over [0,1) of the 2-run lease 0 would otherwise load, and the
-// finished 4-run campaign would report 3 observations.
+// finished 4-run campaign would report 3 observations; a null class would
+// panic the merge, and a run count above the bound would size the lease
+// table from untrusted input.
 func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -410,6 +457,16 @@ func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 		{"invalid spec", "duplicate scenario name", func(string) journalRecord {
 			spec := testSpec(4).Defaulted()
 			spec.Matrix = []campaign.Scenario{{Name: "dup"}, {Name: "dup"}}
+			return journalRecord{Op: opSubmit, ID: "c2", Spec: &spec, LeaseSize: 2}
+		}},
+		{"null class", `null class "b"`, func(id string) journalRecord {
+			agg := campaign.NewAggregate()
+			agg.ByScenario["b"] = nil
+			return journalRecord{Op: opComplete, ID: id, Lease: 0, Start: 0, End: 2,
+				Aggregate: &agg, Observations: make([]campaign.Observation, 2)}
+		}},
+		{"runs above the bound", "exceed the maximum", func(string) journalRecord {
+			spec := testSpec(campaign.MaxRuns + 1).Defaulted()
 			return journalRecord{Op: opSubmit, ID: "c2", Spec: &spec, LeaseSize: 2}
 		}},
 	}
@@ -447,6 +504,52 @@ func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 				t.Fatalf("New error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestHTTPCompleteRejectsNullClass: a completion whose aggregate holds a
+// null class, for a lease any client can read off GET /campaigns, is a 400
+// before anything is journaled — the merge never sees it, the lease stays
+// pending, and a coordinator restarted over the journal starts.
+func TestHTTPCompleteRejectsNullClass(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	opts := Options{LeaseSize: 2, JournalPath: path}
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(testSpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"worker":"w","lease":{"campaign":"` + id + `","index":0},` +
+		`"shard":{"start":0,"end":2,"aggregate":{"byScenario":{"b":null}}}}`
+	rec := httptest.NewRecorder()
+	Handler(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/complete", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST /fleet/complete with a null class = %d, want 400", rec.Code)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the rejected completion reached the journal")
+	}
+	c, err = New(opts)
+	if err != nil {
+		t.Fatalf("New over the journal: %v", err)
+	}
+	defer c.Close()
+	if st, err := c.Progress(id); err != nil || st.Leases.Done != 0 {
+		t.Fatalf("Progress = %+v, %v; want lease 0 still pending", st, err)
 	}
 }
 

@@ -68,6 +68,7 @@ type heartbeatRequest struct {
 //	GET  /campaigns/{id}/archives  the stored flight-archive index (run → seed → dir)
 //	POST /fleet/acquire          worker shard asks for a lease
 //	POST /fleet/complete         worker shard reports a finished lease
+//	POST /fleet/heartbeat        worker shard renews its liveness and in-flight lease
 //
 // Mount it alongside the telemetry handlers (the coordinator implements
 // timeline.Source, so /metrics, /timeline.json and /flight come from

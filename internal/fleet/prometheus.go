@@ -4,40 +4,42 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"air/internal/timeline"
 )
 
 // WritePrometheus renders the fleet coordination state — campaign progress,
 // lease ledgers, shard liveness — in the Prometheus text exposition format,
-// matching internal/timeline's hand-written, library-free style. It is
+// through internal/timeline's hand-written, library-free printer. It is
 // meant to be appended to the same /metrics page timeline.WritePrometheus
 // produces over the coordinator (cmd/aircampaignd does exactly that), so
 // one scrape covers the merged simulation counters and the fleet that
 // computed them. Output is deterministic: campaigns render in submission
 // order, workers sorted by name.
 func WritePrometheus(w io.Writer, fs FleetStatus) error {
-	p := &fleetPrinter{w: w}
+	p := timeline.NewPromWriter(w)
 
-	p.metric("air_fleet_campaign_runs", "gauge", "Total runs in the campaign's matrix.")
+	p.Metric("air_fleet_campaign_runs", "gauge", "Total runs in the campaign's matrix.")
 	for _, st := range fs.Campaigns {
-		p.series("air_fleet_campaign_runs", campaignLabel(st), float64(st.Runs))
+		p.Float("air_fleet_campaign_runs", campaignLabel(st), float64(st.Runs))
 	}
-	p.metric("air_fleet_campaign_runs_done", "gauge", "Runs whose lease has completed.")
+	p.Metric("air_fleet_campaign_runs_done", "gauge", "Runs whose lease has completed.")
 	for _, st := range fs.Campaigns {
-		p.series("air_fleet_campaign_runs_done", campaignLabel(st), float64(st.RunsDone))
+		p.Float("air_fleet_campaign_runs_done", campaignLabel(st), float64(st.RunsDone))
 	}
-	p.metric("air_fleet_campaign_runs_merged", "gauge", "Runs folded into the in-order merge prefix.")
+	p.Metric("air_fleet_campaign_runs_merged", "gauge", "Runs folded into the in-order merge prefix.")
 	for _, st := range fs.Campaigns {
-		p.series("air_fleet_campaign_runs_merged", campaignLabel(st), float64(st.RunsMerged))
+		p.Float("air_fleet_campaign_runs_merged", campaignLabel(st), float64(st.RunsMerged))
 	}
-	p.metric("air_fleet_campaign_complete", "gauge", "1 once every lease of the campaign has completed.")
+	p.Metric("air_fleet_campaign_complete", "gauge", "1 once every lease of the campaign has completed.")
 	for _, st := range fs.Campaigns {
 		v := 0.0
 		if st.Done {
 			v = 1
 		}
-		p.series("air_fleet_campaign_complete", campaignLabel(st), v)
+		p.Float("air_fleet_campaign_complete", campaignLabel(st), v)
 	}
-	p.metric("air_fleet_leases", "gauge", "Campaign leases by state.")
+	p.Metric("air_fleet_leases", "gauge", "Campaign leases by state.")
 	for _, st := range fs.Campaigns {
 		for _, s := range []struct {
 			state string
@@ -47,7 +49,7 @@ func WritePrometheus(w io.Writer, fs FleetStatus) error {
 			{"issued", st.Leases.Issued},
 			{"done", st.Leases.Done},
 		} {
-			p.series("air_fleet_leases", fmt.Sprintf(`campaign=%q,state=%q`, st.ID, s.state), float64(s.n))
+			p.Float("air_fleet_leases", fmt.Sprintf(`campaign=%q,state=%q`, st.ID, s.state), float64(s.n))
 		}
 	}
 
@@ -56,27 +58,27 @@ func WritePrometheus(w io.Writer, fs FleetStatus) error {
 		workers = append(workers, name)
 	}
 	sort.Strings(workers)
-	p.metric("air_fleet_worker_live", "gauge", "1 while the shard has contacted the coordinator within the liveness window.")
+	p.Metric("air_fleet_worker_live", "gauge", "1 while the shard has contacted the coordinator within the liveness window.")
 	for _, name := range workers {
 		v := 0.0
 		if fs.Workers[name].Live {
 			v = 1
 		}
-		p.series("air_fleet_worker_live", fmt.Sprintf(`worker=%q`, name), v)
+		p.Float("air_fleet_worker_live", fmt.Sprintf(`worker=%q`, name), v)
 	}
-	p.metric("air_fleet_worker_leases_total", "counter", "Leases completed by the shard.")
+	p.Metric("air_fleet_worker_leases_total", "counter", "Leases completed by the shard.")
 	for _, name := range workers {
-		p.series("air_fleet_worker_leases_total", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].Leases))
+		p.Float("air_fleet_worker_leases_total", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].Leases))
 	}
-	p.metric("air_fleet_worker_beat_age_millis", "gauge", "Milliseconds since the shard's last coordinator contact (heartbeat liveness age).")
+	p.Metric("air_fleet_worker_beat_age_millis", "gauge", "Milliseconds since the shard's last coordinator contact (heartbeat liveness age).")
 	for _, name := range workers {
-		p.series("air_fleet_worker_beat_age_millis", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].BeatAgeMillis))
+		p.Float("air_fleet_worker_beat_age_millis", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].BeatAgeMillis))
 	}
-	p.metric("air_fleet_retries_total", "counter", "Transport retries the shard's client has spent, as last reported by its heartbeats.")
+	p.Metric("air_fleet_retries_total", "counter", "Transport retries the shard's client has spent, as last reported by its heartbeats.")
 	for _, name := range workers {
-		p.series("air_fleet_retries_total", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].Retries))
+		p.Float("air_fleet_retries_total", fmt.Sprintf(`worker=%q`, name), float64(fs.Workers[name].Retries))
 	}
-	p.metric("air_fleet_worker_quarantined", "gauge", "1 while the shard is quarantined by the flap detector (0.5 while half-open probing).")
+	p.Metric("air_fleet_worker_quarantined", "gauge", "1 while the shard is quarantined by the flap detector (0.5 while half-open probing).")
 	quarantined := 0
 	for _, name := range workers {
 		w := fs.Workers[name]
@@ -90,37 +92,11 @@ func WritePrometheus(w io.Writer, fs FleetStatus) error {
 		if w.Quarantined {
 			quarantined++
 		}
-		p.series("air_fleet_worker_quarantined", fmt.Sprintf(`worker=%q`, name), v)
+		p.Float("air_fleet_worker_quarantined", fmt.Sprintf(`worker=%q`, name), v)
 	}
-	p.metric("air_fleet_quarantined_workers", "gauge", "Shards currently quarantined fleet-wide.")
-	p.series("air_fleet_quarantined_workers", "", float64(quarantined))
-	return p.err
+	p.Metric("air_fleet_quarantined_workers", "gauge", "Shards currently quarantined fleet-wide.")
+	p.Float("air_fleet_quarantined_workers", "", float64(quarantined))
+	return p.Err()
 }
 
 func campaignLabel(st Status) string { return fmt.Sprintf(`campaign=%q`, st.ID) }
-
-// fleetPrinter mirrors internal/timeline's printer: error-latching
-// formatted writes.
-type fleetPrinter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *fleetPrinter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-func (p *fleetPrinter) metric(name, kind, help string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-func (p *fleetPrinter) series(name, labels string, v float64) {
-	if labels == "" {
-		p.printf("%s %g\n", name, v)
-		return
-	}
-	p.printf("%s{%s} %g\n", name, labels, v)
-}

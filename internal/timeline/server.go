@@ -30,8 +30,9 @@ type Source interface {
 //
 // All handlers read through the Source on each request; a Timeline source is
 // internally synchronized, so serving concurrently with the simulation is
-// safe.
-func Handler(src Source) http.Handler {
+// safe. The mux is returned so a command can mount more endpoints on the
+// same server (the flight archive's /archive/ queries).
+func Handler(src Source) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -43,7 +44,11 @@ func Handler(src Source) http.Handler {
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, src.Flight())
 	})
-	registerPprof(mux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -54,39 +59,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// Serve starts the telemetry server on addr (":0" picks a free port) and
+// Serve starts an HTTP server for h on addr (":0" picks a free port) and
 // returns the bound address plus a shutdown function. The server runs on a
-// background goroutine; the simulation loop never blocks on it.
-func Serve(addr string, src Source) (string, func() error, error) {
-	return serveMux(addr, Handler(src))
-}
-
-// ServeHandler starts an HTTP server for a caller-composed handler set on
-// addr (":0" picks a free port) and returns the bound address plus a
-// shutdown function — cmd/aircampaignd mounts the fleet coordination API
-// next to the telemetry endpoints through this.
-func ServeHandler(addr string, h http.Handler) (string, func() error, error) {
-	return serveMux(addr, h)
-}
-
-// ServePprof starts a bare pprof-only server — the cmd tools' -pprof flag.
-// It exposes /debug/pprof/ and nothing else, on its own mux (never the
-// http.DefaultServeMux).
-func ServePprof(addr string) (string, func() error, error) {
-	mux := http.NewServeMux()
-	registerPprof(mux)
-	return serveMux(addr, mux)
-}
-
-func serveMux(addr string, h http.Handler) (string, func() error, error) {
+// background goroutine; the simulation loop never blocks on it. Every
+// command serves its endpoints through it: Handler's telemetry set, with
+// the archive queries or the fleet API mounted beside it.
+func Serve(addr string, h http.Handler) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

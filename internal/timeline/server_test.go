@@ -74,7 +74,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestServeAndShutdown(t *testing.T) {
 	_, tl := fig8Run(t, 1, workload.Options{})
-	addr, shutdown, err := timeline.Serve("127.0.0.1:0", tl)
+	addr, shutdown, err := timeline.Serve("127.0.0.1:0", timeline.Handler(tl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +87,5 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("server still reachable after shutdown")
-	}
-}
-
-func TestServePprofSmoke(t *testing.T) {
-	addr, shutdown, err := timeline.ServePprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	code, _, body := get(t, "http://"+addr+"/debug/pprof/")
-	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
-		t.Errorf("pprof index = %d", code)
-	}
-	// Nothing else is mounted on the pprof-only server.
-	code, _, _ = get(t, "http://"+addr+"/metrics")
-	if code != http.StatusNotFound {
-		t.Errorf("/metrics on pprof-only server = %d, want 404", code)
 	}
 }
