@@ -3,17 +3,22 @@ package archive_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"air/internal/archive"
 	"air/internal/core"
+	"air/internal/durable"
 	"air/internal/obs"
 	"air/internal/workload"
 )
@@ -58,7 +63,7 @@ func genEvents(n int) []obs.Event {
 }
 
 // writeArchive runs events through a sink into dir.
-func writeArchive(t *testing.T, dir string, events []obs.Event, opts archive.Options) {
+func writeArchive(t testing.TB, dir string, events []obs.Event, opts archive.Options) {
 	t.Helper()
 	s, err := archive.Open(dir, opts)
 	if err != nil {
@@ -169,7 +174,8 @@ type recorder struct{ events []obs.Event }
 func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
 
 // referenceAsOf is the independent linear fold the property test checks
-// AsOf against: walk the prefix, apply the documented semantics.
+// AsOf against: walk the prefix, apply the documented semantics. A negative
+// asTick bounds nothing, as a zero asSeq does.
 func referenceAsOf(events []obs.Event, asTick int64, asSeq uint64) archive.State {
 	st := archive.State{AsOfTick: asTick, AsOfSeq: asSeq}
 	quarantined := map[string]bool{}
@@ -178,7 +184,7 @@ func referenceAsOf(events []obs.Event, asTick int64, asSeq uint64) archive.State
 		if asSeq > 0 && seq > asSeq {
 			break
 		}
-		if int64(e.Time) > asTick {
+		if asTick >= 0 && int64(e.Time) > asTick {
 			break
 		}
 		st.Events++
@@ -215,34 +221,214 @@ func referenceAsOf(events []obs.Event, asTick int64, asSeq uint64) archive.State
 	return st
 }
 
-// TestAsOfProperty drives random (tick, seq) cut points through AsOf and
-// checks every reconstruction against the reference fold of the event
-// prefix — the bitemporal correctness property.
+// cut is one AsOf query: valid time and transaction seq.
+type cut struct {
+	tick int64
+	seq  uint64
+}
+
+// TestAsOfProperty drives (tick, seq) cuts through AsOf and checks every
+// reconstruction against the reference fold of the event prefix — the
+// bitemporal correctness property. The stream crosses five fold
+// checkpoints; each layout runs the same cuts on fresh readers in
+// ascending, descending and seeded-random order, so cuts resume from
+// checkpoints recorded in every order, and then from four goroutines
+// sharing one reader (run it under -race). The first layout puts
+// checkpoints at segment heads, the second inside segments and in an
+// unsealed tail.
 func TestAsOfProperty(t *testing.T) {
-	events := genEvents(600)
-	dir := t.TempDir()
-	writeArchive(t, dir, events, archive.Options{SegmentRecords: 100, IndexEvery: 8})
-	r, err := archive.OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := genEvents(3000)
 	maxTick := int64(events[len(events)-1].Time)
+	cuts := []cut{{-1, 0}}
 	state := uint64(12345)
 	for trial := 0; trial < 80; trial++ {
 		state = state*6364136223846793005 + 1442695040888963407
 		asTick := int64(state>>33) % (maxTick + 2)
 		state = state*6364136223846793005 + 1442695040888963407
 		asSeq := (state >> 33) % uint64(len(events)+40)
-		got, err := r.AsOf(asTick, asSeq)
+		cuts = append(cuts, cut{asTick, asSeq})
+	}
+	// Around every checkpoint s: the seq cuts s-1, s and s+1 and the tick
+	// cuts of records s-1 and s.
+	for s := uint64(513); s <= uint64(len(events)); s += 512 {
+		cuts = append(cuts, cut{-1, s - 1}, cut{-1, s}, cut{-1, s + 1},
+			cut{int64(events[s-2].Time), 0}, cut{int64(events[s-1].Time), 0})
+	}
+	want := make(map[cut]archive.State, len(cuts))
+	for _, c := range cuts {
+		want[c] = referenceAsOf(events, c.tick, c.seq)
+	}
+	check := func(r *archive.Reader, c cut) error {
+		got, err := r.AsOf(c.tick, c.seq)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want[c]) {
+			return fmt.Errorf("AsOf(%d, %d) diverges from reference:\n got %+v\nwant %+v", c.tick, c.seq, got, want[c])
+		}
+		return nil
+	}
+	ascending := append([]cut(nil), cuts...)
+	sort.SliceStable(ascending, func(i, j int) bool {
+		return want[ascending[i]].Events < want[ascending[j]].Events
+	})
+	descending := append([]cut(nil), ascending...)
+	slices.Reverse(descending)
+	shuffled := append([]cut(nil), cuts...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+
+	sealed := t.TempDir()
+	writeArchive(t, sealed, events, archive.Options{SegmentRecords: 512, IndexEvery: 8})
+	tail := t.TempDir()
+	s, err := archive.Open(tail, archive.Options{SegmentRecords: 700, IndexEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		s.Emit(e)
+	}
+	if err := s.Flush(); err != nil { // abandoned unsealed: 4 sealed segments and a 200-record tail
+		t.Fatal(err)
+	}
+	for _, dir := range []string{sealed, tail} {
+		for name, order := range map[string][]cut{"ascending": ascending, "descending": descending, "shuffled": shuffled} {
+			r, err := archive.OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range order {
+				if err := check(r, c); err != nil {
+					t.Fatalf("%s cuts: %v", name, err)
+				}
+			}
+		}
+		r, err := archive.OpenReader(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceAsOf(events, asTick, asSeq)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(shuffled); i += 4 {
+					if err := check(r, shuffled[i]); err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestAsOfCheckpointsKeepManifestStops raises a sealed segment's MinTick
+// to its MaxTick, which the manifest checks allow and a shipped archive may
+// carry. Scan stops at that segment for every cut below it, so a reader
+// whose checkpoints cover the segment must answer each cut as a fresh one.
+func TestAsOfCheckpointsKeepManifestStops(t *testing.T) {
+	events := genEvents(3000)
+	dir := t.TempDir()
+	writeArchive(t, dir, events, archive.Options{SegmentRecords: 1000})
+	editManifest(t, dir, func(m *archive.Manifest) { m.Segments[1].MinTick = m.Segments[1].MaxTick })
+	warm, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.AsOf(-1, 0); err != nil { // checkpoints through the whole archive
+		t.Fatal(err)
+	}
+	for seq := 1001; seq <= 2000; seq += 97 {
+		tick := int64(events[seq-1].Time)
+		fresh, err := archive.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.AsOf(tick, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := warm.AsOf(tick, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("AsOf(%d, %d) diverges from reference:\n got %+v\nwant %+v",
-				asTick, asSeq, got, want)
+			t.Fatalf("AsOf(%d, 0) from checkpoints folded %d records, a fresh reader %d", tick, got.Events, want.Events)
 		}
 	}
+}
+
+// TestAsOfCorruptFrameAfterCheckpoints corrupts a sealed frame past a
+// checkpointed fold: every cut that reaches it fails with ErrCorrupt, on
+// every call, and records no checkpoint past it, while cuts before it still
+// match the reference. A frame already folded into a checkpoint is not
+// re-read: corrupting one fails a fresh reader and the cuts before that
+// checkpoint, but the cuts past it answer from the checkpoint.
+func TestAsOfCorruptFrameAfterCheckpoints(t *testing.T) {
+	events := genEvents(3000)
+	dir := t.TempDir()
+	writeArchive(t, dir, events, archive.Options{SegmentRecords: 1000})
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AsOf(-1, 1600); err != nil { // checkpoints at 513, 1025 and 1537
+		t.Fatal(err)
+	}
+	corrupt := func(seq int) {
+		t.Helper()
+		path := filepath.Join(dir, fmt.Sprintf("seg-%06d.jsonl", (seq-1)/1000+1))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		off := 0
+		for _, l := range lines[:(seq-1)%1000] {
+			off += len(l)
+		}
+		data[off+bytes.Index(lines[(seq-1)%1000], []byte(`"kind":"`))+8] ^= 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(r *archive.Reader, ok, bad []cut) {
+		t.Helper()
+		for round := 0; round < 3; round++ {
+			for _, c := range bad {
+				if _, err := r.AsOf(c.tick, c.seq); !errors.Is(err, durable.ErrCorrupt) {
+					t.Fatalf("round %d: AsOf(%d, %d) past the corrupt frame = %v, want ErrCorrupt", round, c.tick, c.seq, err)
+				}
+			}
+			for _, c := range ok {
+				got, err := r.AsOf(c.tick, c.seq)
+				if err != nil {
+					t.Fatalf("round %d: AsOf(%d, %d) before the corrupt frame: %v", round, c.tick, c.seq, err)
+				}
+				if want := referenceAsOf(events, c.tick, c.seq); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: AsOf(%d, %d) diverges from reference", round, c.tick, c.seq)
+				}
+			}
+		}
+	}
+
+	corrupt(2200)
+	check(r,
+		[]cut{{-1, 2199}, {-1, 1700}, {-1, 100}, {int64(events[1500].Time), 0}},
+		[]cut{{-1, 0}, {-1, 2200}, {-1, 2500}, {int64(events[2199].Time), 0}})
+
+	corrupt(100)
+	check(r,
+		[]cut{{-1, 2199}, {-1, 513}, {int64(events[1500].Time), 0}},
+		[]cut{{-1, 0}, {-1, 100}, {-1, 511}})
+	fresh, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(fresh, []cut{{-1, 99}}, []cut{{-1, 100}, {-1, 2199}})
 }
 
 // TestScanRange checks tick-window and kind filtering against a plain
@@ -402,6 +588,89 @@ func TestCorruptFrameIsAnError(t *testing.T) {
 	}
 	if got, err := os.ReadFile(active); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("failed open changed the segment (%d bytes, %v), want it as written", len(got), err)
+	}
+}
+
+// editManifest rewrites the manifest of the archive in dir through edit.
+func editManifest(t *testing.T, dir string, edit func(m *archive.Manifest)) {
+	t.Helper()
+	path := filepath.Join(dir, "MANIFEST.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m archive.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestRejectsBadCatalogs rewrites a sealed archive's manifest with
+// one rule broken per case. OpenReader and a reopening Open both refuse
+// each one: a manifest names only this archive's own segments, in order,
+// as consecutive non-empty seq ranges whose sparse index points inside
+// them, and its record total is theirs.
+func TestManifestRejectsBadCatalogs(t *testing.T) {
+	events := genEvents(64)
+	opts := archive.Options{SegmentRecords: 16, IndexEvery: 4}
+	root := t.TempDir()
+	writeArchive(t, filepath.Join(root, "victim"), events[:50], opts)
+	cases := []struct {
+		name string
+		edit func(m *archive.Manifest)
+	}{
+		{"segment outside the archive", func(m *archive.Manifest) {
+			m.Segments[0].Name = "../victim/seg-000001.jsonl"
+		}},
+		{"segments out of order", func(m *archive.Manifest) {
+			m.Segments[0].Name, m.Segments[1].Name = m.Segments[1].Name, m.Segments[0].Name
+		}},
+		{"seq gap", func(m *archive.Manifest) { m.Segments[1].SeqStart++ }},
+		{"empty segment", func(m *archive.Manifest) {
+			m.Records -= m.Segments[3].Records
+			m.Segments[3].Records = 0
+		}},
+		{"min tick above max tick", func(m *archive.Manifest) {
+			m.Segments[2].MinTick, m.Segments[2].MaxTick = m.Segments[2].MaxTick, m.Segments[2].MinTick
+		}},
+		{"index seqs not increasing", func(m *archive.Manifest) {
+			m.Segments[1].Index[2].Seq = m.Segments[1].Index[1].Seq
+		}},
+		{"index offsets not increasing", func(m *archive.Manifest) {
+			m.Segments[1].Index[2].Offset = m.Segments[1].Index[1].Offset
+		}},
+		{"index seq past the segment", func(m *archive.Manifest) {
+			seg := &m.Segments[1]
+			seg.Index[len(seg.Index)-1].Seq = seg.SeqStart + seg.Records
+		}},
+		{"index seq before the segment", func(m *archive.Manifest) {
+			m.Segments[1].Index[0].Seq = m.Segments[1].SeqStart - 1
+		}},
+		{"index offset past the segment", func(m *archive.Manifest) {
+			seg := &m.Segments[1]
+			seg.Index[len(seg.Index)-1].Offset = seg.Bytes
+		}},
+		{"records not the segments' sum", func(m *archive.Manifest) { m.Records++ }},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(root, fmt.Sprint(i))
+			writeArchive(t, dir, events, opts) // 4 sealed segments of 16 records
+			editManifest(t, dir, tc.edit)
+			if _, err := archive.OpenReader(dir); err == nil || !strings.Contains(err.Error(), "archive: manifest:") {
+				t.Errorf("OpenReader = %v, want a manifest error", err)
+			}
+			if _, err := archive.Open(dir, opts); err == nil || !strings.Contains(err.Error(), "archive: manifest:") {
+				t.Errorf("Open = %v, want a manifest error", err)
+			}
+		})
 	}
 }
 

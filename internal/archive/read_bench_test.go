@@ -1,6 +1,7 @@
 package archive_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"air/internal/archive"
@@ -19,8 +20,8 @@ var mtfTicks = model.Fig8System().Schedules[0].MTF
 
 // archiveRun archives mtfs major time frames of the Fig. 8 module with the
 // given faults and the timeline analyzer attached — the spine a flight
-// archive of airsim -fault holds — and opens it for reading.
-func archiveRun(tb testing.TB, mtfs int, faults ...workload.FaultSpec) *archive.Reader {
+// archive of airsim -fault holds — and returns its directory.
+func archiveRun(tb testing.TB, mtfs int, faults ...workload.FaultSpec) string {
 	tb.Helper()
 	dir := tb.TempDir()
 	sink, err := archive.Open(dir, archive.Options{})
@@ -45,6 +46,12 @@ func archiveRun(tb testing.TB, mtfs int, faults ...workload.FaultSpec) *archive.
 	if err := sink.Close(); err != nil {
 		tb.Fatal(err)
 	}
+	return dir
+}
+
+// openReader opens the archive in dir for reading.
+func openReader(tb testing.TB, dir string) *archive.Reader {
+	tb.Helper()
 	r, err := archive.OpenReader(dir)
 	if err != nil {
 		tb.Fatal(err)
@@ -62,15 +69,19 @@ func lastTick(tb testing.TB, r *archive.Reader) int64 {
 	return segs[len(segs)-1].MaxTick
 }
 
-// BenchmarkArchiveAsOf folds a whole 1000-MTF Sect. 6 archive: the
-// flight-archive workload's AsOf at its last MTF boundary.
+// BenchmarkArchiveAsOf folds a whole 1000-MTF Sect. 6 archive on a fresh
+// reader, opened outside the timed region: the cold fold an /archive/asof
+// request makes and the first cut of airtrace -scrub.
 func BenchmarkArchiveAsOf(b *testing.B) {
-	r := archiveRun(b, 1000, sect6Fault)
-	at := lastTick(b, r)
+	dir := archiveRun(b, 1000, sect6Fault)
+	at := lastTick(b, openReader(b, dir))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var folded uint64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := openReader(b, dir)
+		b.StartTimer()
 		st, err := r.AsOf(at, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -80,13 +91,40 @@ func BenchmarkArchiveAsOf(b *testing.B) {
 	b.ReportMetric(float64(folded), "records/op")
 }
 
+// BenchmarkArchiveAsOfWarm cuts one reader of a 1000-MTF Sect. 6 archive
+// at seeded MTF boundaries, after a first fold has checkpointed the whole
+// archive: the flight-archive workload's AsOf and every later cut of
+// airtrace -scrub.
+func BenchmarkArchiveAsOfWarm(b *testing.B) {
+	r := openReader(b, archiveRun(b, 1000, sect6Fault))
+	if _, err := r.AsOf(lastTick(b, r), 0); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cuts := make([]int64, 64)
+	for i := range cuts {
+		cuts[i] = int64(1+rng.Intn(1000)) * int64(mtfTicks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var folded uint64
+	for i := 0; i < b.N; i++ {
+		st, err := r.AsOf(cuts[i%len(cuts)], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		folded += st.Events
+	}
+	b.ReportMetric(float64(folded)/float64(b.N), "records/op")
+}
+
 // BenchmarkArchiveDiff diffs two 1000-MTF Sect. 6 archives that split
 // halfway, when a memory violation on P2 joins the Sect. 6 fault: the
 // flight-archive workload's lockstep Diff.
 func BenchmarkArchiveDiff(b *testing.B) {
-	a := archiveRun(b, 1000, sect6Fault)
-	v := archiveRun(b, 1000, sect6Fault,
-		workload.FaultSpec{Kind: workload.FaultMemoryViolation, Partition: "P2", Phase: 500*mtfTicks + 37})
+	a := openReader(b, archiveRun(b, 1000, sect6Fault))
+	v := openReader(b, archiveRun(b, 1000, sect6Fault,
+		workload.FaultSpec{Kind: workload.FaultMemoryViolation, Partition: "P2", Phase: 500*mtfTicks + 37}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var walked uint64
@@ -103,18 +141,19 @@ func BenchmarkArchiveDiff(b *testing.B) {
 	b.ReportMetric(float64(walked), "records/op")
 }
 
-// TestAsOfAllocsPerRecord bounds the read path's allocations: a fold over a
-// Sect. 6 archive makes fewer than three allocations per record, so the
-// decoder allocates little beyond the event strings themselves.
+// TestAsOfAllocsPerRecord bounds the read path's allocations: opening a
+// fresh reader and folding a Sect. 6 archive makes fewer than three
+// allocations per record, so the decoder and the fold's checkpoints
+// allocate little beyond the event strings themselves.
 func TestAsOfAllocsPerRecord(t *testing.T) {
-	r := archiveRun(t, 100, sect6Fault)
-	at := lastTick(t, r)
-	st, err := r.AsOf(at, 0)
+	dir := archiveRun(t, 100, sect6Fault)
+	at := lastTick(t, openReader(t, dir))
+	st, err := openReader(t, dir).AsOf(at, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := r.AsOf(at, 0); err != nil {
+		if _, err := openReader(t, dir).AsOf(at, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -5,12 +5,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"air/internal/durable"
 	"air/internal/obs"
 )
+
+// checkpointEvery is the fold checkpoint stride: AsOf records its state
+// before every record whose seq − 1 is a positive multiple of it.
+const checkpointEvery = 512
 
 // Reader opens an archive directory for queries. Sealed segments are taken
 // from the manifest; any trailing unsealed segment is recovered read-only
@@ -18,15 +24,34 @@ import (
 // complete frame is an error), so a reader can inspect the archive of a run
 // that crashed — or one that is still being written, up to its last buffer
 // flush.
+//
+// A Reader is a snapshot. OpenReader fixes the segment list and the
+// recovered tail's length, so records appended later stay unseen. AsOf
+// keeps fold checkpoints: every 512 records, the fold's state, taken only
+// once this Reader has itself verified every earlier frame. A cut resumes
+// from the last checkpoint inside it, so frames folded into a checkpoint
+// are not re-read, and a later change to one goes unseen by the cuts past
+// it. A Reader is safe for concurrent use.
 type Reader struct {
 	dir     string
 	segs    []segmentInfo
 	records uint64 // total addressable records
+
+	mu    sync.Mutex
+	ckpts []checkpoint // ckpts[i] is the fold before seq (i+1)*checkpointEvery+1
 }
 
 type segmentInfo struct {
 	meta   SegmentMeta
 	sealed bool
+}
+
+// pos locates a frame: the segment's index, the frame's byte offset within
+// it and the frame's seq.
+type pos struct {
+	seg int
+	off int64
+	seq uint64
 }
 
 // OpenReader opens dir for queries.
@@ -35,21 +60,15 @@ func OpenReader(dir string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{dir: dir}
-	seq := uint64(1)
+	r := &Reader{dir: dir, records: m.Records}
 	for _, seg := range m.Segments {
-		if seg.SeqStart != seq {
-			return nil, fmt.Errorf("archive: manifest: segment %s starts at seq %d, want %d", seg.Name, seg.SeqStart, seq)
-		}
 		if _, err := os.Stat(filepath.Join(dir, seg.Name)); err != nil {
 			return nil, fmt.Errorf("archive: sealed segment missing: %w", err)
 		}
 		r.segs = append(r.segs, segmentInfo{meta: seg, sealed: true})
-		seq += seg.Records
 	}
-	r.records = m.Records
 	// Recover the unsealed tail segment, if any.
-	tail, err := scanSegment(dir, len(m.Segments)+1, seq)
+	tail, err := scanSegment(dir, len(m.Segments)+1, m.Records+1)
 	if err != nil {
 		return nil, err
 	}
@@ -78,10 +97,11 @@ func scanSegment(dir string, num int, seqStart uint64) (*segmentInfo, error) {
 		if err != nil {
 			return err
 		}
+		t := int64(e.Time)
 		if meta.Records == 0 {
-			meta.MinTick = int64(e.Time)
+			meta.MinTick, meta.MaxTick = t, t
 		}
-		meta.MaxTick = int64(e.Time)
+		meta.MinTick, meta.MaxTick = min(meta.MinTick, t), max(meta.MaxTick, t)
 		meta.Records++
 		return nil
 	})
@@ -139,18 +159,39 @@ func (q Query) admitsKind(k obs.Kind) bool {
 // the middle of one) to reach SinceTick, and stops at the first record past
 // UntilTick or MaxSeq.
 func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
+	return r.scan(pos{}, q, fn, nil)
+}
+
+// errStop terminates a scan early from inside a segment.
+var errStop = errors.New("archive: stop scan")
+
+// scan is the one walk of the record stream, shared by Scan and AsOf. It
+// enters each segment where the sparse index seeks it, or at from when that
+// frame lies further on (the zero pos starts at the archive's head), and
+// calls fn with every record q admits. When fo is not nil, scan records
+// AsOf checkpoints of fo as it passes them, for as long as it has read
+// every frame before its position: skipping frames unread ends that.
+func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error, fo *fold) error {
 	lr := durable.NewLineReader(nil) // one pair of buffers for every segment
-	for _, seg := range r.segs {
-		if q.MaxSeq > 0 && seg.meta.SeqStart > q.MaxSeq {
+	for i := from.seg; i < len(r.segs); i++ {
+		seg := r.segs[i].meta
+		if q.MaxSeq > 0 && seg.SeqStart > q.MaxSeq {
 			return nil
 		}
-		if q.UntilTick >= 0 && seg.meta.MinTick > q.UntilTick {
+		if q.UntilTick >= 0 && seg.MinTick > q.UntilTick {
 			return nil // ticks only grow from here
 		}
-		if seg.meta.MaxTick < q.SinceTick {
+		if seg.MaxTick < q.SinceTick {
+			fo = nil
 			continue // whole segment precedes the window
 		}
-		if err := r.scanOne(seg, q, lr, fn); err != nil {
+		p := seek(i, seg, q.SinceTick)
+		if from.seq > p.seq {
+			p = from
+		} else if p.off > 0 {
+			fo = nil // the index skipped frames
+		}
+		if err := r.scanOne(p, q, lr, fn, fo); err != nil {
 			if errors.Is(err, errStop) {
 				return nil
 			}
@@ -160,33 +201,43 @@ func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 	return nil
 }
 
-// errStop terminates a scan early from inside a segment.
-var errStop = errors.New("archive: stop scan")
+// seek returns the frame at which a scan from valid time since enters
+// segment i. Every record before a sparse index entry has a tick no later
+// than the entry's, so starting at the last entry whose tick is below since
+// skips only records outside the window.
+func seek(i int, seg SegmentMeta, since int64) pos {
+	p := pos{seg: i, seq: seg.SeqStart}
+	if since > seg.MinTick && len(seg.Index) > 0 {
+		j := sort.Search(len(seg.Index), func(j int) bool {
+			return seg.Index[j].Tick >= since
+		})
+		if j > 0 {
+			p.off, p.seq = seg.Index[j-1].Offset, seg.Index[j-1].Seq
+		}
+	}
+	return p
+}
 
-func (r *Reader) scanOne(seg segmentInfo, q Query, lr *durable.LineReader, fn func(seq uint64, e obs.Event) error) error {
+// scanOne reads segment p.seg from frame p to its end, or until q stops
+// the scan. Checkpointing costs the loop one comparison per record.
+func (r *Reader) scanOne(p pos, q Query, lr *durable.LineReader, fn func(seq uint64, e obs.Event) error, fo *fold) error {
+	seg := r.segs[p.seg]
 	f, err := os.Open(filepath.Join(r.dir, seg.meta.Name))
 	if err != nil {
 		return fmt.Errorf("archive: scan: %w", err)
 	}
 	defer f.Close()
-	seq := seg.meta.SeqStart
-	// Seek via the sparse index: every record before an entry has a tick no
-	// later than the entry's, so starting at the last entry whose tick is
-	// below SinceTick skips only records outside the window.
-	if q.SinceTick > seg.meta.MinTick && len(seg.meta.Index) > 0 {
-		i := sort.Search(len(seg.meta.Index), func(i int) bool {
-			return seg.meta.Index[i].Tick >= q.SinceTick
-		})
-		if i > 0 {
-			ent := seg.meta.Index[i-1]
-			if _, err := f.Seek(ent.Offset, 0); err != nil {
-				return fmt.Errorf("archive: scan: %w", err)
-			}
-			seq = ent.Seq
+	if p.off > 0 {
+		if _, err := f.Seek(p.off, 0); err != nil {
+			return fmt.Errorf("archive: scan: %w", err)
 		}
 	}
 	lr.Reset(f)
-	for {
+	var mark uint64 // seq 0 never comes
+	if fo != nil {
+		mark = fo.next
+	}
+	for seq, off := p.seq, p.off; ; seq++ {
 		if q.MaxSeq > 0 && seq > q.MaxSeq {
 			return errStop
 		}
@@ -197,6 +248,10 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, lr *durable.LineReader, fn fu
 			}
 			return nil // end of segment (or recovered tail boundary)
 		}
+		if seq == mark {
+			mark = r.checkpoint(fo, pos{seg: p.seg, off: off, seq: seq})
+		}
+		off += int64(len(line))
 		e, ferr := decodeFrame(line[:len(line)-1])
 		if ferr != nil {
 			return fmt.Errorf("archive: segment %s seq %d: %w", seg.meta.Name, seq, ferr)
@@ -212,7 +267,6 @@ func (r *Reader) scanOne(seg segmentInfo, q Query, lr *durable.LineReader, fn fu
 				return err
 			}
 		}
-		seq++
 	}
 }
 
@@ -265,36 +319,90 @@ type State struct {
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
-// fold accumulates one event into the state. The kinds folded here define
-// the as-of semantics: HM table from HM_REPORT, schedule mode from
-// SCHEDULE_SWITCH/DEGRADE/RESTORE, quarantine set from the recovery
-// brackets.
-func (s *State) fold(seq uint64, e obs.Event, quarantined map[string]bool) {
-	s.Events++
-	s.LastTick, s.LastSeq = int64(e.Time), seq
+// fold is AsOf's running reconstruction of a State. The HM rows and the
+// quarantined set are short sorted slices, so a checkpoint copies each in
+// one allocation.
+type fold struct {
+	events      uint64
+	lastTick    int64
+	lastSeq     uint64
+	schedule    string
+	degraded    bool
+	hm          []hmRow  // sorted by partition
+	quarantined []string // sorted
+	// maxTick is the largest tick folded; a checkpoint raises it to the
+	// MinTick of every segment up to its own.
+	maxTick int64
+	next    uint64 // seq of the next checkpoint this fold may record
+}
+
+// hmRow is one partition's row of the reconstructed HM table.
+type hmRow struct {
+	partition string
+	entry     HMEntry
+}
+
+// checkpoint is a fold as it stood before the frame at.
+type checkpoint struct {
+	fold
+	at pos
+}
+
+// add folds one event. The kinds folded here define the as-of semantics:
+// HM table from HM_REPORT, schedule mode from SCHEDULE_SWITCH/DEGRADE/
+// RESTORE, quarantine set from the recovery brackets.
+func (f *fold) add(seq uint64, e obs.Event) error {
+	f.events++
+	f.lastTick, f.lastSeq = int64(e.Time), seq
+	f.maxTick = max(f.maxTick, f.lastTick)
 	switch e.Kind {
 	case obs.KindScheduleSwitch:
-		s.Schedule = scheduleName(e.Detail)
+		f.schedule = scheduleName(e.Detail)
 	case obs.KindScheduleDegrade:
-		s.Degraded = true
-		s.Schedule = scheduleName(e.Detail)
+		f.degraded = true
+		f.schedule = scheduleName(e.Detail)
 	case obs.KindScheduleRestore:
-		s.Degraded = false
-		s.Schedule = scheduleName(e.Detail)
+		f.degraded = false
+		f.schedule = scheduleName(e.Detail)
 	case obs.KindHMReport:
-		ent := s.HM[string(e.Partition)]
+		p := string(e.Partition)
+		i, ok := slices.BinarySearchFunc(f.hm, p, func(row hmRow, p string) int {
+			return strings.Compare(row.partition, p)
+		})
+		if !ok {
+			f.hm = slices.Insert(f.hm, i, hmRow{partition: p})
+		}
+		ent := &f.hm[i].entry
 		ent.Code, ent.Level, ent.Action = e.Code, e.Level, e.Action
 		ent.Tick = int64(e.Time)
 		ent.Reports++
-		if s.HM == nil {
-			s.HM = map[string]HMEntry{}
-		}
-		s.HM[string(e.Partition)] = ent
 	case obs.KindQuarantineEnter:
-		quarantined[string(e.Partition)] = true
+		if i, ok := slices.BinarySearch(f.quarantined, string(e.Partition)); !ok {
+			f.quarantined = slices.Insert(f.quarantined, i, string(e.Partition))
+		}
 	case obs.KindQuarantineExit:
-		delete(quarantined, string(e.Partition))
+		if i, ok := slices.BinarySearch(f.quarantined, string(e.Partition)); ok {
+			f.quarantined = slices.Delete(f.quarantined, i, i+1)
+		}
 	}
+	return nil
+}
+
+// state renders the fold as the State of the cut (asOfTick, asOfSeq): HM
+// stays nil before the first HM_REPORT, Quarantined nil when empty.
+func (f *fold) state(asOfTick int64, asOfSeq uint64) State {
+	st := State{AsOfTick: asOfTick, AsOfSeq: asOfSeq, Events: f.events,
+		LastTick: f.lastTick, LastSeq: f.lastSeq, Schedule: f.schedule, Degraded: f.degraded}
+	if len(f.hm) > 0 {
+		st.HM = make(map[string]HMEntry, len(f.hm))
+		for _, row := range f.hm {
+			st.HM[row.partition] = row.entry
+		}
+	}
+	if len(f.quarantined) > 0 {
+		st.Quarantined = f.quarantined
+	}
+	return st
 }
 
 // scheduleName recovers the target schedule from a schedule event's detail
@@ -307,26 +415,57 @@ func scheduleName(detail string) string {
 	return ""
 }
 
-// AsOf reconstructs the module state at valid time asOfTick as known by
-// transaction seq asOfSeq (0 = as of the latest record): a fold over every
-// record with Time <= asOfTick and seq <= asOfSeq. This is the bitemporal
-// query — rewinding asOfSeq answers "what did we believe before record R
-// arrived?", rewinding asOfTick answers "what had happened by tick T?".
+// AsOf reconstructs the module state at valid time asOfTick (negative = the
+// latest tick) as known by transaction seq asOfSeq (0 = as of the latest
+// record): a fold over every record with Time <= asOfTick and seq <=
+// asOfSeq. This is the bitemporal query — rewinding asOfSeq answers "what
+// did we believe before record R arrived?", rewinding asOfTick answers
+// "what had happened by tick T?". The fold resumes from the reader's last
+// checkpoint inside the cut and reads only the records after it.
 func (r *Reader) AsOf(asOfTick int64, asOfSeq uint64) (State, error) {
-	st := State{AsOfTick: asOfTick, AsOfSeq: asOfSeq}
-	quarantined := map[string]bool{}
-	err := r.Scan(Query{UntilTick: asOfTick, MaxSeq: asOfSeq}, func(seq uint64, e obs.Event) error {
-		st.fold(seq, e, quarantined)
-		return nil
+	f, from := r.resume(asOfTick, asOfSeq)
+	err := r.scan(from, Query{UntilTick: asOfTick, MaxSeq: asOfSeq}, f.add, &f)
+	return f.state(asOfTick, asOfSeq), err
+}
+
+// resume returns a copy of the last checkpoint inside the cut (asOfTick,
+// asOfSeq) and its frame, or an empty fold at the archive's head. The
+// checkpoints' ticks and seqs both only grow, so the ones inside the cut
+// are a prefix of the list.
+func (r *Reader) resume(asOfTick int64, asOfSeq uint64) (fold, pos) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := sort.Search(len(r.ckpts), func(i int) bool {
+		c := &r.ckpts[i]
+		pastTick := asOfTick >= 0 && c.maxTick > asOfTick
+		pastSeq := asOfSeq > 0 && c.at.seq-1 > asOfSeq
+		return pastTick || pastSeq
 	})
-	if err != nil {
-		return st, err
+	if i == 0 {
+		return fold{next: checkpointEvery + 1}, pos{}
 	}
-	for p := range quarantined { //air:allow(maprange): collected into a slice and sorted below
-		st.Quarantined = append(st.Quarantined, p)
+	c := r.ckpts[i-1]
+	c.hm, c.quarantined = slices.Clone(c.hm), slices.Clone(c.quarantined)
+	c.next = c.at.seq + checkpointEvery
+	return c.fold, c.at
+}
+
+// checkpoint records fo as the fold before frame p when p is the reader's
+// next checkpoint, and returns the seq of the one after it.
+func (r *Reader) checkpoint(fo *fold, p pos) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p.seq == uint64(len(r.ckpts)+1)*checkpointEvery+1 {
+		c := checkpoint{fold: *fo, at: p}
+		c.hm, c.quarantined = slices.Clone(fo.hm), slices.Clone(fo.quarantined)
+		// Scan also stops at a segment whose MinTick is past the cut.
+		for _, seg := range r.segs[:p.seg+1] {
+			c.maxTick = max(c.maxTick, seg.meta.MinTick)
+		}
+		r.ckpts = append(r.ckpts, c)
 	}
-	sort.Strings(st.Quarantined)
-	return st, nil
+	fo.next = p.seq + checkpointEvery
+	return fo.next
 }
 
 // Divergence reports where two runs' histories split.

@@ -108,7 +108,42 @@ func readManifest(dir string) (Manifest, error) {
 	if m.Version != manifestVersion {
 		return m, fmt.Errorf("archive: manifest: unsupported version %d", m.Version)
 	}
+	if err := m.validate(); err != nil {
+		return m, fmt.Errorf("archive: manifest: %w", err)
+	}
 	return m, nil
+}
+
+// validate checks that the catalog describes this archive's own segment
+// files, seg-000001.jsonl on, as consecutive non-empty seq ranges whose
+// sparse index points inside them, so no name, seq or offset a reader takes
+// from it leads outside the archive or its segments.
+func (m Manifest) validate() error {
+	seq := uint64(1)
+	for i, seg := range m.Segments {
+		switch {
+		case seg.Name != segmentName(i+1):
+			return fmt.Errorf("segment %d is named %q, want %q", i+1, seg.Name, segmentName(i+1))
+		case seg.SeqStart != seq:
+			return fmt.Errorf("segment %s starts at seq %d, want %d", seg.Name, seg.SeqStart, seq)
+		case seg.Records == 0 || seq+seg.Records < seq:
+			return fmt.Errorf("segment %s holds %d records", seg.Name, seg.Records)
+		case seg.MinTick > seg.MaxTick:
+			return fmt.Errorf("segment %s has min tick %d above max tick %d", seg.Name, seg.MinTick, seg.MaxTick)
+		}
+		seq += seg.Records
+		prev := IndexEntry{Seq: seg.SeqStart - 1, Offset: -1}
+		for _, ent := range seg.Index {
+			if ent.Seq <= prev.Seq || ent.Seq >= seq || ent.Offset <= prev.Offset || ent.Offset >= seg.Bytes {
+				return fmt.Errorf("segment %s: index entry at seq %d, offset %d is out of order or outside the segment", seg.Name, ent.Seq, ent.Offset)
+			}
+			prev = ent
+		}
+	}
+	if m.Records != seq-1 {
+		return fmt.Errorf("records %d, but the segments hold %d", m.Records, seq-1)
+	}
+	return nil
 }
 
 // recoverActive validates the active (post-manifest) segment if one exists
@@ -150,10 +185,10 @@ func (s *Sink) noteRecord(t int64, offset int64) {
 		s.index = append(s.index, IndexEntry{Seq: s.seq + 1, Tick: t, Offset: offset}) //air:allow(alloc): capacity-bounded to one entry per stride, reset at seal
 	}
 	if s.segRecords == 0 {
-		s.segMin = t
+		s.segMin, s.segMax = t, t
 		s.pub.segments.Store(uint64(len(s.manifest.Segments)) + 1) //air:allow(call): lock-free gauge publish for the telemetry goroutine, once per segment
 	}
-	s.segMax = t
+	s.segMin, s.segMax = min(s.segMin, t), max(s.segMax, t)
 	s.segRecords++
 	s.seq++
 	s.pub.records.Store(s.seq) //air:allow(call): lock-free gauge publish for the telemetry goroutine
