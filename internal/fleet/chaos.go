@@ -9,15 +9,14 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"air/internal/campaign"
 )
 
 // Chaos is the fleet's deterministic fault-injection harness: a seeded
 // schedule of transport faults applied between workers and the
-// coordinator. It wraps either side of the protocol — an http.RoundTripper
-// for real worker processes, a Service for in-process shards — and injects
-// the distributed-system fault classes the resilience layer must absorb:
+// coordinator. It wraps a worker's http.RoundTripper (Transport), so the
+// faults hit the path a real worker takes — Client retries, the Handler,
+// the JSON bodies — and injects the distributed-system fault classes the
+// resilience layer must absorb:
 //
 //   - drop: the request is lost before delivery (connection reset); the
 //     caller retries, and an Acquire that was actually granted on an
@@ -69,8 +68,6 @@ type ChaosOptions struct {
 	// delay's upper bound (default 10ms), scaled by the schedule.
 	Latency     float64
 	LatencySpan time.Duration
-	// Sleep is the injected-latency seam (nil = time.Sleep).
-	Sleep func(time.Duration)
 }
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
@@ -79,9 +76,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.LatencySpan <= 0 {
 		o.LatencySpan = 10 * time.Millisecond
-	}
-	if o.Sleep == nil {
-		o.Sleep = sleep
 	}
 	return o
 }
@@ -170,8 +164,6 @@ func (c *Chaos) next() chaosDecision {
 	return d
 }
 
-// --- HTTP transport chaos ----------------------------------------------------
-
 // Transport wraps an http.RoundTripper (nil = http.DefaultTransport) with
 // the chaos schedule. Hand it to a fleet.Client via HTTP:
 //
@@ -191,7 +183,10 @@ type chaosTransport struct {
 func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	d := t.c.next()
 	if d.delay > 0 {
-		t.c.opts.Sleep(d.delay)
+		sleep(d.delay)
+	}
+	if (d.class == chaosDrop || d.class == chaos500) && req.Body != nil {
+		req.Body.Close() // never delivered, but a RoundTripper always closes the body
 	}
 	switch d.class {
 	case chaosDrop:
@@ -248,105 +243,4 @@ func cloneRequest(req *http.Request) (*http.Request, error) {
 	}
 	r2.Body = body
 	return r2, nil
-}
-
-// --- in-process Service chaos ------------------------------------------------
-
-// Service wraps a fleet.Service with the chaos schedule, the in-process
-// equivalent of Transport for RunLocal shards: delivery faults surface as
-// errors the worker's retry budgets absorb, duplicates call through twice
-// to exercise coordinator idempotency.
-func (c *Chaos) Service(svc Service) Service {
-	return &chaosService{c: c, svc: svc}
-}
-
-type chaosService struct {
-	c   *Chaos
-	svc Service
-}
-
-func (s *chaosService) Acquire(worker string) (Lease, AcquireState, error) {
-	d := s.c.next()
-	if d.delay > 0 {
-		s.c.opts.Sleep(d.delay)
-	}
-	switch d.class {
-	case chaosDrop:
-		return Lease{}, Wait, fmt.Errorf("%w (acquire lost)", ErrInjected)
-	case chaos500:
-		return Lease{}, Wait, fmt.Errorf("%w (acquire 500)", ErrInjected)
-	case chaosDropResponse:
-		// The grant happened but the worker never hears of it: the lease
-		// is orphaned until TTL reclamation — the worker-crash-adjacent
-		// fault class.
-		_, _, err := s.svc.Acquire(worker)
-		if err != nil {
-			return Lease{}, Wait, err
-		}
-		return Lease{}, Wait, fmt.Errorf("%w (acquire response lost)", ErrInjected)
-	case chaosDuplicate:
-		// Delivered twice: the first grant is orphaned, the second is the
-		// one the worker sees.
-		if _, _, err := s.svc.Acquire(worker); err != nil {
-			return Lease{}, Wait, err
-		}
-		return s.svc.Acquire(worker)
-	default:
-		return s.svc.Acquire(worker)
-	}
-}
-
-func (s *chaosService) Spec(campaignID string) (campaign.Spec, error) {
-	d := s.c.next()
-	if d.delay > 0 {
-		s.c.opts.Sleep(d.delay)
-	}
-	switch d.class {
-	case chaosDrop, chaos500, chaosDropResponse:
-		return campaign.Spec{}, fmt.Errorf("%w (spec)", ErrInjected)
-	default:
-		return s.svc.Spec(campaignID)
-	}
-}
-
-func (s *chaosService) Complete(worker string, l Lease, sh *campaign.Shard) error {
-	d := s.c.next()
-	if d.delay > 0 {
-		s.c.opts.Sleep(d.delay)
-	}
-	switch d.class {
-	case chaosDrop, chaos500:
-		return fmt.Errorf("%w (complete lost)", ErrInjected)
-	case chaosDropResponse:
-		// Delivered, reply lost: the worker's retry makes it a duplicate.
-		if err := s.svc.Complete(worker, l, sh); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w (complete response lost)", ErrInjected)
-	case chaosDuplicate:
-		if err := s.svc.Complete(worker, l, sh); err != nil {
-			return err
-		}
-		return s.svc.Complete(worker, l, sh)
-	default:
-		return s.svc.Complete(worker, l, sh)
-	}
-}
-
-func (s *chaosService) Heartbeat(worker string, l *Lease, retries int64) error {
-	d := s.c.next()
-	if d.delay > 0 {
-		s.c.opts.Sleep(d.delay)
-	}
-	switch d.class {
-	case chaosDrop, chaos500, chaosDropResponse:
-		return fmt.Errorf("%w (heartbeat)", ErrInjected)
-	case chaosDuplicate:
-		if err := s.svc.Heartbeat(worker, l, retries); err != nil {
-			return err
-		}
-		return s.svc.Heartbeat(worker, l, retries)
-	default:
-		return s.svc.Heartbeat(worker, l, retries)
-	}
 }

@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"air/internal/campaign"
+	"air/internal/config"
 )
 
 // soakChaos is the dense schedule the equivalence tests run under: every
@@ -57,11 +63,45 @@ func TestChaosInjectsEveryClass(t *testing.T) {
 	}
 }
 
-// TestRunLocalChaosEquivalence is the tentpole acceptance test: under three
-// different dense chaos schedules — drops, lost responses, injected 500s,
-// duplicated deliveries, latency — a fleet campaign still produces the
-// byte-identical Result of the clean single-process run.
-func TestRunLocalChaosEquivalence(t *testing.T) {
+// chaosClient is a worker's Client on the chaos transport, with
+// millisecond backoff so the suite stays fast.
+func chaosClient(base string, ch *Chaos) *Client {
+	return &Client{
+		Base:  base,
+		HTTP:  &http.Client{Transport: ch.Transport(nil), Timeout: 2 * time.Second},
+		Retry: RetryPolicy{Attempts: 8, Backoff: time.Millisecond, BackoffMax: 4 * time.Millisecond},
+	}
+}
+
+// chaosWorker is a single-simulation worker heartbeating well inside the
+// chaos tests' 150ms lease TTL.
+func chaosWorker(id string, cl *Client) WorkerOptions {
+	return WorkerOptions{ID: id, Workers: 1, Poll: time.Millisecond, Heartbeat: 40 * time.Millisecond, Retries: cl.Retries}
+}
+
+// drainChaos runs n Work loops over HTTP, each with its own chaos-wrapped
+// Client, until the coordinator at base drains.
+func drainChaos(base string, ch *Chaos, prefix string, n int) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cl := chaosClient(base, ch)
+			_, errs[i] = Work(cl, chaosWorker(fmt.Sprintf("%s-%d", prefix, i), cl))
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// TestChaosEquivalence is the chaos acceptance test: under three different
+// dense chaos schedules — drops, lost responses, injected 500s, duplicated
+// deliveries, latency — three workers drain a coordinator over loopback
+// HTTP and the campaign still produces the byte-identical Result of the
+// clean single-process run.
+func TestChaosEquivalence(t *testing.T) {
 	spec := testSpec(24)
 	want, err := campaign.Run(spec)
 	if err != nil {
@@ -70,15 +110,29 @@ func TestRunLocalChaosEquivalence(t *testing.T) {
 	wantJSON := resultJSON(t, want)
 	for _, seed := range []uint64{1, 42, 1912} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ch := NewChaos(soakChaos(seed))
-			got, err := RunLocal(spec, LocalOptions{
-				Shards:    3,
-				LeaseSize: 4,
-				Chaos:     ch,
-				LeaseTTL:  150 * time.Millisecond,
+			c, err := New(Options{
+				LeaseSize:        4,
+				LeaseTTL:         150 * time.Millisecond,
+				KeepObservations: true,
+				QuarantineAfter:  -1,
 			})
 			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id, err := c.Submit(spec.Defaulted())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(Handler(c))
+			defer srv.Close()
+			ch := NewChaos(soakChaos(seed))
+			if err := drainChaos(srv.URL, ch, "chaos", 3); err != nil {
 				t.Fatalf("chaos run: %v (stats %+v)", err, ch.Stats())
+			}
+			got, err := c.Result(id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(resultJSON(t, got), wantJSON) {
 				t.Fatalf("chaos result differs from clean campaign.Run (stats %+v)", ch.Stats())
@@ -106,13 +160,13 @@ func TestChaosCrashRestartEquivalence(t *testing.T) {
 		KeepObservations: true,
 		QuarantineAfter:  -1,
 	}
-	wopts := WorkerOptions{
-		Workers:         1,
-		Poll:            time.Millisecond,
-		Heartbeat:       40 * time.Millisecond,
-		AcquireRetries:  50,
-		CompleteRetries: 50,
-	}
+	// One server serves whichever coordinator is current, so the restarted
+	// coordinator keeps the base URL its workers hold.
+	var current atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
 
 	// First life: one worker completes a lease under chaos, then crashes
 	// holding a second; the coordinator dies right after.
@@ -120,13 +174,15 @@ func TestChaosCrashRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	current.Store(Handler(c1))
 	id, err := c1.Submit(spec.Defaulted())
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomed := wopts
-	doomed.ID, doomed.MaxLeases = "doomed", 1
-	if n, err := Work(ch.Service(c1), doomed); err != nil || n != 1 {
+	cl := chaosClient(srv.URL, ch)
+	doomed := chaosWorker("doomed", cl)
+	doomed.MaxLeases = 1
+	if n, err := Work(cl, doomed); err != nil || n != 1 {
 		t.Fatalf("doomed shard: n=%d err=%v", n, err)
 	}
 	if _, _, err := c1.Acquire("doomed"); err != nil {
@@ -137,28 +193,14 @@ func TestChaosCrashRestartEquivalence(t *testing.T) {
 	}
 
 	// Second life: replay the journal and drain with two chaos-wrapped
-	// shards. The crashed worker's abandoned lease is simply pending again.
+	// workers. The crashed worker's abandoned lease is simply pending again.
 	c2, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := ch.Service(c2)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := wopts
-			w.ID = fmt.Sprintf("survivor-%d", i)
-			_, errs[i] = Work(svc, w)
-		}(i)
-	}
-	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			t.Fatalf("survivor: %v (stats %+v)", werr, ch.Stats())
-		}
+	current.Store(Handler(c2))
+	if err := drainChaos(srv.URL, ch, "survivor", 2); err != nil {
+		t.Fatalf("survivors: %v (stats %+v)", err, ch.Stats())
 	}
 	got, err := c2.Result(id)
 	if err != nil {
@@ -197,29 +239,82 @@ func TestChaosCrashRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosServiceErrorsAreInjected pins the error contract: every fault
-// the chaos service surfaces unwraps to ErrInjected, so callers can tell
-// scheduled faults from real ones.
-func TestChaosServiceErrorsAreInjected(t *testing.T) {
+// TestChaosTransportErrorsAreInjected pins the error contract: every fault
+// the chaos transport surfaces through a Client unwraps to ErrInjected, so
+// callers can tell scheduled faults from real ones.
+func TestChaosTransportErrorsAreInjected(t *testing.T) {
 	c, err := New(Options{LeaseSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(testSpec(8)); err != nil {
+	defer c.Close()
+	id, err := c.Submit(testSpec(8))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop everything: every call must fail with an injected error.
-	svc := NewChaos(ChaosOptions{Seed: 5, Drop: 1}).Service(c)
-	if _, _, err := svc.Acquire("w"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("acquire error = %v, want ErrInjected", err)
+	srv := httptest.NewServer(Handler(c))
+	defer srv.Close()
+	// Drop everything and never retry: every call must fail with an
+	// injected error.
+	cl := chaosClient(srv.URL, NewChaos(ChaosOptions{Seed: 5, Drop: 1}))
+	cl.Retry.Attempts = 1
+	_, _, acquireErr := cl.Acquire("w")
+	_, specErr := cl.Spec(id)
+	_, submitErr := cl.Submit(&config.Campaign{Runs: 4})
+	for name, err := range map[string]error{
+		"acquire":   acquireErr,
+		"spec":      specErr,
+		"complete":  cl.Complete("w", Lease{Campaign: id, End: 4}, &campaign.Shard{}),
+		"heartbeat": cl.Heartbeat("w", nil, 0),
+		"ping":      cl.Ping(),
+		"submit":    submitErr,
+	} {
+		if !errors.Is(err, ErrInjected) {
+			t.Errorf("%s error = %v, want ErrInjected", name, err)
+		}
 	}
-	if _, err := svc.Spec("nope"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("spec error = %v, want ErrInjected", err)
+	if fs := c.FleetStatus(); len(fs.Workers) != 0 || len(fs.Campaigns) != 1 {
+		t.Fatalf("a dropped request reached the coordinator: %+v", fs)
 	}
-	if err := svc.Complete("w", Lease{}, nil); !errors.Is(err, ErrInjected) {
-		t.Fatalf("complete error = %v, want ErrInjected", err)
-	}
-	if err := svc.Heartbeat("w", nil, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("heartbeat error = %v, want ErrInjected", err)
+}
+
+// closeRecorder is a request body that records whether it was closed.
+type closeRecorder struct {
+	io.Reader
+	closed bool
+}
+
+func (b *closeRecorder) Close() error {
+	b.closed = true
+	return nil
+}
+
+// TestChaosTransportClosesBody holds the transport to the RoundTripper
+// contract: a request the schedule never delivers still has its body
+// closed, on the drop and on the injected-500 path alike.
+func TestChaosTransportClosesBody(t *testing.T) {
+	// The target is local, so a transport that wrongly delivers stays on
+	// loopback.
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	for name, opts := range map[string]ChaosOptions{
+		"drop": {Drop: 1},
+		"500":  {Inject500: 1},
+	} {
+		body := &closeRecorder{Reader: strings.NewReader(`{"worker":"w"}`)}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+pathAcquire, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewChaos(opts).Transport(nil).RoundTrip(req)
+		if res != nil {
+			res.Body.Close()
+		}
+		if err == nil && res.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: request delivered: %d", name, res.StatusCode)
+		}
+		if !body.closed {
+			t.Errorf("%s: request body left open", name)
+		}
 	}
 }

@@ -87,8 +87,7 @@ func (s AcquireState) String() string {
 
 // Service is the coordinator surface a worker shard needs. The Coordinator
 // implements it directly (in-process shards); Client implements it over
-// HTTP (worker processes); Chaos.Service wraps either with a deterministic
-// fault schedule.
+// HTTP (worker processes), the path Chaos.Transport faults.
 type Service interface {
 	// Acquire asks for a lease on behalf of the named worker.
 	Acquire(worker string) (Lease, AcquireState, error)

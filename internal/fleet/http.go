@@ -209,9 +209,6 @@ type RetryPolicy struct {
 	// value so a fleet of workers never retries in lockstep.
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// Seed seeds the jitter sequence (default 1): given the same seed and
-	// call sequence the backoff schedule is reproducible.
-	Seed uint64
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -223,9 +220,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BackoffMax <= 0 {
 		p.BackoffMax = 2 * time.Second
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -249,14 +243,9 @@ type Client struct {
 	Timeout time.Duration
 	// Retry bounds the transparent retries (zero value = defaults).
 	Retry RetryPolicy
-	// Sleep is the backoff seam (nil = time.Sleep).
-	Sleep func(time.Duration)
-	// OnRetry, when non-nil, observes every retry: the operation's path,
-	// the 1-based retry number and the error being retried.
-	OnRetry func(path string, retry int, err error)
 
 	mu sync.Mutex
-	// rng draws the backoff jitter; lazily seeded on first retry.
+	// rng draws the backoff jitter; seeded with 1 on first retry.
 	//air:guard(mu)
 	rng     *rand.Rand
 	retries atomic.Int64
@@ -275,15 +264,6 @@ func (cl *Client) http() *http.Client {
 	return &http.Client{Timeout: to}
 }
 
-func (cl *Client) sleep(d time.Duration) {
-	if cl.Sleep != nil {
-		cl.Sleep(d)
-		return
-	}
-	//air:allow(wallclock): retry backoff paces the host-side protocol only, never simulation state; tests inject a recording seam via Client.Sleep
-	time.Sleep(d)
-}
-
 // backoff computes the jittered delay before the retry-th retry (1-based).
 func (cl *Client) backoff(p RetryPolicy, retry int) time.Duration {
 	d := p.Backoff << (retry - 1)
@@ -293,7 +273,7 @@ func (cl *Client) backoff(p RetryPolicy, retry int) time.Duration {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.rng == nil {
-		cl.rng = rand.New(rand.NewSource(int64(p.Seed)))
+		cl.rng = rand.New(rand.NewSource(1))
 	}
 	half := int64(d / 2)
 	if half <= 0 {
@@ -380,10 +360,7 @@ func (cl *Client) do(path string, data []byte, out any) error {
 	for attempt := 1; attempt <= p.Attempts; attempt++ {
 		if attempt > 1 {
 			cl.retries.Add(1)
-			if cl.OnRetry != nil {
-				cl.OnRetry(path, attempt-1, lastErr)
-			}
-			cl.sleep(cl.backoff(p, attempt-1))
+			sleep(cl.backoff(p, attempt-1))
 		}
 		err := cl.once(path, data, out)
 		if err == nil {

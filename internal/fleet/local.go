@@ -10,7 +10,8 @@ import (
 	"air/internal/campaign"
 )
 
-// LocalOptions configures RunLocal.
+// LocalOptions configures RunLocal. Its shards call the coordinator
+// directly, with no lease TTL and no transport for Chaos to fault.
 type LocalOptions struct {
 	// Shards is the number of concurrent in-process worker shards (default
 	// runtime.GOMAXPROCS(0)). Each shard runs its leases with a single
@@ -29,15 +30,6 @@ type LocalOptions struct {
 	// carries no per-run observations. Required for campaigns too large to
 	// hold per-run rows in memory.
 	DropObservations bool
-	// LeaseTTL enables lease reclamation between the in-process shards
-	// (default off): with chaos dropping Acquire responses, orphaned leases
-	// need a TTL to be reissued. Keep it comfortably above a lease's run
-	// time — the in-process shards heartbeat-renew in-flight leases.
-	LeaseTTL time.Duration
-	// Chaos, when non-nil, interposes the deterministic fault schedule
-	// between every shard and the coordinator. The result is still
-	// byte-identical to the clean run; only wall-clock time suffers.
-	Chaos *Chaos
 }
 
 func (o LocalOptions) withDefaults(runs int) LocalOptions {
@@ -52,12 +44,6 @@ func (o LocalOptions) withDefaults(runs int) LocalOptions {
 		if o.LeaseSize > 64 {
 			o.LeaseSize = 64
 		}
-	}
-	if o.Chaos != nil && o.LeaseTTL <= 0 {
-		// A chaos schedule that drops Acquire responses orphans granted
-		// leases; without a TTL they would never be reissued and the run
-		// would never drain.
-		o.LeaseTTL = 250 * time.Millisecond
 	}
 	return o
 }
@@ -78,7 +64,6 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 	opts = opts.withDefaults(spec.Runs)
 	c, err := New(Options{
 		LeaseSize:        opts.LeaseSize,
-		LeaseTTL:         opts.LeaseTTL,
 		JournalPath:      opts.JournalPath,
 		KeepObservations: !opts.DropObservations,
 		// An archiving spec stores durably under its own requested root:
@@ -86,8 +71,7 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 		// shards, so <ArchiveDir>/<campaignID>/run-NNNNN/ is the one layout.
 		ArchiveRoot: spec.ArchiveDir,
 		// In-process shards share one process: they cannot flap
-		// independently, and a chaos schedule dropping Acquire responses
-		// would otherwise quarantine them and stall the run on cooldowns.
+		// independently.
 		QuarantineAfter: -1,
 	})
 	if err != nil {
@@ -99,23 +83,10 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var svc Service = c
 	wopts := WorkerOptions{
 		Workers:          1,
 		Poll:             time.Millisecond,
 		DropObservations: opts.DropObservations,
-	}
-	if opts.Chaos != nil {
-		svc = opts.Chaos.Service(c)
-		// Under a dense fault schedule, consecutive Acquire failures are
-		// routine rather than a dead-coordinator signal: widen the budget so
-		// the run rides out fault bursts.
-		wopts.AcquireRetries = 25
-		wopts.CompleteRetries = 25
-	}
-	if opts.LeaseTTL > 0 {
-		// Keep in-flight leases renewed well inside the reclamation TTL.
-		wopts.Heartbeat = opts.LeaseTTL / 4
 	}
 	start := spec.Clock()
 	var wg sync.WaitGroup
@@ -126,7 +97,7 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 			defer wg.Done()
 			w := wopts
 			w.ID = fmt.Sprintf("local-%d", i)
-			_, errs[i] = Work(svc, w)
+			_, errs[i] = Work(c, w)
 		}(i)
 	}
 	wg.Wait()

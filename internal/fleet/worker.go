@@ -9,7 +9,8 @@ import (
 	"air/internal/campaign"
 )
 
-// WorkerOptions configures one worker shard's lease loop.
+// WorkerOptions configures one worker shard's lease loop. Its retry budgets
+// are the constants below; per-request retries are the Client's.
 type WorkerOptions struct {
 	// ID names the shard to the coordinator (liveness, lease attribution).
 	// Empty defaults to "shard".
@@ -33,15 +34,6 @@ type WorkerOptions struct {
 	// never mistaken for a dead shard and reclaimed at TTL. 0 defaults to
 	// 2s; negative disables heartbeating.
 	Heartbeat time.Duration
-	// AcquireRetries bounds consecutive Acquire failures tolerated before
-	// the loop gives up (default 5). The budget resets on any success, so
-	// it separates a dead coordinator from a transient blip.
-	AcquireRetries int
-	// CompleteRetries is how many times a failed Complete is re-sent
-	// before the lease is abandoned to TTL reclamation (default 3).
-	// Complete is idempotent server-side, so retrying is always safe —
-	// and every retry that lands saves a full re-run of finished work.
-	CompleteRetries int
 	// Retries, when non-nil, supplies the cumulative transport retry count
 	// reported in heartbeats (wire it to Client.Retries).
 	Retries func() int64
@@ -49,9 +41,19 @@ type WorkerOptions struct {
 	// shard finishes its in-flight lease, reports it, and returns without
 	// acquiring more. The daemon's SIGTERM handler closes it.
 	Stop <-chan struct{}
-	// Sleep is the Poll/backoff seam (nil = time.Sleep).
-	Sleep func(time.Duration)
 }
+
+const (
+	// acquireRetries bounds consecutive Acquire (and Spec) failures
+	// tolerated before the loop gives up. The budget resets on any success,
+	// so it separates a dead coordinator from a transient blip.
+	acquireRetries = 5
+	// completeRetries is how many times a failed Complete is re-sent before
+	// the lease is abandoned to TTL reclamation. Complete is idempotent
+	// server-side, so retrying is always safe — and every retry that lands
+	// saves a full re-run of finished work.
+	completeRetries = 3
+)
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.ID == "" {
@@ -66,22 +68,14 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 2 * time.Second
 	}
-	if o.AcquireRetries <= 0 {
-		o.AcquireRetries = 5
-	}
-	if o.CompleteRetries <= 0 {
-		o.CompleteRetries = 3
-	}
-	if o.Sleep == nil {
-		o.Sleep = sleep
-	}
 	return o
 }
 
-// sleep is the worker's single wall-sleep tap, shared by Poll back-off and
-// retry pacing.
+// sleep is the package's single wall-sleep tap: Work's Poll back-off and
+// retry pacing, the Client's retry backoff and the chaos transport's
+// injected latency all go through it.
 func sleep(d time.Duration) {
-	//air:allow(wallclock): poll/backoff pacing is host-side protocol timing, never simulation state; tests inject a fake via WorkerOptions.Sleep
+	//air:allow(wallclock): poll, backoff and injected-latency pacing is host-side protocol timing, never simulation state
 	time.Sleep(d)
 }
 
@@ -125,10 +119,10 @@ func Work(svc Service, opts WorkerOptions) (int, error) {
 		l, state, err := svc.Acquire(opts.ID)
 		if err != nil {
 			failures++
-			if failures > opts.AcquireRetries {
+			if failures > acquireRetries {
 				return completed, fmt.Errorf("fleet: worker %s: acquire: %w", opts.ID, err)
 			}
-			opts.Sleep(backoffFor(opts.Poll, failures))
+			sleep(backoffFor(opts.Poll, failures))
 			continue
 		}
 		failures = 0
@@ -136,7 +130,7 @@ func Work(svc Service, opts WorkerOptions) (int, error) {
 		case Drained:
 			return completed, nil
 		case Wait:
-			opts.Sleep(opts.Poll)
+			sleep(opts.Poll)
 			continue
 		}
 		spec, ok := specs[l.Campaign]
@@ -175,14 +169,15 @@ func backoffFor(base time.Duration, failures int) time.Duration {
 }
 
 // fetchSpec retrieves a campaign spec under the same consecutive-failure
-// budget as Acquire — the Client already retries each request, so this
-// covers in-process Services wrapped in chaos.
+// budget as Acquire. The Client already retries each request; this loop
+// carries the worker on when one Client budget runs out, as it does within
+// a fraction of a second against a restarting coordinator.
 func fetchSpec(svc Service, opts WorkerOptions, id string) (campaign.Spec, error) {
 	var spec campaign.Spec
 	var err error
-	for attempt := 0; attempt <= opts.AcquireRetries; attempt++ {
+	for attempt := 0; attempt <= acquireRetries; attempt++ {
 		if attempt > 0 {
-			opts.Sleep(backoffFor(opts.Poll, attempt))
+			sleep(backoffFor(opts.Poll, attempt))
 		}
 		if spec, err = svc.Spec(id); err == nil {
 			return spec, nil
@@ -251,9 +246,9 @@ func workerRetries(opts WorkerOptions) int64 {
 // reclaimed lease first — is dropped idempotently by the coordinator.
 func completeLease(svc Service, opts WorkerOptions, l Lease, sh *campaign.Shard) error {
 	var err error
-	for attempt := 0; attempt <= opts.CompleteRetries; attempt++ {
+	for attempt := 0; attempt <= completeRetries; attempt++ {
 		if attempt > 0 {
-			opts.Sleep(backoffFor(opts.Poll, attempt))
+			sleep(backoffFor(opts.Poll, attempt))
 		}
 		if err = svc.Complete(opts.ID, l, sh); err == nil {
 			return nil

@@ -84,9 +84,6 @@ func newFlight(frames int) *flight {
 //air:hotpath
 //air:allow(guard): Emit calls capture with t.mu held; //air:locked can only name the receiver's own mutex, not a parameter's
 func (f *flight) capture(t *Timeline, e obs.Event) {
-	if f == nil {
-		return
-	}
 	fr := FlightFrame{
 		Time:           e.Time,
 		Core:           e.Core,
@@ -129,7 +126,7 @@ func (f *flight) capture(t *Timeline, e obs.Event) {
 //
 //air:hotpath
 func (f *flight) noteError(e obs.Event) {
-	if f == nil || f.hasErr {
+	if f.hasErr {
 		return
 	}
 	f.hasErr = true
@@ -144,9 +141,6 @@ func (f *flight) noteError(e obs.Event) {
 
 // dump renders the recorder state. Called with the analyzer's mutex held.
 func (f *flight) dump() FlightDump {
-	if f == nil {
-		return FlightDump{Frames: []FlightFrame{}}
-	}
 	d := FlightDump{Frozen: f.hasErr, Frames: []FlightFrame{}, DroppedFrames: f.dropped}
 	if f.hasErr {
 		d.DroppedFrames = f.frozenDropped

@@ -39,21 +39,16 @@ type Options struct {
 	// Nil disables budget/utilization model checking (process timing is
 	// still analyzed).
 	System *model.System
-	// WarnPercent sets the early-warning watermark: a SLACK_WARNING fires
-	// when an open activation's remaining slack drops below WarnPercent% of
-	// its release→deadline window. 0 selects DefaultWarnPercent; negative
-	// disables early warning.
-	WarnPercent int
-	// FlightFrames bounds the flight-data recorder (frames retained, one
-	// per partition window activation). 0 selects DefaultFlightFrames;
-	// negative disables the recorder.
-	FlightFrames int
 }
 
-// Defaults for Options.
 const (
-	DefaultWarnPercent  = 25
-	DefaultFlightFrames = 64
+	// warnPercent is the early-warning watermark: a SLACK_WARNING fires
+	// when an open activation's remaining slack drops below warnPercent% of
+	// its release→deadline window.
+	warnPercent = 25
+	// flightFrames bounds the flight-data recorder (frames retained, one
+	// per partition window activation).
+	flightFrames = 64
 )
 
 type procKey struct {
@@ -113,10 +108,9 @@ type partState struct {
 // Timeline is the analyzer. Attach it to a module's spine with Attach (or
 // bus.Attach plus Bind); it implements obs.Sink.
 type Timeline struct {
-	mu      sync.Mutex
-	sys     *model.System
-	bus     *obs.Bus
-	warnPct int
+	mu  sync.Mutex
+	sys *model.System
+	bus *obs.Bus
 
 	// reg is the analyzer's private metrics registry: a synchronized mirror
 	// of the module registry fed from the same event stream, so /metrics
@@ -170,21 +164,11 @@ type Timeline struct {
 // New creates an analyzer.
 func New(opts Options) *Timeline {
 	t := &Timeline{
-		sys:     opts.System,
-		warnPct: opts.WarnPercent,
-		parts:   make(map[partKey]*partState),
-		procs:   make(map[procKey]*procState),
-		outbox:  make([]obs.Event, 0, 8),
-	}
-	if t.warnPct == 0 {
-		t.warnPct = DefaultWarnPercent
-	}
-	frames := opts.FlightFrames
-	if frames == 0 {
-		frames = DefaultFlightFrames
-	}
-	if frames > 0 {
-		t.fdr = newFlight(frames)
+		sys:    opts.System,
+		parts:  make(map[partKey]*partState),
+		procs:  make(map[procKey]*procState),
+		outbox: make([]obs.Event, 0, 8),
+		fdr:    newFlight(flightFrames),
 	}
 	if t.sys != nil && len(t.sys.Schedules) > 0 {
 		t.adopt(&t.sys.Schedules[0], 0)
@@ -360,18 +344,14 @@ func (t *Timeline) release(e obs.Event) {
 		return
 	}
 	st.deadline = e.Time + e.Latency
-	if t.warnPct < 0 {
-		st.warnAt = tick.Infinity
-		return
-	}
-	// Watermark: warn once the remaining slack is below warnPct% of the
+	// Watermark: warn once the remaining slack is below warnPercent% of the
 	// announce→deadline window. An activation announced after its deadline
 	// (partition held off the processor too long) warns immediately.
 	window := e.Latency
 	if window < 0 {
 		window = 0
 	}
-	st.warnAt = st.deadline - window*tick.Ticks(t.warnPct)/100
+	st.warnAt = st.deadline - window*warnPercent/100
 }
 
 //air:hotpath
@@ -473,9 +453,6 @@ func (t *Timeline) advance(now tick.Ticks) {
 		if t.mtfEnd == boundary { // adopt may already have advanced it
 			t.mtfEnd += t.mtf
 		}
-	}
-	if t.warnPct < 0 {
-		return
 	}
 	for _, st := range t.procList {
 		if st.open && !st.warned && st.hasDeadline && now >= st.warnAt {

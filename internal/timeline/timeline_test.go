@@ -51,7 +51,7 @@ func TestEarlyWarningPrecedesMiss(t *testing.T) {
 	bus := obs.NewBus()
 	ring := obs.NewRing(16)
 	bus.Attach(ring)
-	tl := Attach(bus, Options{WarnPercent: 25})
+	tl := Attach(bus, Options{})
 
 	// Released at t=0 with deadline t=100: the watermark sits at t=75.
 	bus.Emit(ev(0, obs.KindProcessRelease, "P1", "a", 100))
@@ -210,42 +210,46 @@ func TestSnapshotAddMerges(t *testing.T) {
 }
 
 func TestFlightRecorderFreezesOnHMError(t *testing.T) {
-	tl := New(Options{FlightFrames: 4})
-	for i := tick.Ticks(0); i < 10; i++ {
+	tl := New(Options{})
+	const n = flightFrames + 6
+	for i := tick.Ticks(0); i < n; i++ {
 		tl.Emit(ev(i*100, obs.KindWindowActivation, "P1", "", 0))
 	}
 	d := tl.Flight()
-	if d.Frozen || len(d.Frames) != 4 {
-		t.Fatalf("live dump = frozen %v, %d frames; want live with 4", d.Frozen, len(d.Frames))
+	if d.Frozen || len(d.Frames) != flightFrames {
+		t.Fatalf("live dump = frozen %v, %d frames; want live with %d", d.Frozen, len(d.Frames), flightFrames)
 	}
-	if d.Frames[0].Time != 600 || d.Frames[3].Time != 900 {
-		t.Errorf("live frames span %d..%d, want 600..900", d.Frames[0].Time, d.Frames[3].Time)
+	last := tick.Ticks(n-1) * 100
+	if d.Frames[0].Time != 600 || d.Frames[flightFrames-1].Time != last {
+		t.Errorf("live frames span %d..%d, want 600..%d", d.Frames[0].Time, d.Frames[flightFrames-1].Time, last)
 	}
 
-	tl.Emit(obs.Event{Time: 950, Kind: obs.KindHMReport, Partition: "P1",
+	tl.Emit(obs.Event{Time: last + 50, Kind: obs.KindHMReport, Partition: "P1",
 		Detail: "deadline missed", Code: "DEADLINE_MISSED", Level: "PROCESS", Action: "HM_ACTION_STOP"})
 	// Later windows must not scroll the frozen pre-error history away.
-	tl.Emit(ev(1000, obs.KindWindowActivation, "P1", "", 0))
+	tl.Emit(ev(last+100, obs.KindWindowActivation, "P1", "", 0))
 	d = tl.Flight()
 	if !d.Frozen || d.Cause == nil || d.Cause.Code != "DEADLINE_MISSED" {
 		t.Fatalf("dump = %+v, want frozen with cause", d)
 	}
-	if len(d.Frames) != 4 || d.Frames[3].Time != 900 {
-		t.Errorf("frozen frames end at %d, want 900", d.Frames[len(d.Frames)-1].Time)
+	if len(d.Frames) != flightFrames || d.Frames[flightFrames-1].Time != last {
+		t.Errorf("frozen frames end at %d, want %d", d.Frames[len(d.Frames)-1].Time, last)
 	}
 }
 
 func TestFlightRecorderCountsDrops(t *testing.T) {
-	tl := New(Options{FlightFrames: 4})
-	// The first 4 captures fill the ring without evicting anything.
-	for i := tick.Ticks(0); i < 4; i++ {
+	tl := New(Options{})
+	// The first flightFrames captures fill the ring without evicting
+	// anything.
+	for i := tick.Ticks(0); i < flightFrames; i++ {
 		tl.Emit(ev(i*100, obs.KindWindowActivation, "P1", "", 0))
 	}
 	if d := tl.Flight(); d.DroppedFrames != 0 {
 		t.Fatalf("drops before wrap = %d, want 0", d.DroppedFrames)
 	}
 	// Each capture past capacity evicts exactly one frame.
-	for i := tick.Ticks(4); i < 10; i++ {
+	const n = flightFrames + 6
+	for i := tick.Ticks(flightFrames); i < n; i++ {
 		tl.Emit(ev(i*100, obs.KindWindowActivation, "P1", "", 0))
 	}
 	if d := tl.Flight(); d.DroppedFrames != 6 {
@@ -254,9 +258,9 @@ func TestFlightRecorderCountsDrops(t *testing.T) {
 
 	// The freeze pins the drop count: post-error captures keep evicting from
 	// the live ring but must not inflate the post-mortem.
-	tl.Emit(obs.Event{Time: 1050, Kind: obs.KindHMReport, Partition: "P1",
+	tl.Emit(obs.Event{Time: n*100 + 50, Kind: obs.KindHMReport, Partition: "P1",
 		Detail: "deadline missed", Code: "DEADLINE_MISSED", Level: "PROCESS", Action: "HM_ACTION_STOP"})
-	for i := tick.Ticks(11); i < 20; i++ {
+	for i := tick.Ticks(n + 1); i < n+10; i++ {
 		tl.Emit(ev(i*100, obs.KindWindowActivation, "P1", "", 0))
 	}
 	d := tl.Flight()
