@@ -11,11 +11,14 @@
 //
 // # On-disk format
 //
-// An archive is a directory of bounded segment files plus a manifest:
+// An archive is a directory of bounded segment files, one sparse tick index
+// per sealed segment, and a manifest:
 //
-//	MANIFEST.json     sealed-segment catalog (records, seq/tick bounds,
-//	                  sparse tick index), rewritten atomically at each seal
+//	MANIFEST.json     sealed-segment catalog (records, seq/tick/byte
+//	                  bounds), rewritten atomically at each seal
 //	seg-000001.jsonl  CRC-framed records, one per line
+//	seg-000001.idx    the sealed segment's sparse tick index, written once
+//	                  at its seal
 //	seg-000002.jsonl  ...
 //
 // Each record line is framed as
@@ -30,12 +33,24 @@
 // implicit: the i-th record of the concatenated segment stream has seq i
 // (1-based) — appending is the only mutation, so position is identity.
 //
+// An index file is one frame of the same form whose payload is the JSON
+// array of the segment's IndexEntry points. The manifest holds a fixed-size
+// entry per segment, so opening a reader and sealing a segment cost
+// O(segments); a reader reads a segment's index only when a scan first
+// seeks into that segment by tick. A missing index file means no seek
+// points: the scan enters the segment at its start. Archives written before
+// index files existed carry each segment's index inside MANIFEST.json
+// instead; readers ignore that key, so their scans enter every segment at
+// its start, and a writer reopening one drops it at its next seal.
+//
 // The frame and its recovery rule belong to internal/durable, which the
-// fleet journal shares: a segment is fsynced when sealed and the manifest is
-// replaced atomically (durable.WriteFile); the active segment is recovered
-// on reopen by validating frames and truncating the torn tail, so a writer
-// killed mid-append loses at most the unframed suffix of its last buffer
-// flush, and a corrupt complete frame is an error, never silently dropped.
+// fleet journal shares. A seal fsyncs the segment, then writes its index
+// and then the manifest, each atomically (durable.WriteFile), so a manifest
+// never names a segment whose index is not durable. The active segment is
+// recovered on reopen by validating frames and truncating the torn tail, so
+// a writer killed mid-append loses at most the unframed suffix of its last
+// buffer flush, and a corrupt complete frame is an error, never silently
+// dropped.
 //
 // The write path is allocation-free: Sink.Emit encodes frames into a
 // preallocated staging buffer with obs.AppendRecord, and buffer flushes /
@@ -49,8 +64,8 @@ import "fmt"
 
 // Defaults for Options.
 const (
-	// DefaultSegmentRecords bounds one segment file; a seal (fsync +
-	// manifest rewrite) happens once per this many appends.
+	// DefaultSegmentRecords bounds one segment file; a seal (fsync, index
+	// write, manifest rewrite) happens once per this many appends.
 	DefaultSegmentRecords = 8192
 	// DefaultIndexEvery is the sparse tick-index stride: one index entry
 	// per this many records.
@@ -93,7 +108,8 @@ func (o Options) withDefaults() Options {
 // IndexEntry is one sparse tick-index point: the record at Offset within its
 // segment carries transaction seq Seq and valid time Tick. Records are
 // appended in nondecreasing tick order, so every record before an entry has
-// a tick no later than the entry's — the invariant range scans seek on.
+// a tick no later than the entry's — the invariant range scans seek on. A
+// sealed segment's entries live in its index file (indexName).
 type IndexEntry struct {
 	Seq    uint64 `json:"seq"`
 	Tick   int64  `json:"t"`
@@ -102,13 +118,12 @@ type IndexEntry struct {
 
 // SegmentMeta catalogs one sealed segment.
 type SegmentMeta struct {
-	Name     string       `json:"name"`
-	Records  uint64       `json:"records"`
-	SeqStart uint64       `json:"seqStart"` // 1-based seq of the first record
-	MinTick  int64        `json:"minTick"`
-	MaxTick  int64        `json:"maxTick"`
-	Bytes    int64        `json:"bytes"`
-	Index    []IndexEntry `json:"index,omitempty"`
+	Name     string `json:"name"`
+	Records  uint64 `json:"records"`
+	SeqStart uint64 `json:"seqStart"` // 1-based seq of the first record
+	MinTick  int64  `json:"minTick"`
+	MaxTick  int64  `json:"maxTick"`
+	Bytes    int64  `json:"bytes"`
 }
 
 // Manifest is the archive catalog: every sealed segment in order. The active
@@ -123,6 +138,11 @@ type Manifest struct {
 // segmentName renders the n-th (1-based) segment file name.
 func segmentName(n int) string {
 	return fmt.Sprintf("seg-%06d.jsonl", n)
+}
+
+// indexName renders the n-th (1-based) segment's index file name.
+func indexName(n int) string {
+	return fmt.Sprintf("seg-%06d.idx", n)
 }
 
 // Stats is a point-in-time accounting of an archive writer, exported to the

@@ -7,6 +7,7 @@ import (
 	"air/internal/archive"
 	"air/internal/core"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/tick"
 	"air/internal/timeline"
 	"air/internal/workload"
@@ -116,6 +117,58 @@ func BenchmarkArchiveAsOfWarm(b *testing.B) {
 		folded += st.Events
 	}
 	b.ReportMetric(float64(folded)/float64(b.N), "records/op")
+}
+
+// BenchmarkArchiveOpenReader opens a reader on a 1000-MTF Sect. 6 archive:
+// the set-up every /archive/* request, airtrace and airmon pays.
+func BenchmarkArchiveOpenReader(b *testing.B) {
+	dir := archiveRun(b, 1000, sect6Fault)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := archive.OpenReader(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArchiveOpenScan opens a fresh reader on a 1000-MTF Sect. 6
+// archive and scans it. mid-mtf scans MTF 500, as an /archive/range request
+// does; each-segment scans one MTF in the middle of every segment, so the
+// reader seeks into, and reads the index of, each one.
+func BenchmarkArchiveOpenScan(b *testing.B) {
+	dir := archiveRun(b, 1000, sect6Fault)
+	mtf := int64(mtfTicks)
+	each := []archive.Query{}
+	for _, seg := range openReader(b, dir).Segments() {
+		since := (seg.MinTick + seg.MaxTick) / 2
+		each = append(each, archive.Query{SinceTick: since, UntilTick: since + mtf - 1})
+	}
+	for _, bc := range []struct {
+		name    string
+		queries []archive.Query
+	}{
+		{"mid-mtf", []archive.Query{{SinceTick: 499*mtf + 1, UntilTick: 500 * mtf}}},
+		{"each-segment", each},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var records int
+			for i := 0; i < b.N; i++ {
+				r, err := archive.OpenReader(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				records = 0
+				for _, q := range bc.queries {
+					if err := r.Scan(q, func(uint64, obs.Event) error { records++; return nil }); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(records), "records/op")
+		})
+	}
 }
 
 // BenchmarkArchiveDiff diffs two 1000-MTF Sect. 6 archives that split

@@ -1,6 +1,8 @@
 package archive
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -26,19 +28,22 @@ const checkpointEvery = 512
 // flush.
 //
 // A Reader is a snapshot. OpenReader fixes the segment list and the
-// recovered tail's length, so records appended later stay unseen. AsOf
-// keeps fold checkpoints: every 512 records, the fold's state, taken only
-// once this Reader has itself verified every earlier frame. A cut resumes
-// from the last checkpoint inside it, so frames folded into a checkpoint
-// are not re-read, and a later change to one goes unseen by the cuts past
-// it. A Reader is safe for concurrent use.
+// recovered tail's length, so records appended later stay unseen. A sealed
+// segment's sparse index is read from its index file when a scan first
+// seeks into the segment, and kept. AsOf keeps fold checkpoints: every 512
+// records, the fold's state, taken only once this Reader has itself
+// verified every earlier frame. A cut resumes from the last checkpoint
+// inside it, so frames folded into a checkpoint are not re-read, and a
+// later change to one goes unseen by the cuts past it. A Reader is safe for
+// concurrent use.
 type Reader struct {
 	dir     string
 	segs    []segmentInfo
 	records uint64 // total addressable records
 
 	mu    sync.Mutex
-	ckpts []checkpoint // ckpts[i] is the fold before seq (i+1)*checkpointEvery+1
+	ckpts []checkpoint         // ckpts[i] is the fold before seq (i+1)*checkpointEvery+1
+	index map[int][]IndexEntry // sealed segment i's sparse index, once loaded
 }
 
 type segmentInfo struct {
@@ -60,7 +65,7 @@ func OpenReader(dir string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{dir: dir, records: m.Records}
+	r := &Reader{dir: dir, records: m.Records, index: map[int][]IndexEntry{}}
 	for _, seg := range m.Segments {
 		if _, err := os.Stat(filepath.Join(dir, seg.Name)); err != nil {
 			return nil, fmt.Errorf("archive: sealed segment missing: %w", err)
@@ -185,7 +190,13 @@ func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error,
 			fo = nil
 			continue // whole segment precedes the window
 		}
-		p := seek(i, seg, q.SinceTick)
+		p := pos{seg: i, seq: seg.SeqStart}
+		if q.SinceTick > seg.MinTick && r.segs[i].sealed {
+			var err error
+			if p, err = r.seek(i, q.SinceTick); err != nil {
+				return err
+			}
+		}
 		if from.seq > p.seq {
 			p = from
 		} else if p.off > 0 {
@@ -202,20 +213,60 @@ func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error,
 }
 
 // seek returns the frame at which a scan from valid time since enters
-// segment i. Every record before a sparse index entry has a tick no later
-// than the entry's, so starting at the last entry whose tick is below since
-// skips only records outside the window.
-func seek(i int, seg SegmentMeta, since int64) pos {
-	p := pos{seg: i, seq: seg.SeqStart}
-	if since > seg.MinTick && len(seg.Index) > 0 {
-		j := sort.Search(len(seg.Index), func(j int) bool {
-			return seg.Index[j].Tick >= since
-		})
-		if j > 0 {
-			p.off, p.seq = seg.Index[j-1].Offset, seg.Index[j-1].Seq
+// sealed segment i. Every record before a sparse index entry has a tick no
+// later than the entry's, so starting at the last entry whose tick is below
+// since skips only records outside the window. The reader's first seek
+// into the segment reads its index; an index that fails to read is not
+// kept, so every seek into its segment fails alike.
+func (r *Reader) seek(i int, since int64) (pos, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	index, ok := r.index[i]
+	if !ok {
+		var err error
+		if index, err = readIndex(r.dir, i+1, r.segs[i].meta); err != nil {
+			return pos{}, err
+		}
+		r.index[i] = index
+	}
+	p := pos{seg: i, seq: r.segs[i].meta.SeqStart}
+	j := sort.Search(len(index), func(j int) bool { return index[j].Tick >= since })
+	if j > 0 {
+		p.off, p.seq = index[j-1].Offset, index[j-1].Seq
+	}
+	return p, nil
+}
+
+// readIndex reads and checks the n-th segment's index file: one durable
+// frame of IndexEntry points whose seqs and offsets strictly increase and
+// lie inside seg. A missing file is an empty index.
+func readIndex(dir string, n int, seg SegmentMeta) ([]IndexEntry, error) {
+	name := indexName(n)
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("archive: index: %w", err)
+	}
+	var index []IndexEntry
+	payload, err := durable.Payload(bytes.TrimSuffix(data, []byte("\n")))
+	if err == nil {
+		if err = json.Unmarshal(payload, &index); err != nil {
+			err = fmt.Errorf("%w: %w", durable.ErrCorrupt, err)
 		}
 	}
-	return p
+	if err != nil {
+		return nil, fmt.Errorf("archive: index: %s: %w", name, err)
+	}
+	prev := IndexEntry{Seq: seg.SeqStart - 1, Offset: -1}
+	for _, ent := range index {
+		if ent.Seq <= prev.Seq || ent.Seq >= seg.SeqStart+seg.Records || ent.Offset <= prev.Offset || ent.Offset >= seg.Bytes {
+			return nil, fmt.Errorf("archive: index: %s: entry at seq %d, offset %d is out of order or outside segment %s", name, ent.Seq, ent.Offset, seg.Name)
+		}
+		prev = ent
+	}
+	return index, nil
 }
 
 // scanOne reads segment p.seg from frame p to its end, or until q stops

@@ -115,9 +115,10 @@ func readManifest(dir string) (Manifest, error) {
 }
 
 // validate checks that the catalog describes this archive's own segment
-// files, seg-000001.jsonl on, as consecutive non-empty seq ranges whose
-// sparse index points inside them, so no name, seq or offset a reader takes
-// from it leads outside the archive or its segments.
+// files, seg-000001.jsonl on, as consecutive non-empty seq ranges, so no
+// name or seq a reader takes from it leads outside the archive. Index
+// entries are checked against these bounds when a reader loads them
+// (readIndex).
 func (m Manifest) validate() error {
 	seq := uint64(1)
 	for i, seg := range m.Segments {
@@ -132,13 +133,6 @@ func (m Manifest) validate() error {
 			return fmt.Errorf("segment %s has min tick %d above max tick %d", seg.Name, seg.MinTick, seg.MaxTick)
 		}
 		seq += seg.Records
-		prev := IndexEntry{Seq: seg.SeqStart - 1, Offset: -1}
-		for _, ent := range seg.Index {
-			if ent.Seq <= prev.Seq || ent.Seq >= seq || ent.Offset <= prev.Offset || ent.Offset >= seg.Bytes {
-				return fmt.Errorf("segment %s: index entry at seq %d, offset %d is out of order or outside the segment", seg.Name, ent.Seq, ent.Offset)
-			}
-			prev = ent
-		}
 	}
 	if m.Records != seq-1 {
 		return fmt.Errorf("records %d, but the segments hold %d", m.Records, seq-1)
@@ -249,8 +243,11 @@ func (s *Sink) roll() {
 }
 
 // seal makes the active segment durable and catalogs it: fsync the file,
-// append its metadata (record count, seq/tick bounds, sparse index) to the
-// manifest, atomically replace the manifest, and open the next segment.
+// write its sparse index to its index file, append its metadata (record
+// count, seq/tick/byte bounds) to the manifest, atomically replace the
+// manifest, and open the next segment. The index is durable before the
+// manifest names the segment; a crash between the two leaves the segment
+// active for the reopened writer, whose next seal replaces the index.
 func (s *Sink) seal() {
 	if s.err = s.f.Sync(); s.err != nil {
 		s.err = fmt.Errorf("archive: seal: %w", s.err)
@@ -261,6 +258,9 @@ func (s *Sink) seal() {
 		return
 	}
 	s.f = nil
+	if s.err = writeIndex(s.dir, s.segNum, s.index); s.err != nil {
+		return
+	}
 	meta := SegmentMeta{
 		Name:     segmentName(s.segNum),
 		Records:  s.segRecords,
@@ -268,7 +268,6 @@ func (s *Sink) seal() {
 		MinTick:  s.segMin,
 		MaxTick:  s.segMax,
 		Bytes:    s.segBytes,
-		Index:    append([]IndexEntry(nil), s.index...),
 	}
 	s.manifest.Segments = append(s.manifest.Segments, meta)
 	s.manifest.Records += s.segRecords
@@ -279,6 +278,21 @@ func (s *Sink) seal() {
 	s.segRecords, s.segBytes, s.segMin, s.segMax = 0, 0, 0, 0
 	s.index = s.index[:0]
 	s.err = s.openSegment()
+}
+
+// writeIndex atomically writes the n-th segment's sparse index as one
+// durable frame whose payload is the JSON array of its entries.
+func writeIndex(dir string, n int, index []IndexEntry) error {
+	payload, err := json.Marshal(index)
+	if err == nil {
+		frame := append(append(durable.Begin(nil), payload...), '\n')
+		durable.Seal(frame)
+		err = durable.WriteFile(filepath.Join(dir, indexName(n)), frame, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("archive: index: %w", err)
+	}
+	return nil
 }
 
 // writeManifest atomically replaces the catalog.

@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // A frame's header is its CRC prefix: 8 hex digits and a space.
@@ -215,9 +216,10 @@ func (l *Log) Append(v any) error {
 // Close closes the log file.
 func (l *Log) Close() error { return l.f.Close() }
 
-// WriteFile atomically replaces path with data: it writes a temporary file
-// beside path, syncs it and renames it over path, so a crash leaves the old
-// contents or the new, never a torn file.
+// WriteFile atomically and durably replaces path with data: it writes a
+// temporary file beside path, syncs it, renames it over path and syncs the
+// parent directory, so a crash leaves the old contents or the new, never a
+// torn file, and once WriteFile returns the new contents survive a crash.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, perm)
@@ -235,5 +237,18 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	// The rename lives in the directory: until the directory is synced, a
+	// power loss can undo it.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
