@@ -56,7 +56,7 @@ func TestHelperWorkerProcess(t *testing.T) {
 		// schedule: drops, injected 500s, duplicated deliveries, latency.
 		args := []string{
 			"-join", base, "-id", id, "-poll", "1ms",
-			"-timeout", "2s", "-retries", "8", "-heartbeat", "25ms",
+			"-timeout", "2s", "-retries", "8",
 			"-chaos-seed", "7", "-chaos-drop", "0.08", "-chaos-500", "0.08",
 			"-chaos-dup", "0.08", "-chaos-latency", "0.25", "-chaos-latency-span", "2ms",
 		}
@@ -140,6 +140,48 @@ func TestTwoWorkerProcessesMatchSingleProcess(t *testing.T) {
 
 	var sb strings.Builder
 	if err := run([]string{"-addr", "127.0.0.1:0", "-lease", "2"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWorkerProcessFollowsRetention: a worker process started with no flag
+// about observations drains a -keep-observations coordinator, because each
+// lease tells it to ship observations. /result then carries them and is
+// byte-identical to the file aircampaign -matrix writes for the same
+// document (fleet.RunLocal, itself byte-identical to campaign.Run).
+func TestWorkerProcessFollowsRetention(t *testing.T) {
+	doc := testDoc()
+	doc.Runs = 8
+	serveHook = func(kind, addr string) {
+		base := "http://" + addr
+		id, err := (&fleet.Client{Base: base}).Submit(doc)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if out, err := spawnWorker(t, base, "plain", "").CombinedOutput(); err != nil {
+			t.Fatalf("worker process: %v\n%s", err, out)
+		}
+		got := get(t, base+"/campaigns/"+id+"/result")
+		spec, err := campaign.FromConfig(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fleet.RunLocal(spec, fleet.LocalOptions{Shards: spec.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := want.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantJSON) {
+			t.Error("retained fleet result differs from aircampaign -matrix's")
+		}
+	}
+	defer func() { serveHook = nil }()
+
+	var sb strings.Builder
+	if err := run([]string{"-addr", "127.0.0.1:0", "-lease", "2", "-keep-observations"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,19 +42,19 @@
 // Worker mode:
 //
 //	aircampaignd -join http://coordinator:9464 [-id name] [-workers n]
-//	             [-poll d] [-linger] [-max-leases n] [-ship-observations]
-//	             [-timeout d] [-retries n] [-heartbeat d]
+//	             [-poll d] [-linger] [-max-leases n] [-timeout d] [-retries n]
 //
 // A worker process acquires leases from the coordinator over HTTP, executes
-// them with its local simulation pool (-workers goroutines) and reports the
-// per-lease partial aggregates back. Without -linger it exits once the
-// coordinator drains; with it, it keeps polling for future campaigns.
-// -ship-observations must match the coordinator's -keep-observations.
+// them with its local simulation pool (-workers goroutines) and reports each
+// lease's per-run observations (to a -keep-observations coordinator) or
+// their partial aggregate, as the lease asks. Without -linger it exits once
+// the coordinator drains; with it, it keeps polling for future campaigns.
 //
 // The worker's coordinator path is hardened: every request carries a
 // -timeout deadline and is retried up to -retries times with seeded
-// exponential back-off, in-flight leases are heartbeat-renewed every
-// -heartbeat, and an unreachable coordinator fails fast at startup instead
+// exponential back-off, in-flight leases are heartbeat-renewed at the
+// interval each lease grants (a quarter of the shorter of -lease-ttl and
+// -liveness), and an unreachable coordinator fails fast at startup instead
 // of burning the retry budget in the lease loop. SIGTERM drains gracefully:
 // the in-flight lease finishes and reports before the process exits 0.
 //
@@ -102,7 +102,7 @@ func run(args []string, out io.Writer) error {
 		leaseSize = fs.Int("lease", 64, "coordinator: runs per lease (the work-stealing and checkpoint grain)")
 		leaseTTL  = fs.Duration("lease-ttl", 2*time.Minute, "coordinator: reclaim an issued lease after this long without completion (0 = never)")
 		liveness  = fs.Duration("liveness", 15*time.Second, "coordinator: shard liveness window for /campaigns and /metrics")
-		keepObs   = fs.Bool("keep-observations", false, "coordinator: retain per-run observations for /campaigns/{id}/result (memory grows with campaign size; workers must -ship-observations)")
+		keepObs   = fs.Bool("keep-observations", false, "coordinator: retain per-run observations for /campaigns/{id}/result (memory grows with campaign size; leases ask workers to ship observations instead of aggregates)")
 		matrix    = fs.String("matrix", "", "coordinator: campaign matrix JSON to submit at startup")
 		archRoot  = fs.String("archive-root", "", "coordinator: durably store worker-shipped flight archives under this directory and serve /archive/* queries over them")
 		workers   = fs.Int("workers", 0, "coordinator: in-process worker shards (0 = coordinate only); worker mode: simulation goroutines per lease")
@@ -115,10 +115,8 @@ func run(args []string, out io.Writer) error {
 		poll      = fs.Duration("poll", 500*time.Millisecond, "worker mode: acquire back-off while no lease is pending")
 		linger    = fs.Bool("linger", false, "worker mode: keep polling after the coordinator drains instead of exiting")
 		maxLeases = fs.Int("max-leases", 0, "worker mode: exit after completing this many leases (0 = run to drain)")
-		shipObs   = fs.Bool("ship-observations", false, "worker mode: ship per-run observations with each lease (required by a -keep-observations coordinator)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "worker mode: per-request deadline on every coordinator call")
 		retries   = fs.Int("retries", 4, "worker mode: attempts per coordinator call (retried with seeded exponential back-off)")
-		heartbeat = fs.Duration("heartbeat", 2*time.Second, "worker mode: in-flight lease renewal cadence (negative = disable)")
 		chSeed    = fs.Uint64("chaos-seed", 0, "worker mode: seed the deterministic fault-injection schedule (0 = chaos off unless a -chaos-* rate is set)")
 		chDrop    = fs.Float64("chaos-drop", 0, "worker mode: probability a request is lost before delivery")
 		ch500     = fs.Float64("chaos-500", 0, "worker mode: probability of an injected 500 response")
@@ -132,8 +130,8 @@ func run(args []string, out io.Writer) error {
 	if *join != "" {
 		return runWorker(out, workerConfig{
 			base: *join, id: *id, pool: *workers,
-			poll: *poll, linger: *linger, maxLeases: *maxLeases, shipObs: *shipObs,
-			timeout: *timeout, retries: *retries, heartbeat: *heartbeat,
+			poll: *poll, linger: *linger, maxLeases: *maxLeases,
+			timeout: *timeout, retries: *retries,
 			chaos: fleet.ChaosOptions{
 				Seed: *chSeed, Drop: *chDrop, Inject500: *ch500,
 				Duplicate: *chDup, Latency: *chLat, LatencySpan: *chSpan,
@@ -185,7 +183,7 @@ func run(args []string, out io.Writer) error {
 	defer close(stopShards)
 	for i := 0; i < *workers; i++ {
 		shard := fmt.Sprintf("local-%d", i)
-		go runShardLoop(c, shard, *poll, *keepObs, stopShards, os.Stderr)
+		go runShardLoop(c, shard, *poll, stopShards, os.Stderr)
 	}
 	if *workers > 0 {
 		fmt.Fprintf(out, "  running %d in-process worker shards\n", *workers)
@@ -208,9 +206,9 @@ func run(args []string, out io.Writer) error {
 // shard goroutines join-able: the daemon closes it on shutdown and each
 // shard exits at its next poll boundary instead of outliving the
 // coordinator it serves.
-func runShardLoop(svc fleet.Service, shard string, poll time.Duration, keepObs bool, stop <-chan struct{}, errw io.Writer) {
+func runShardLoop(svc fleet.Service, shard string, poll time.Duration, stop <-chan struct{}, errw io.Writer) {
 	for {
-		if _, err := fleet.Work(svc, fleet.WorkerOptions{ID: shard, Workers: 1, Poll: poll, DropObservations: !keepObs}); err != nil {
+		if _, err := fleet.Work(svc, fleet.WorkerOptions{ID: shard, Workers: 1, Poll: poll}); err != nil {
 			fmt.Fprintf(errw, "aircampaignd: shard %s: %v\n", shard, err)
 			return
 		}
@@ -254,10 +252,8 @@ type workerConfig struct {
 	poll              time.Duration
 	linger            bool
 	maxLeases         int
-	shipObs           bool
 	timeout           time.Duration
 	retries           int
-	heartbeat         time.Duration
 	chaos             fleet.ChaosOptions
 	stop              <-chan struct{} // tests override the SIGTERM channel
 	skipSignalHandler bool
@@ -316,14 +312,12 @@ func runWorker(out io.Writer, wc workerConfig) error {
 	total := 0
 	for {
 		n, err := fleet.Work(cl, fleet.WorkerOptions{
-			ID:               wc.id,
-			Workers:          wc.pool,
-			Poll:             wc.poll,
-			DropObservations: !wc.shipObs,
-			MaxLeases:        wc.maxLeases,
-			Heartbeat:        wc.heartbeat,
-			Retries:          cl.Retries,
-			Stop:             stop,
+			ID:        wc.id,
+			Workers:   wc.pool,
+			Poll:      wc.poll,
+			MaxLeases: wc.maxLeases,
+			Retries:   cl.Retries,
+			Stop:      stop,
 		})
 		total += n
 		if err != nil {

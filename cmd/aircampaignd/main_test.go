@@ -274,7 +274,7 @@ func TestRunShardLoopJoinsOnStop(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runShardLoop(c, "shard-regress", time.Millisecond, false, stop, io.Discard)
+		runShardLoop(c, "shard-regress", time.Millisecond, stop, io.Discard)
 	}()
 	close(stop)
 	select {

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -34,6 +35,7 @@ import (
 
 	"air/internal/archive"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/timeline"
 )
 
@@ -79,41 +81,42 @@ func run(args []string, out io.Writer) error {
 
 // replayArchive streams a flight archive's spine events through a fresh
 // timeliness analyzer, rendering n evenly spaced frames across the recorded
-// tick span (n <= 1 renders only the final state). The analyzer is the same
-// one live telemetry runs, so each frame is what airmon would have shown at
-// that tick.
+// tick span (n <= 1 renders only the final state), all in one scan: the
+// span comes from the segment catalog. The analyzer is the same one live
+// telemetry runs, so each frame is what airmon would have shown at that tick.
 func replayArchive(out io.Writer, dir string, n int) error {
 	rd, err := archive.OpenReader(dir)
 	if err != nil {
 		return err
 	}
-	rows, err := rd.Events(archive.Query{UntilTick: -1})
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 {
+	segs := rd.Segments()
+	if len(segs) == 0 {
 		return fmt.Errorf("archive %s holds no events", dir)
 	}
 	if n < 1 {
 		n = 1
 	}
+	first, last := segs[0].MinTick, segs[len(segs)-1].MaxTick
+	// Frame i covers valid time up to an even slice of the span; the final
+	// frame lands exactly on the last recorded tick. flush renders every
+	// frame whose cut lies before upTo.
+	cut := func(i int) int64 { return first + (last-first)*int64(i)/int64(n) }
 	tl := timeline.New(timeline.Options{System: model.Fig8System()})
-	first := int64(rows[0].Event.Time)
-	last := int64(rows[len(rows)-1].Event.Time)
-	next := 0
-	for i := 1; i <= n; i++ {
-		// Frame i covers valid time up to an even slice of the span; the
-		// final frame always lands exactly on the last recorded tick.
-		cut := last
-		if i < n {
-			cut = first + (last-first)*int64(i)/int64(n)
+	frame := 1
+	flush := func(upTo int64) {
+		for ; frame <= n && cut(frame) < upTo; frame++ {
+			render(out, fmt.Sprintf("replay %s @t<=%d", dir, cut(frame)), tl.Snapshot())
 		}
-		for next < len(rows) && int64(rows[next].Event.Time) <= cut {
-			tl.Emit(rows[next].Event)
-			next++
-		}
-		render(out, fmt.Sprintf("replay %s @t<=%d", dir, cut), tl.Snapshot())
 	}
+	err = rd.Scan(archive.Query{UntilTick: -1}, func(_ uint64, e obs.Event) error {
+		flush(int64(e.Time))
+		tl.Emit(e)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	flush(math.MaxInt64)
 	return nil
 }
 

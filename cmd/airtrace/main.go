@@ -61,7 +61,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var events []obs.Event
+	// The selected events stream, in order, into the one consumer the flags
+	// pick, so no selection is held in memory. kind and partition narrow
+	// here; the tick window is the same inclusive predicate the archive
+	// reader seeks by, so a JSONL trace and an archive slice select alike.
+	consume, finish := selection(out, *export, *metrics, *summary)
+	selected := func(e obs.Event) {
+		if (*kind == "" || e.Kind.String() == *kind) &&
+			(*partition == "" || e.Partition == model.PartitionName(*partition)) &&
+			archive.InTickRange(int64(e.Time), *since, *until) {
+			consume(e)
+		}
+	}
 	switch {
 	case *archiveDir != "":
 		if fs.NArg() != 0 {
@@ -74,91 +85,86 @@ func run(args []string, out io.Writer) error {
 		if *scrub > 0 {
 			return runScrub(out, rd, *scrub, *since, *until)
 		}
-		// The reader applies the tick window itself (seeking via the sparse
-		// index); kind/partition narrow further below, off the shared path.
-		rows, err := rd.Events(archive.Query{SinceTick: *since, UntilTick: *until})
+		err = rd.Scan(archive.Query{SinceTick: *since, UntilTick: *until}, func(_ uint64, e obs.Event) error {
+			selected(e)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		events = make([]obs.Event, len(rows))
-		for i, row := range rows {
-			events[i] = row.Event
-		}
 	case fs.NArg() == 1:
+		if *scrub > 0 {
+			return fmt.Errorf("airtrace: -scrub needs -archive (as-of states are an archive query)")
+		}
 		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if events, err = obs.DecodeEvents(f); err != nil {
+		events, err := obs.DecodeEvents(f)
+		if err != nil {
 			return fmt.Errorf("parse trace: %w", err)
+		}
+		for _, e := range events {
+			selected(e)
 		}
 	default:
 		return fmt.Errorf("usage: airtrace [flags] trace.jsonl (or -archive dir)")
 	}
-	if *scrub > 0 {
-		return fmt.Errorf("airtrace: -scrub needs -archive (as-of states are an archive query)")
-	}
+	return finish()
+}
 
-	filtered := events[:0:0]
-	for _, e := range events {
-		if *kind != "" && e.Kind.String() != *kind {
-			continue
-		}
-		if *partition != "" && e.Partition != model.PartitionName(*partition) {
-			continue
-		}
-		// The same inclusive window predicate the archive reader seeks by,
-		// so a JSONL trace and an archive slice select identically.
-		if !archive.InTickRange(int64(e.Time), *since, *until) {
-			continue
-		}
-		filtered = append(filtered, e)
-	}
-
-	if *export {
-		return obs.EncodeEvents(out, filtered)
-	}
-
-	if *metrics {
-		snap := obs.Replay(filtered)
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
+// selection returns the consumer of the selected events for the chosen
+// output — trace JSONL, a metrics snapshot, per-kind and per-partition
+// counts, or one line per event — and the call that ends that output.
+func selection(out io.Writer, export, metrics, summary bool) (consume func(obs.Event), finish func() error) {
+	switch {
+	case export:
+		sink := obs.NewJSONLSink(out)
+		return sink.Emit, sink.Flush
+	case metrics:
+		var m obs.Metrics
+		return m.Observe, func() error {
+			data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
+			if err == nil {
+				_, err = fmt.Fprintf(out, "%s\n", data)
+			}
 			return err
 		}
-		fmt.Fprintf(out, "%s\n", data)
-		return nil
-	}
-
-	if *summary {
-		byKind := map[string]int{}
-		byPartition := map[string]int{}
-		for _, e := range filtered {
+	case summary:
+		byKind, byPartition := map[string]int{}, map[string]int{}
+		var n int
+		var first, last obs.Event
+		count := func(e obs.Event) {
+			if n == 0 {
+				first = e
+			}
+			n++
+			last = e
 			byKind[e.Kind.String()]++
 			if e.Partition != "" {
 				byPartition[string(e.Partition)]++
 			}
 		}
-		fmt.Fprintf(out, "%d events", len(filtered))
-		if len(filtered) > 0 {
-			fmt.Fprintf(out, " spanning t=[%d, %d]", filtered[0].Time,
-				filtered[len(filtered)-1].Time)
+		report := func() error {
+			fmt.Fprintf(out, "%d events", n)
+			if n > 0 {
+				fmt.Fprintf(out, " spanning t=[%d, %d]", first.Time, last.Time)
+			}
+			fmt.Fprintln(out)
+			fmt.Fprintln(out, "by kind:")
+			for _, k := range sortedKeys(byKind) {
+				fmt.Fprintf(out, "  %-22s %6d\n", k, byKind[k])
+			}
+			fmt.Fprintln(out, "by partition:")
+			for _, p := range sortedKeys(byPartition) {
+				fmt.Fprintf(out, "  %-22s %6d\n", p, byPartition[p])
+			}
+			return nil
 		}
-		fmt.Fprintln(out)
-		fmt.Fprintln(out, "by kind:")
-		for _, k := range sortedKeys(byKind) {
-			fmt.Fprintf(out, "  %-22s %6d\n", k, byKind[k])
-		}
-		fmt.Fprintln(out, "by partition:")
-		for _, p := range sortedKeys(byPartition) {
-			fmt.Fprintf(out, "  %-22s %6d\n", p, byPartition[p])
-		}
-		return nil
+		return count, report
 	}
-	for _, e := range filtered {
-		fmt.Fprintln(out, e)
-	}
-	return nil
+	return func(e obs.Event) { fmt.Fprintln(out, e) }, func() error { return nil }
 }
 
 // runScrub steps backwards through the archive's last n distinct event ticks

@@ -77,13 +77,29 @@ func writeArchive(t testing.TB, dir string, events []obs.Event, opts archive.Opt
 	}
 }
 
-func readAll(t *testing.T, dir string) []archive.SeqEvent {
+// seqEvent pairs a scanned record with its transaction seq.
+type seqEvent struct {
+	Seq   uint64
+	Event obs.Event
+}
+
+// collect gathers the records a scan of q passes to its callback.
+func collect(r *archive.Reader, q archive.Query) ([]seqEvent, error) {
+	var out []seqEvent
+	err := r.Scan(q, func(seq uint64, e obs.Event) error {
+		out = append(out, seqEvent{Seq: seq, Event: e})
+		return nil
+	})
+	return out, err
+}
+
+func readAll(t *testing.T, dir string) []seqEvent {
 	t.Helper()
 	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Events(archive.Query{UntilTick: -1})
+	got, err := collect(r, archive.Query{UntilTick: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +485,11 @@ func TestScanRange(t *testing.T) {
 
 // scanRef is the linear filter Scan is checked against: every record of
 // events inside q's tick window and kinds (q.MaxSeq is not applied).
-func scanRef(events []obs.Event, q archive.Query) []archive.SeqEvent {
-	var want []archive.SeqEvent
+func scanRef(events []obs.Event, q archive.Query) []seqEvent {
+	var want []seqEvent
 	for i, e := range events {
 		if archive.InTickRange(int64(e.Time), q.SinceTick, q.UntilTick) && (len(q.Kinds) == 0 || slices.Contains(q.Kinds, e.Kind)) {
-			want = append(want, archive.SeqEvent{Seq: uint64(i + 1), Event: e})
+			want = append(want, seqEvent{Seq: uint64(i + 1), Event: e})
 		}
 	}
 	return want
@@ -481,7 +497,7 @@ func scanRef(events []obs.Event, q archive.Query) []archive.SeqEvent {
 
 // checkScan runs q on r and compares the records against scanRef.
 func checkScan(r *archive.Reader, events []obs.Event, q archive.Query) error {
-	got, err := r.Events(q)
+	got, err := collect(r, q)
 	if err != nil {
 		return fmt.Errorf("scan [%d,%d] kinds=%v: %w", q.SinceTick, q.UntilTick, q.Kinds, err)
 	}
@@ -572,7 +588,7 @@ func TestScanSeekProperty(t *testing.T) {
 				t.Fatalf("shared reader re-read an index file: %v", err)
 			}
 		}
-		if _, err := openReader(t, dir).Events(seeks[0]); !errors.Is(err, durable.ErrCorrupt) {
+		if _, err := collect(openReader(t, dir), seeks[0]); !errors.Is(err, durable.ErrCorrupt) {
 			t.Fatalf("fresh reader over a corrupt index file = %v, want ErrCorrupt", err)
 		}
 	}
@@ -692,7 +708,7 @@ func TestIndexFileRejectsBadEntries(t *testing.T) {
 			r := openReader(t, dir)
 			for round := 0; round < 3; round++ {
 				for _, q := range seeking {
-					_, err := r.Events(q)
+					_, err := collect(r, q)
 					if err == nil || !strings.Contains(err.Error(), "archive: index: seg-000002.idx") {
 						t.Fatalf("round %d: scan from tick %d = %v, want an archive: index: seg-000002.idx error", round, q.SinceTick, err)
 					}
@@ -1056,7 +1072,7 @@ func TestLongRecordRoundTrip(t *testing.T) {
 	}
 	check := func(r *archive.Reader, want []obs.Event) {
 		t.Helper()
-		got, err := r.Events(archive.Query{UntilTick: -1})
+		got, err := collect(r, archive.Query{UntilTick: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

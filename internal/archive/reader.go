@@ -321,22 +321,6 @@ func (r *Reader) scanOne(p pos, q Query, lr *durable.LineReader, fn func(seq uin
 	}
 }
 
-// Events collects a scan into a slice of (seq, event) pairs.
-func (r *Reader) Events(q Query) ([]SeqEvent, error) {
-	var out []SeqEvent
-	err := r.Scan(q, func(seq uint64, e obs.Event) error {
-		out = append(out, SeqEvent{Seq: seq, Event: e})
-		return nil
-	})
-	return out, err
-}
-
-// SeqEvent pairs a record with its transaction seq.
-type SeqEvent struct {
-	Seq   uint64
-	Event obs.Event
-}
-
 // HMEntry is the reconstructed Health Monitor belief about one partition:
 // the last report it filed and how many it has filed in total.
 type HMEntry struct {

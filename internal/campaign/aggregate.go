@@ -378,8 +378,8 @@ func (a *Aggregate) derive() {
 	a.ModelViolations = a.Timeline.ModelViolations
 }
 
-// aggregate folds the observations in run order (deterministic).
-func aggregate(observations []Observation) Aggregate {
+// Fold folds observations, given in run order, into a new aggregate.
+func Fold(observations []Observation) Aggregate {
 	agg := NewAggregate()
 	for i := range observations {
 		agg.Fold(observations[i])

@@ -130,7 +130,10 @@ func TestRunShardMatchesRun(t *testing.T) {
 		if sh.Start != r[0] || sh.End != r[1] || len(sh.Observations) != r[1]-r[0] {
 			t.Fatalf("shard bounds %+v mismatch request %v", sh, r)
 		}
-		merged.Merge(sh.Aggregate)
+		if sh.Aggregate != nil {
+			t.Fatalf("shard %v folded its observations; their consumer folds them", r)
+		}
+		merged.Merge(Fold(sh.Observations))
 		all = append(all, sh.Observations...)
 	}
 	wantObs, _ := json.Marshal(res.Observations)

@@ -7,6 +7,7 @@ import (
 
 	"air/internal/archive"
 	"air/internal/model"
+	"air/internal/obs"
 	"air/internal/tick"
 	"air/internal/workload"
 )
@@ -52,27 +53,31 @@ func TestCampaignArchiveRunDiff(t *testing.T) {
 	}
 
 	// Independent reference: linear first-difference over both full streams.
-	ea, err := ra.Events(archive.Query{UntilTick: -1})
-	if err != nil {
-		t.Fatal(err)
+	stream := func(r *archive.Reader) []obs.Event {
+		var events []obs.Event
+		err := r.Scan(archive.Query{UntilTick: -1}, func(_ uint64, e obs.Event) error {
+			events = append(events, e)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events
 	}
-	eb, err := rb.Events(archive.Query{UntilTick: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ea, eb := stream(ra), stream(rb)
 	refSeq, refTick := uint64(0), int64(-1)
 	for i := 0; i < len(ea) || i < len(eb); i++ {
-		if i < len(ea) && i < len(eb) && ea[i].Event == eb[i].Event {
+		if i < len(ea) && i < len(eb) && ea[i] == eb[i] {
 			continue
 		}
 		refSeq = uint64(i + 1)
 		switch {
 		case i >= len(ea):
-			refTick = int64(eb[i].Event.Time)
+			refTick = int64(eb[i].Time)
 		case i >= len(eb):
-			refTick = int64(ea[i].Event.Time)
+			refTick = int64(ea[i].Time)
 		default:
-			refTick = int64(min(ea[i].Event.Time, eb[i].Event.Time))
+			refTick = int64(min(ea[i].Time, eb[i].Time))
 		}
 		break
 	}

@@ -291,16 +291,11 @@ func weightOf(sc Scenario) int {
 // only appear in Result.Timing, which is excluded from serialization.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	start := spec.Clock()
-	pre, err := buildPrefix(spec)
+	sh, err := RunShard(spec, 0, spec.Runs)
 	if err != nil {
 		return nil, err
 	}
-	observations := runRange(spec, 0, spec.Runs, pre)
-	pre.close()
 	elapsed := spec.Clock().Sub(start)
 
 	res := &Result{
@@ -308,8 +303,8 @@ func Run(spec Spec) (*Result, error) {
 		Runs:         spec.Runs,
 		MTFs:         spec.MTFs,
 		Scenarios:    scenarioNames(spec.Matrix),
-		Observations: observations,
-		Aggregate:    aggregate(observations),
+		Observations: sh.Observations,
+		Aggregate:    Fold(sh.Observations),
 	}
 	res.Timing = &Timing{
 		Workers: spec.Workers,
@@ -323,18 +318,17 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // Shard is the outcome of executing one contiguous slice of a campaign's
-// run space — the unit a fleet worker computes per lease. Observations are
-// ordered by run index and Aggregate is their in-order fold, so merging
-// shard aggregates in shard order reproduces the whole-campaign aggregate
-// byte-for-byte.
+// run space — the unit a fleet worker computes per lease, in one of two
+// forms: Observations, or Aggregate, their in-order fold. Merging shard
+// aggregates in shard order reproduces the whole-campaign aggregate.
 type Shard struct {
 	// Start and End delimit the half-open run range [Start, End).
 	Start int `json:"start"`
 	End   int `json:"end"`
 	// Observations holds the range's per-run outcomes, indexed run-Start.
-	Observations []Observation `json:"observations"`
-	// Aggregate is the in-order fold of Observations.
-	Aggregate Aggregate `json:"aggregate"`
+	Observations []Observation `json:"observations,omitempty"`
+	// Aggregate replaces Observations when a fleet coordinator streams.
+	Aggregate *Aggregate `json:"aggregate,omitempty"`
 	// Archives carries the range's per-run flight archives when the spec
 	// requested archiving and the worker collected them (CollectArchives).
 	// The coordinator stores the files durably and strips this field before
@@ -342,10 +336,12 @@ type Shard struct {
 	Archives []RunArchive `json:"archives,omitempty"`
 }
 
-// RunShard executes the run range [start, end) of the campaign. Every
-// observation is identical to what Run would produce for the same run index
-// — per-run seeds depend only on (Seed, run) — so a campaign sharded across
-// any number of workers or processes reassembles exactly.
+// RunShard executes the run range [start, end) of the campaign and returns
+// its observations unfolded: their one consumer folds them (Run, a
+// streaming fleet worker or a retaining coordinator). Every observation is
+// identical to what Run would produce for the same run index — per-run
+// seeds depend only on (Seed, run) — so a sharded campaign reassembles
+// exactly.
 func RunShard(spec Spec, start, end int) (*Shard, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -360,7 +356,6 @@ func RunShard(spec Spec, start, end int) (*Shard, error) {
 	}
 	sh := &Shard{Start: start, End: end, Observations: runRange(spec, start, end, pre)}
 	pre.close()
-	sh.Aggregate = aggregate(sh.Observations)
 	return sh, nil
 }
 

@@ -73,10 +73,10 @@ func chaosClient(base string, ch *Chaos) *Client {
 	}
 }
 
-// chaosWorker is a single-simulation worker heartbeating well inside the
-// chaos tests' 150ms lease TTL.
+// chaosWorker is a single-simulation worker. Its leases, granted under the
+// chaos tests' 150ms TTL, ask it to heartbeat every 37.5ms.
 func chaosWorker(id string, cl *Client) WorkerOptions {
-	return WorkerOptions{ID: id, Workers: 1, Poll: time.Millisecond, Heartbeat: 40 * time.Millisecond, Retries: cl.Retries}
+	return WorkerOptions{ID: id, Workers: 1, Poll: time.Millisecond, Retries: cl.Retries}
 }
 
 // drainChaos runs n Work loops over HTTP, each with its own chaos-wrapped

@@ -180,7 +180,8 @@ func (c *Coordinator) replay(r journalRecord) error {
 		if err := c.checkCompletion(cs, r.Lease, r.Start, r.End, r.Aggregate, len(r.Observations)); err != nil {
 			return fmt.Errorf("fleet: journal: %w", err)
 		}
-		c.finishLease(cs, r.Lease, r.Aggregate, r.Observations, "journal", false)
+		partial, kept := c.form(r.Aggregate, r.Observations)
+		c.finishLease(cs, r.Lease, partial, kept, "journal", false)
 	default:
 		return fmt.Errorf("fleet: unknown journal op %q", r.Op)
 	}
@@ -303,7 +304,7 @@ func (c *Coordinator) Acquire(worker string) (Lease, AcquireState, error) {
 		if victimIdx >= 0 {
 			l := victim.leases[victimIdx]
 			c.metrics.Observe(obs.Event{Kind: obs.KindLeaseReclaimed, Detail: victim.id, Process: l.worker, Latency: tick.Ticks(l.end - l.start)})
-			c.recordExpiry(l.worker, Lease{Campaign: victim.id, Index: victimIdx, Start: l.start, End: l.end}, now)
+			c.recordExpiry(l.worker, c.grant(victim, victimIdx), now)
 			victim.issued--
 			victim.pending++
 			l.state = leasePending
@@ -366,6 +367,14 @@ func (c *Coordinator) nextPending(cs *campaignState) (int, bool) {
 	return 0, false
 }
 
+// grant is lease idx of cs as handed out: its run range and this
+// coordinator's terms.
+func (c *Coordinator) grant(cs *campaignState, idx int) Lease {
+	l := cs.leases[idx]
+	return Lease{Campaign: cs.id, Index: idx, Start: l.start, End: l.end,
+		Retain: c.opts.KeepObservations, RenewEvery: c.opts.renewEvery()}
+}
+
 // issue marks a lease issued to a worker and, for a quarantined shard
 // emerging from its cooldown, makes it the half-open probe (c.mu held).
 //
@@ -381,7 +390,7 @@ func (c *Coordinator) issue(cs *campaignState, idx int, worker string, now time.
 	cs.pending--
 	cs.issued++
 	c.metrics.Observe(obs.Event{Kind: obs.KindLeaseIssued, Detail: cs.id, Process: worker, Latency: tick.Ticks(l.end - l.start)})
-	issued := Lease{Campaign: cs.id, Index: idx, Start: l.start, End: l.end}
+	issued := c.grant(cs, idx)
 	if wi := c.workers[worker]; wi.breaker.State() == recovery.BreakerOpen {
 		wi.breaker.Probe()
 		wi.probe = issued
@@ -406,6 +415,11 @@ func (c *Coordinator) Spec(campaignID string) (campaign.Spec, error) {
 // land. Completions of already-completed leases (a stolen lease finished
 // twice) are dropped — by determinism both copies are byte-identical.
 func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error {
+	if sh == nil {
+		return fmt.Errorf("fleet: completion of lease %s/%d carries no shard result", l.Campaign, l.Index)
+	}
+	// Retained observations are folded before c.mu is taken.
+	partial, kept := c.form(sh.Aggregate, sh.Observations)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Clock()
@@ -417,10 +431,7 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 	if l.Index >= 0 && l.Index < len(cs.leases) && cs.leases[l.Index].state == leaseDone {
 		return nil
 	}
-	if sh == nil {
-		return fmt.Errorf("fleet: completion of lease %s/%d carries no shard result", l.Campaign, l.Index)
-	}
-	if err := c.checkCompletion(cs, l.Index, sh.Start, sh.End, &sh.Aggregate, len(sh.Observations)); err != nil {
+	if err := c.checkCompletion(cs, l.Index, sh.Start, sh.End, sh.Aggregate, len(sh.Observations)); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	// Store shipped archives before journaling the completion: a crash
@@ -433,14 +444,15 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 		}
 	}
 	if c.journal != nil {
-		if err := c.journal.Append(journalRecord{
-			Op: opComplete, ID: cs.id, Lease: l.Index, Start: sh.Start, End: sh.End,
-			Aggregate: &sh.Aggregate, Observations: c.keptObservations(sh),
-		}); err != nil {
+		rec := journalRecord{Op: opComplete, ID: cs.id, Lease: l.Index, Start: sh.Start, End: sh.End, Observations: kept}
+		if !c.opts.KeepObservations {
+			rec.Aggregate = partial
+		}
+		if err := c.journal.Append(rec); err != nil {
 			return fmt.Errorf("fleet: journal append: %w", err)
 		}
 	}
-	c.finishLease(cs, l.Index, &sh.Aggregate, c.keptObservations(sh), worker, true)
+	c.finishLease(cs, l.Index, partial, kept, worker, true)
 	// A completed half-open probe closes the breaker: the shard held a
 	// lease to the end again, so it is re-admitted with a clean flap
 	// account.
@@ -452,11 +464,12 @@ func (c *Coordinator) Complete(worker string, l Lease, sh *campaign.Shard) error
 }
 
 // checkCompletion rejects a completion of lease idx that the merge cannot
-// take: an unknown lease, bounds other than the lease's, a missing
-// observation while this coordinator retains them, or a missing aggregate
-// or per-class accumulator. Complete runs it before anything is stored or
-// journaled, and journal replay runs it on every completion record, so
-// replay loads exactly what the live path accepts.
+// take: an unknown lease, bounds other than the lease's, or a result
+// lacking the form this coordinator reads (form) — one observation per run
+// when retaining, else an aggregate with no null class. Complete runs it
+// before anything is stored or journaled, and journal replay runs it on
+// every completion record, so replay loads exactly what the live path
+// accepts.
 func (c *Coordinator) checkCompletion(cs *campaignState, idx, start, end int, agg *campaign.Aggregate, observations int) error {
 	if idx < 0 || idx >= len(cs.leases) {
 		return fmt.Errorf("completion for unknown lease %s/%d", cs.id, idx)
@@ -465,9 +478,11 @@ func (c *Coordinator) checkCompletion(cs *campaignState, idx, start, end int, ag
 		return fmt.Errorf("lease %s/%d completion bounds [%d,%d) mismatch lease [%d,%d)",
 			cs.id, idx, start, end, ls.start, ls.end)
 	}
-	if c.opts.KeepObservations && observations != end-start {
-		return fmt.Errorf("lease %s/%d carries %d observations for %d runs; this coordinator retains observations, so shards must ship them and a journal must be resumed with the retention it was written with",
-			cs.id, idx, observations, end-start)
+	if c.opts.KeepObservations {
+		if observations != end-start {
+			return fmt.Errorf("lease %s/%d carries %d observations for %d runs", cs.id, idx, observations, end-start)
+		}
+		return nil
 	}
 	if agg == nil {
 		return fmt.Errorf("lease %s/%d completion has no aggregate", cs.id, idx)
@@ -516,12 +531,16 @@ func (c *Coordinator) Heartbeat(worker string, l *Lease, retries int64) error {
 	return nil
 }
 
-// keptObservations returns the shard's observations when retention is on.
-func (c *Coordinator) keptObservations(sh *campaign.Shard) []campaign.Observation {
+// form reads a lease's result in the one form this coordinator takes,
+// ignoring the other if a shard or journal record carries both: retaining,
+// the observations, kept and folded here (their only fold); streaming, the
+// shipped aggregate.
+func (c *Coordinator) form(agg *campaign.Aggregate, observations []campaign.Observation) (*campaign.Aggregate, []campaign.Observation) {
 	if !c.opts.KeepObservations {
-		return nil
+		return agg, nil
 	}
-	return sh.Observations
+	folded := campaign.Fold(observations)
+	return &folded, observations
 }
 
 // finishLease marks a lease done, advances the in-order merge frontier and

@@ -11,13 +11,15 @@
 // contiguous, fixed-size leases and hands them to worker shards on demand
 // (pull-based work stealing: fast shards simply acquire more leases, and a
 // lease whose holder goes quiet past its TTL is reclaimed and reissued to
-// the next shard that asks). Workers execute a lease with
-// campaign.RunShard, fold the observations into a partial
-// campaign.Aggregate as they go, and ship only the partial back — the
-// streaming fold that keeps both worker and coordinator memory independent
-// of campaign size. The coordinator merges lease partials strictly in lease
-// order (Aggregate.Merge is exact for in-order contiguous merges), so the
-// final aggregate is byte-identical to a single-process campaign.Run.
+// the next shard that asks). A lease carries the coordinator's terms:
+// whether it retains per-run observations, and how often to heartbeat.
+// Workers execute a lease with campaign.RunShard and report one form: the
+// observations, which a retaining coordinator folds itself, or their fold,
+// a partial campaign.Aggregate — the streaming form that keeps worker and
+// coordinator memory independent of campaign size. The coordinator merges
+// lease partials strictly in lease order (Aggregate.Merge is exact for
+// in-order contiguous merges), so the final aggregate is byte-identical to
+// a single-process campaign.Run.
 //
 // Durability: every accepted campaign and every completed lease is appended
 // to the journal, a durable.Log of CRC-framed JSON records synced per
@@ -43,8 +45,8 @@ import (
 )
 
 // Lease is one contiguous slice of a campaign's run space, handed to a
-// worker shard for execution. Leases are identified by (Campaign, Index);
-// Index orders the merge.
+// worker shard for execution, with the coordinator's terms for holding it.
+// Leases are identified by (Campaign, Index); Index orders the merge.
 type Lease struct {
 	// Campaign is the owning campaign's coordinator-assigned ID.
 	Campaign string `json:"campaign"`
@@ -53,6 +55,12 @@ type Lease struct {
 	// Start and End delimit the half-open run range [Start, End).
 	Start int `json:"start"`
 	End   int `json:"end"`
+	// Retain and RenewEvery are the coordinator's terms. Retain: it keeps
+	// per-run observations (Options.KeepObservations), so the holder
+	// completes the lease with them, not with their aggregate. RenewEvery:
+	// how often the holder heartbeats the lease while running it (0 = never).
+	Retain     bool          `json:"retain,omitempty"`
+	RenewEvery time.Duration `json:"renewEvery,omitempty"`
 }
 
 // Runs is the number of runs the lease covers.
@@ -182,9 +190,9 @@ type Options struct {
 	// unfinished leases pending.
 	JournalPath string
 	// KeepObservations retains per-run observations for finished
-	// campaigns' Result artifacts. Off, the coordinator stores only the
-	// O(1) merged aggregate — the configuration for campaigns of millions
-	// of runs.
+	// campaigns' Result artifacts; leases tell workers to ship them
+	// (Lease.Retain). Off, the coordinator stores only the O(1) merged
+	// aggregate — the configuration for campaigns of millions of runs.
 	KeepObservations bool
 	// QuarantineAfter is the flap-detector threshold: a worker whose issued
 	// leases expire this many times within QuarantineWindow is quarantined —
@@ -214,6 +222,17 @@ type Options struct {
 	// simulation state. Nil defaults to the real clock; tests inject a
 	// fake to exercise reclamation deterministically.
 	Clock func() time.Time
+}
+
+// renewFraction divides the shorter of the lease TTL and the liveness
+// window into the heartbeat interval every lease grants (renewEvery).
+const renewFraction = 4
+
+func (o Options) renewEvery() time.Duration {
+	if o.LeaseTTL > 0 && o.LeaseTTL < o.LivenessWindow {
+		return o.LeaseTTL / renewFraction
+	}
+	return o.LivenessWindow / renewFraction
 }
 
 func (o Options) withDefaults() Options {

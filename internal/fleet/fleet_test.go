@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -185,6 +188,7 @@ func TestWorkStealingReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ship(stolen, sh)
 	if err := c.Complete("fast", stolen, sh); err != nil {
 		t.Fatal(err)
 	}
@@ -394,78 +398,103 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// FuzzHandlerBodies sends one arbitrary body to each POST endpoint of
-// Handler, over a fresh coordinator holding one submitted campaign. Remote
-// input must be answered with a 2xx or a 4xx, never a panic, and must leave
-// the coordinator's read side working. ServeHTTP is driven directly, so a
-// panic fails the run instead of being recovered by net/http.
-func FuzzHandlerBodies(f *testing.F) {
-	// The valid completion is hand-sized: a real shard's aggregate runs to
-	// kilobytes, and the fuzzer spends its time minimizing inputs grown
-	// from a seed that large instead of executing new ones.
-	f.Add([]byte(`{"worker":"w","lease":{"campaign":"c1","index":0},"shard":{"start":0,"end":1,"aggregate":{` +
+// Hand-sized completions of the one-run lease c1/0, one per form: a real
+// shard's aggregate runs to kilobytes, and the fuzzer spends its time
+// minimizing inputs grown from a seed that large instead of executing new
+// ones.
+const (
+	completeObservations = `{"worker":"w","lease":{"campaign":"c1","index":0,"retain":true},"shard":{"start":0,"end":1,"observations":[` +
+		`{"run":0,"seed":1,"scenario":"overrun","faults":[{"kind":"deadline-overrun","partition":"P1"}],"ticks":1300,` +
+		`"hmByLevel":{"PROCESS":1},"hmByFaultKind":{"deadline-overrun":1},"contained":true,` +
+		`"metrics":{"events":9,"counts":{"DEADLINE_MISS":1},"detectionLatency":{"count":1,"sum":3,"max":3,"buckets":[0,0,1]}},` +
+		`"timeline":{"ticks":1300,"partitions":[{"partition":"P1","windows":2,"suppliedTicks":200}]}}]}}`
+	completeTwoObservations = `{"worker":"w","lease":{"campaign":"c1","index":0,"retain":true},` +
+		`"shard":{"start":0,"end":1,"observations":[{"run":0},{"run":1}]}}`
+	completeAggregate = `{"worker":"w","lease":{"campaign":"c1","index":0},"shard":{"start":0,"end":1,"aggregate":{` +
 		`"runs":1,"ticks":1300,"hmByLevel":{"PROCESS":1},` +
 		`"metrics":{"events":9,"counts":{"DEADLINE_MISS":1},"detectionLatency":{"count":1,"sum":3,"max":3,"buckets":[0,0,1]}},` +
 		`"timeline":{"ticks":1300,"partitions":[{"partition":"P1","windows":2,"suppliedTicks":200}],` +
 		`"response":{"count":1,"sum":5,"min":5,"max":5,"buckets":[0,0,0,1]}},` +
-		`"byScenario":{"overrun":{"runs":1}},"byFaultKind":{"deadline-overrun":{"runs":1}}}}}`))
+		`"byScenario":{"overrun":{"runs":1}},"byFaultKind":{"deadline-overrun":{"runs":1}}}}}`
+)
+
+// FuzzHandlerBodies sends one arbitrary body to each POST endpoint of
+// Handler, over a fresh retaining and a fresh streaming coordinator, each
+// holding one submitted campaign. Remote input must be answered with a 2xx
+// or a 4xx, never a panic, and must leave the coordinator's read side
+// working; a retaining coordinator folds the observations it is sent, so
+// that fold runs on remote input too. ServeHTTP is driven directly, so a
+// panic fails the run instead of being recovered by net/http.
+func FuzzHandlerBodies(f *testing.F) {
+	f.Add([]byte(completeAggregate))
 	f.Add([]byte(`{"worker":"w","lease":{"campaign":"c1","index":0},` +
 		`"shard":{"start":0,"end":1,"aggregate":{"byScenario":{"b":null}}}}`))
 	f.Add([]byte(`{"name":"huge","runs":1099511627776,"scenarios":[{"name":"baseline"}]}`))
+	f.Add([]byte(completeObservations))
+	f.Add([]byte(completeTwoObservations))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c, err := New(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := c.Submit(testSpec(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := Handler(c)
-		for _, path := range []string{pathCampaigns, pathAcquire, pathComplete, pathHeartbeat} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code/100 != 2 && rec.Code/100 != 4 {
-				t.Fatalf("POST %s = %d: %s", path, rec.Code, rec.Body)
+		for _, retain := range []bool{false, true} {
+			c, err := New(Options{KeepObservations: retain})
+			if err != nil {
+				t.Fatal(err)
 			}
+			id, err := c.Submit(testSpec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := Handler(c)
+			for _, path := range []string{pathCampaigns, pathAcquire, pathComplete, pathHeartbeat} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code/100 != 2 && rec.Code/100 != 4 {
+					t.Fatalf("POST %s (retain=%v) = %d: %s", path, retain, rec.Code, rec.Body)
+				}
+			}
+			// Whatever the bodies left behind, the read side answers; an
+			// incomplete campaign's Result is an error, not a panic.
+			_, _ = c.Result(id)
+			c.FleetStatus()
+			c.Snapshot()
+			c.Registry()
 		}
-		// Whatever the bodies left behind, the read side answers; an
-		// incomplete campaign's Result is an error, not a panic.
-		_, _ = c.Result(id)
-		c.FleetStatus()
-		c.Snapshot()
-		c.Registry()
 	})
 }
 
 // TestJournalReplayRejectsInvalidRecords: replay applies the checks the live
 // path applies — Submit's spec validation and Complete's completion check. A
 // completion over [0,1) of the 2-run lease 0 would otherwise load, and the
-// finished 4-run campaign would report 3 observations; a null class would
-// panic the merge, and a run count above the bound would size the lease
-// table from untrusted input.
+// finished 4-run campaign would report 3 observations; a streamed record
+// (aggregate only) would leave a retaining coordinator's result without its
+// observations; a null class would panic a streaming coordinator's merge,
+// and a run count above the bound would size the lease table from untrusted
+// input.
 func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 	cases := []struct {
 		name, want string
+		stream     bool // replay on a streaming coordinator, not a retaining one
 		rec        func(id string) journalRecord
 	}{
-		{"completion outside lease bounds", "bounds [0,1) mismatch lease [0,2)", func(id string) journalRecord {
+		{"completion outside lease bounds", "bounds [0,1) mismatch lease [0,2)", false, func(id string) journalRecord {
 			agg := campaign.NewAggregate()
 			return journalRecord{Op: opComplete, ID: id, Lease: 0, Start: 0, End: 1,
 				Aggregate: &agg, Observations: make([]campaign.Observation, 1)}
 		}},
-		{"invalid spec", "duplicate scenario name", func(string) journalRecord {
+		{"invalid spec", "duplicate scenario name", false, func(string) journalRecord {
 			spec := testSpec(4).Defaulted()
 			spec.Matrix = []campaign.Scenario{{Name: "dup"}, {Name: "dup"}}
 			return journalRecord{Op: opSubmit, ID: "c2", Spec: &spec, LeaseSize: 2}
 		}},
-		{"null class", `null class "b"`, func(id string) journalRecord {
+		{"streamed record under retention", "carries 0 observations for 2 runs", false, func(id string) journalRecord {
+			agg := campaign.NewAggregate()
+			return journalRecord{Op: opComplete, ID: id, Lease: 0, Start: 0, End: 2, Aggregate: &agg}
+		}},
+		{"null class", `null class "b"`, true, func(id string) journalRecord {
 			agg := campaign.NewAggregate()
 			agg.ByScenario["b"] = nil
 			return journalRecord{Op: opComplete, ID: id, Lease: 0, Start: 0, End: 2,
 				Aggregate: &agg, Observations: make([]campaign.Observation, 2)}
 		}},
-		{"runs above the bound", "exceed the maximum", func(string) journalRecord {
+		{"runs above the bound", "exceed the maximum", false, func(string) journalRecord {
 			spec := testSpec(campaign.MaxRuns + 1).Defaulted()
 			return journalRecord{Op: opSubmit, ID: "c2", Spec: &spec, LeaseSize: 2}
 		}},
@@ -473,7 +502,7 @@ func TestJournalReplayRejectsInvalidRecords(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fleet.journal")
-			opts := Options{LeaseSize: 2, JournalPath: path, KeepObservations: true}
+			opts := Options{LeaseSize: 2, JournalPath: path, KeepObservations: !tc.stream}
 			c, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -633,5 +662,198 @@ func TestHTTPFleetRoundTrip(t *testing.T) {
 		if !w.Live || w.Leases == 0 {
 			t.Fatalf("worker %s not live/credited: %+v", name, w)
 		}
+	}
+}
+
+// TestCompletionCarriesOneForm drains a journaled coordinator over HTTP,
+// once retaining observations and once streaming, and reads what crossed the
+// wire and what reached the journal: a retained completion carries its
+// observations and no aggregate, a streamed one its aggregate and no
+// observations. The workers are configured identically; only the lease's
+// terms differ. Both results equal the single-process run's.
+func TestCompletionCarriesOneForm(t *testing.T) {
+	spec := testSpec(6)
+	want, err := campaign.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retain := range []bool{true, false} {
+		t.Run(fmt.Sprintf("retain=%v", retain), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.journal")
+			c, err := New(Options{LeaseSize: 2, JournalPath: path, KeepObservations: retain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id, err := c.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var bodies [][]byte
+			h := Handler(c)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == pathComplete {
+					body, err := io.ReadAll(r.Body)
+					if err != nil {
+						t.Error(err)
+					}
+					mu.Lock()
+					bodies = append(bodies, body)
+					mu.Unlock()
+					r.Body = io.NopCloser(bytes.NewReader(body))
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			if n, err := Work(&Client{Base: srv.URL}, WorkerOptions{ID: "w", Workers: 1, Poll: time.Millisecond}); err != nil || n != 3 {
+				t.Fatalf("drain: %d leases, err %v", n, err)
+			}
+
+			has, lacks := "observations", "aggregate"
+			if !retain {
+				has, lacks = lacks, has
+			}
+			if len(bodies) != 3 {
+				t.Fatalf("%d completion bodies, want 3", len(bodies))
+			}
+			for i, body := range bodies {
+				var req struct{ Shard map[string]json.RawMessage }
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := req.Shard[has]; !ok {
+					t.Fatalf("completion %d has no %q key", i, has)
+				}
+				if _, ok := req.Shard[lacks]; ok {
+					t.Fatalf("completion %d carries %q beside %q", i, lacks, has)
+				}
+			}
+			_, records, err := openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			completions := 0
+			for _, r := range records {
+				if r.Op != opComplete {
+					continue
+				}
+				completions++
+				if retain != (len(r.Observations) == r.End-r.Start) || retain != (r.Aggregate == nil) {
+					t.Fatalf("journaled lease %d: %d observations, aggregate %v; want one form (retain=%v)",
+						r.Lease, len(r.Observations), r.Aggregate != nil, retain)
+				}
+			}
+			if completions != 3 {
+				t.Fatalf("%d journaled completions, want 3", completions)
+			}
+
+			ref := *want
+			if !retain {
+				ref.Observations = nil
+			}
+			got, err := c.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resultJSON(t, got), resultJSON(t, &ref)) {
+				t.Fatal("result differs from campaign.Run")
+			}
+		})
+	}
+}
+
+// TestReplayBothFormJournal replays a journal whose completion records
+// carry both the observations and their aggregate, as journals written
+// under retention before completions took one form do. A retaining and a
+// streaming coordinator each read the form they take and reach the result
+// of a fresh run.
+func TestReplayBothFormJournal(t *testing.T) {
+	spec := testSpec(6).Defaulted()
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	j, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(journalRecord{Op: opSubmit, ID: "c1", Spec: &spec, LeaseSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for lease := 0; lease < 3; lease++ {
+		sh, err := campaign.RunShard(spec, 2*lease, 2*lease+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := campaign.Fold(sh.Observations)
+		if err := j.Append(journalRecord{Op: opComplete, ID: "c1", Lease: lease, Start: sh.Start, End: sh.End,
+			Aggregate: &agg, Observations: sh.Observations}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := campaign.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retain := range []bool{true, false} {
+		c, err := New(Options{LeaseSize: 2, JournalPath: path, KeepObservations: retain})
+		if err != nil {
+			t.Fatalf("retain=%v: %v", retain, err)
+		}
+		got, err := c.Result("c1")
+		c.Close()
+		if err != nil {
+			t.Fatalf("retain=%v: %v", retain, err)
+		}
+		ref := *want
+		if !retain {
+			ref.Observations = nil
+		}
+		if !bytes.Equal(resultJSON(t, got), resultJSON(t, &ref)) {
+			t.Fatalf("retain=%v: replayed result differs from a fresh run", retain)
+		}
+	}
+}
+
+// TestHTTPCompleteChecksRetainedForm posts hand-made completions of the
+// one-run lease c1/0 to a retaining and a streaming coordinator: each
+// accepts the form its retention reads and answers anything lacking it with
+// a 400 before the merge sees it.
+func TestHTTPCompleteChecksRetainedForm(t *testing.T) {
+	cases := []struct {
+		name   string
+		retain bool
+		body   string
+		code   int
+	}{
+		{"retained observations", true, completeObservations, http.StatusNoContent},
+		{"retained count mismatch", true, completeTwoObservations, http.StatusBadRequest},
+		{"retained aggregate only", true, completeAggregate, http.StatusBadRequest},
+		{"streamed aggregate", false, completeAggregate, http.StatusNoContent},
+		{"streamed observations only", false, completeObservations, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Options{KeepObservations: tc.retain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Submit(testSpec(1)); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			Handler(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathComplete, strings.NewReader(tc.body)))
+			if rec.Code != tc.code {
+				t.Fatalf("POST %s = %d (%s), want %d", pathComplete, rec.Code, rec.Body, tc.code)
+			}
+			st, err := c.Progress("c1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done := tc.code == http.StatusNoContent; st.Done != done {
+				t.Fatalf("campaign done = %v after a %d", st.Done, rec.Code)
+			}
+		})
 	}
 }

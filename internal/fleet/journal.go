@@ -18,9 +18,9 @@ const (
 // payload of one durable.Log frame. Two record kinds exist: a campaign
 // acceptance (op=submit, carrying the full executable spec and the lease
 // size the run space was sharded with) and a lease completion
-// (op=complete, carrying the lease's partial aggregate and — under
-// observation retention — its observations). Issued-but-unfinished leases
-// are deliberately not journaled: on replay they are simply pending again,
+// (op=complete, carrying the lease's result as shipped: its observations
+// under retention, else their aggregate). Issued-but-unfinished leases are
+// deliberately not journaled: on replay they are simply pending again,
 // which is exactly the resume semantics wanted.
 type journalRecord struct {
 	Op           string                 `json:"op"`

@@ -26,10 +26,6 @@ type LocalOptions struct {
 	// run re-invoked with the same spec and journal resumes, re-running
 	// only the leases that never completed.
 	JournalPath string
-	// DropObservations keeps only the O(1) merged aggregate; the Result
-	// carries no per-run observations. Required for campaigns too large to
-	// hold per-run rows in memory.
-	DropObservations bool
 }
 
 func (o LocalOptions) withDefaults(runs int) LocalOptions {
@@ -65,7 +61,7 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 	c, err := New(Options{
 		LeaseSize:        opts.LeaseSize,
 		JournalPath:      opts.JournalPath,
-		KeepObservations: !opts.DropObservations,
+		KeepObservations: true,
 		// An archiving spec stores durably under its own requested root:
 		// workers stage to temp directories and ship, exactly like remote
 		// shards, so <ArchiveDir>/<campaignID>/run-NNNNN/ is the one layout.
@@ -83,11 +79,6 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wopts := WorkerOptions{
-		Workers:          1,
-		Poll:             time.Millisecond,
-		DropObservations: opts.DropObservations,
-	}
 	start := spec.Clock()
 	var wg sync.WaitGroup
 	errs := make([]error, opts.Shards)
@@ -95,9 +86,7 @@ func RunLocal(spec campaign.Spec, opts LocalOptions) (*campaign.Result, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := wopts
-			w.ID = fmt.Sprintf("local-%d", i)
-			_, errs[i] = Work(c, w)
+			_, errs[i] = Work(c, WorkerOptions{ID: fmt.Sprintf("local-%d", i), Workers: 1, Poll: time.Millisecond})
 		}(i)
 	}
 	wg.Wait()

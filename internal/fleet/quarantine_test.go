@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"air/internal/campaign"
+	"air/internal/obs"
 )
 
 // quarantineCoordinator builds a coordinator under a fake clock with a
@@ -29,9 +31,9 @@ func quarantineCoordinator(t *testing.T) (*Coordinator, *fakeClock) {
 }
 
 // finish runs and completes one granted lease on the worker's behalf.
-func finish(t *testing.T, c *Coordinator, worker string, l Lease) {
+func finish(t *testing.T, svc Service, worker string, l Lease) {
 	t.Helper()
-	spec, err := c.Spec(l.Campaign)
+	spec, err := svc.Spec(l.Campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +41,8 @@ func finish(t *testing.T, c *Coordinator, worker string, l Lease) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Observations = nil
-	if err := c.Complete(worker, l, sh); err != nil {
+	ship(l, sh)
+	if err := svc.Complete(worker, l, sh); err != nil {
 		t.Fatalf("%s complete %s/%d: %v", worker, l.Campaign, l.Index, err)
 	}
 }
@@ -138,11 +140,20 @@ func TestQuarantineFlapThenProbeReadmits(t *testing.T) {
 	if _, state, _ := c.Acquire("flappy"); state != Wait {
 		t.Fatalf("mid-cooldown shard got %v, want Wait", state)
 	}
-	// Cooldown lapsed: exactly one half-open probe lease.
+	// Cooldown lapsed: exactly one half-open probe lease. It is acquired
+	// and completed over HTTP, so the probe match holds for a lease echoed
+	// back through the JSON bodies, terms included: a heartbeat every
+	// quarter of the 15s liveness window, shorter than the 1m TTL.
 	clk.Advance(2 * time.Second)
-	probe, state, err := c.Acquire("flappy")
+	srv := httptest.NewServer(Handler(c))
+	defer srv.Close()
+	cl := &Client{Base: srv.URL}
+	probe, state, err := cl.Acquire("flappy")
 	if err != nil || state != Granted {
 		t.Fatalf("probe acquire: %v %v", state, err)
+	}
+	if probe.Retain || probe.RenewEvery != 3750*time.Millisecond {
+		t.Fatalf("probe lease terms: %+v", probe)
 	}
 	if ws := workerStatus(t, c, "flappy"); !ws.Probing || !ws.Quarantined {
 		t.Fatalf("during probe: %+v", ws)
@@ -153,7 +164,7 @@ func TestQuarantineFlapThenProbeReadmits(t *testing.T) {
 	}
 
 	// Completing the probe re-admits with a clean flap account.
-	finish(t, c, "flappy", probe)
+	finish(t, cl, "flappy", probe)
 	ws = workerStatus(t, c, "flappy")
 	if ws.Quarantined || ws.Probing || ws.Expiries != 0 {
 		t.Fatalf("after probe completion: %+v", ws)
@@ -234,7 +245,10 @@ func TestQuarantineDisabled(t *testing.T) {
 
 // TestHeartbeatRenewsLease is the live-but-slow case: a shard that keeps
 // heartbeating its in-flight lease is never reclaimed, however far past the
-// original TTL it runs — and is reclaimed promptly once it goes quiet.
+// original TTL it runs — and is reclaimed promptly once it goes quiet. The
+// last part drives the real Work loop on the wall clock: a worker with
+// default options heartbeats at the interval its lease grants, so a lease
+// running four TTLs is renewed while a second worker polls to steal it.
 func TestHeartbeatRenewsLease(t *testing.T) {
 	c, clk := quarantineCoordinator(t)
 	if _, err := c.Submit(testSpec(8)); err != nil {
@@ -272,6 +286,55 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	}
 	if stolen != l {
 		t.Fatalf("reclaimed %+v, want the quiet shard's %+v", stolen, l)
+	}
+
+	const ttl = 150 * time.Millisecond
+	live, err := New(Options{LeaseSize: 4, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	// One 4-run lease on one simulation goroutine: four TTLs of sleep.
+	spec := testSpec(4)
+	spec.OnObservation = func(campaign.Observation) { time.Sleep(ttl) }
+	id, err := live.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		n       int
+		err     error
+		elapsed time.Duration
+	}
+	slow := make(chan outcome, 1)
+	go func() {
+		start := time.Now()
+		// Nothing about renewal is set here: the lease's terms set it.
+		n, err := Work(live, WorkerOptions{ID: "slow", Workers: 1})
+		slow <- outcome{n, err, time.Since(start)}
+	}()
+	for {
+		if st, _ := live.Progress(id); st.Leases.Issued == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stole, err := Work(live, WorkerOptions{ID: "thief", Poll: 5 * time.Millisecond})
+	if err != nil || stole != 0 {
+		t.Fatalf("thief: %d leases, err %v; want none", stole, err)
+	}
+	got := <-slow
+	if got.err != nil || got.n != 1 {
+		t.Fatalf("slow worker: %d leases, err %v", got.n, got.err)
+	}
+	if got.elapsed < 3*ttl {
+		t.Fatalf("lease ran %v, under three TTLs: nothing to renew", got.elapsed)
+	}
+	if n := live.Registry().CountKind(obs.KindLeaseReclaimed); n != 0 {
+		t.Fatalf("%d LEASE_RECLAIMED under a default-options worker", n)
+	}
+	if ws := workerStatus(t, live, "slow"); ws.Expiries != 0 {
+		t.Fatalf("slow worker charged %d expiries", ws.Expiries)
 	}
 }
 

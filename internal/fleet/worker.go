@@ -10,7 +10,9 @@ import (
 )
 
 // WorkerOptions configures one worker shard's lease loop. Its retry budgets
-// are the constants below; per-request retries are the Client's.
+// are the constants below; per-request retries are the Client's. What a
+// completion carries and how often a lease is renewed are the lease's terms
+// (Lease.Retain, Lease.RenewEvery), set by the coordinator.
 type WorkerOptions struct {
 	// ID names the shard to the coordinator (liveness, lease attribution).
 	// Empty defaults to "shard".
@@ -21,21 +23,11 @@ type WorkerOptions struct {
 	// Poll is the back-off between Acquire attempts while the coordinator
 	// reports Wait (default 50ms).
 	Poll time.Duration
-	// DropObservations ships only the lease's partial aggregate, keeping
-	// the transport O(1) in lease size. The coordinator's observation
-	// retention is authoritative for what is stored; this flag governs
-	// what crosses the wire.
-	DropObservations bool
 	// MaxLeases bounds how many leases the shard executes before
 	// returning (0 = until Drained). Tests use 1 to stage shard deaths.
 	MaxLeases int
-	// Heartbeat is the lease-renewal cadence: while a lease executes, the
-	// shard heartbeats the coordinator every interval so a slow lease is
-	// never mistaken for a dead shard and reclaimed at TTL. 0 defaults to
-	// 2s; negative disables heartbeating.
-	Heartbeat time.Duration
-	// Retries, when non-nil, supplies the cumulative transport retry count
-	// reported in heartbeats (wire it to Client.Retries).
+	// Retries supplies the cumulative transport retry count reported in
+	// heartbeats (wire it to Client.Retries; nil reports 0).
 	Retries func() int64
 	// Stop, when non-nil, requests a graceful drain: once readable the
 	// shard finishes its in-flight lease, reports it, and returns without
@@ -65,8 +57,8 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Poll <= 0 {
 		o.Poll = 50 * time.Millisecond
 	}
-	if o.Heartbeat == 0 {
-		o.Heartbeat = 2 * time.Second
+	if o.Retries == nil {
+		o.Retries = func() int64 { return 0 }
 	}
 	return o
 }
@@ -93,16 +85,18 @@ func drainRequested(stop <-chan struct{}) bool {
 }
 
 // Work runs one shard's lease loop against a coordinator: acquire a lease,
-// execute its run range with campaign.RunShard, fold the observations into
-// a partial aggregate and report it back; repeat until the coordinator is
-// drained (or MaxLeases executed, or Stop requests a drain). Returns the
-// number of leases completed.
+// execute its run range with campaign.RunShard and report the result back
+// in the form the lease asks for — the observations when the coordinator
+// retains them, else their in-order fold, the partial aggregate; repeat
+// until the coordinator is drained (or MaxLeases executed, or Stop requests
+// a drain). Returns the number of leases completed.
 //
 // The loop is built to survive an unreliable coordinator path: Acquire
 // failures are retried under a consecutive-failure budget with doubling
-// back-off, a heartbeat goroutine renews the in-flight lease so slow
-// progress is never reclaimed as death, and Complete — idempotent
-// server-side — is re-sent before any finished work is abandoned.
+// back-off, a heartbeat goroutine renews the in-flight lease at the lease's
+// RenewEvery so slow progress is never reclaimed as death, and Complete —
+// idempotent server-side — is re-sent before any finished work is
+// abandoned.
 //
 // Any number of Work loops — goroutines in one process or processes on one
 // coordinator — compose into the same byte-identical campaign results; only
@@ -146,9 +140,6 @@ func Work(svc Service, opts WorkerOptions) (int, error) {
 		if err != nil {
 			return completed, fmt.Errorf("fleet: worker %s: lease %s/%d: %w", opts.ID, l.Campaign, l.Index, err)
 		}
-		if opts.DropObservations {
-			sh.Observations = nil
-		}
 		if err := completeLease(svc, opts, l, sh); err != nil {
 			return completed, fmt.Errorf("fleet: worker %s: complete %s/%d: %w", opts.ID, l.Campaign, l.Index, err)
 		}
@@ -188,7 +179,8 @@ func fetchSpec(svc Service, opts WorkerOptions, id string) (campaign.Spec, error
 
 // runLease executes the lease's run range while a heartbeat goroutine
 // renews it, so the coordinator's TTL reclaims only shards that actually
-// went quiet — never live-but-slow ones.
+// went quiet — never live-but-slow ones — and puts the result in the form
+// the lease asks for (ship).
 //
 // An archiving spec is redirected to a worker-local temp directory — the
 // coordinator-side ArchiveDir path means nothing on this machine — and the
@@ -204,11 +196,11 @@ func runLease(svc Service, opts WorkerOptions, spec campaign.Spec, l Lease) (*ca
 	}
 	done := make(chan struct{})
 	beat := make(chan struct{})
-	if opts.Heartbeat > 0 {
+	if l.RenewEvery > 0 {
 		go func() {
 			defer close(beat)
 			//air:allow(wallclock): heartbeat cadence is host pacing, never simulation state; renewal semantics are tested against the coordinator's injected clock
-			t := time.NewTicker(opts.Heartbeat)
+			t := time.NewTicker(l.RenewEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -217,7 +209,7 @@ func runLease(svc Service, opts WorkerOptions, spec campaign.Spec, l Lease) (*ca
 				case <-t.C:
 					// Best-effort: a failed heartbeat costs nothing the
 					// Complete retry path doesn't already absorb.
-					_ = svc.Heartbeat(opts.ID, &l, workerRetries(opts))
+					_ = svc.Heartbeat(opts.ID, &l, opts.Retries())
 				}
 			}
 		}()
@@ -230,14 +222,21 @@ func runLease(svc Service, opts WorkerOptions, spec campaign.Spec, l Lease) (*ca
 	if err == nil {
 		err = campaign.CollectArchives(spec, sh)
 	}
+	if err == nil {
+		ship(l, sh)
+	}
 	return sh, err
 }
 
-func workerRetries(opts WorkerOptions) int64 {
-	if opts.Retries == nil {
-		return 0
+// ship leaves sh in the one form lease l asks for: its observations when
+// the coordinator retains them, which it folds itself; otherwise their
+// in-order fold alone, so a streamed completion stays O(1) in lease size.
+func ship(l Lease, sh *campaign.Shard) {
+	if l.Retain {
+		return
 	}
-	return opts.Retries()
+	agg := campaign.Fold(sh.Observations)
+	sh.Aggregate, sh.Observations = &agg, nil
 }
 
 // completeLease reports a finished lease, re-sending on failure before the

@@ -78,7 +78,7 @@ func TestWorkRetryBudgets(t *testing.T) {
 					t.Fatal(err)
 				}
 				svc := &failingService{Coordinator: c, method: tc.method, n: n}
-				done, err := Work(svc, WorkerOptions{ID: "w", Workers: 1, Poll: time.Millisecond, Heartbeat: -1})
+				done, err := Work(svc, WorkerOptions{ID: "w", Workers: 1, Poll: time.Millisecond})
 				st, perr := c.Progress(id)
 				if perr != nil {
 					t.Fatal(perr)

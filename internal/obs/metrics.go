@@ -263,13 +263,3 @@ func subHist(a, b HistSnapshot) HistSnapshot {
 	}
 	return d
 }
-
-// Replay folds a recorded event stream through a fresh registry and returns
-// its snapshot — how cmd/airtrace derives metrics from an exported trace.
-func Replay(events []Event) Snapshot {
-	var m Metrics
-	for _, e := range events {
-		m.observe(e)
-	}
-	return m.Snapshot()
-}

@@ -228,7 +228,13 @@ func TestReplayMatchesLiveMetrics(t *testing.T) {
 		bus.Emit(e)
 	}
 	live := bus.Snapshot()
-	replayed := Replay(ring.Events())
+	// Replaying the recorded stream through a fresh registry, as airtrace
+	// -metrics does, reproduces the live counters.
+	var m Metrics
+	for _, e := range ring.Events() {
+		m.Observe(e)
+	}
+	replayed := m.Snapshot()
 	if live.Events != replayed.Events ||
 		live.DetectionLatency.Count != replayed.DetectionLatency.Count ||
 		live.DetectionLatency.Sum != replayed.DetectionLatency.Sum ||
