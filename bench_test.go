@@ -13,6 +13,8 @@ package air
 //	F4  BenchmarkDeadlineRegister*,    — Sect. 5.3 ablation: list O(n)
 //	    BenchmarkTickAnnounce*           register vs tree O(log n); ISR-side
 //	    tick announce cost on both structures.
+//	H   BenchmarkProcessHandoff        — the kernel↔process grant/yield
+//	    round trip: one process goroutine vs a model-only process.
 //	F6  BenchmarkSamplingPort*,        — interpartition communication:
 //	    BenchmarkQueuingPort*,           local memory-to-memory vs simulated
 //	    BenchmarkMMUCopy                 bus, and the PMK-mediated copy.
@@ -324,6 +326,63 @@ func BenchmarkDeadlineDetectAndRemove(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// --- H: kernel↔process handoff ----------------------------------------------
+
+// benchProcessHandoff ticks a one-partition module whose only process never
+// blocks: a goroutine computing forever when body is non-nil, so every Step
+// is exactly one grant→yield round trip, or a model-only process (nil body)
+// that consumes each tick with no goroutine.
+func benchProcessHandoff(b *testing.B, body core.ProcessBody) {
+	const mtf = 1 << 20
+	m, err := core.NewModule(core.Config{
+		System: &model.System{
+			Partitions: []model.PartitionName{"A"},
+			Schedules: []model.Schedule{{
+				Name: "main", MTF: mtf,
+				Requirements: []model.Requirement{{Partition: "A", Cycle: mtf, Budget: mtf}},
+				Windows:      []model.Window{{Partition: "A", Offset: 0, Duration: mtf}},
+			}},
+		},
+		TraceCapacity: -1,
+		Partitions: []core.PartitionConfig{{Name: "A", Init: func(sv *core.Services) {
+			sv.CreateProcess(model.TaskSpec{Name: "spin", Deadline: tick.Infinity,
+				BasePriority: 1, WCET: 1}, body)
+			sv.StartProcess("spin")
+			sv.SetPartitionMode(model.ModeNormal)
+		}}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Shutdown()
+	if err := m.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProcessHandoff: the per-tick cost of granting a tick to a
+// process goroutine. The goroutine sub-benchmark minus the model-only one
+// is the handoff; run it at -cpu 1,2, since the round trip costs more when
+// the two goroutines can land on different Ps.
+func BenchmarkProcessHandoff(b *testing.B) {
+	b.Run("goroutine", func(b *testing.B) {
+		benchProcessHandoff(b, func(sv *core.Services) {
+			for {
+				// Compute yields once per granted tick, so any chunk
+				// size gives one handoff per Step.
+				sv.Compute(1000)
+			}
+		})
+	})
+	b.Run("model-only", func(b *testing.B) { benchProcessHandoff(b, nil) })
 }
 
 // --- F6: interpartition communication ----------------------------------------

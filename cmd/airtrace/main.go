@@ -101,12 +101,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		events, err := obs.DecodeEvents(f)
-		if err != nil {
+		if err := obs.ScanEvents(f, selected); err != nil {
 			return fmt.Errorf("parse trace: %w", err)
-		}
-		for _, e := range events {
-			selected(e)
 		}
 	default:
 		return fmt.Errorf("usage: airtrace [flags] trace.jsonl (or -archive dir)")

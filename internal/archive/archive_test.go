@@ -351,8 +351,9 @@ func TestAsOfProperty(t *testing.T) {
 
 // TestAsOfCheckpointsKeepManifestStops raises a sealed segment's MinTick
 // to its MaxTick, which the manifest checks allow and a shipped archive may
-// carry. Scan stops at that segment for every cut below it, so a reader
-// whose checkpoints cover the segment must answer each cut as a fresh one.
+// carry. AsOf takes no stop from a manifest tick bound, so every cut below
+// that MaxTick folds the records themselves, the same from checkpoints as
+// on a fresh reader.
 func TestAsOfCheckpointsKeepManifestStops(t *testing.T) {
 	events := genEvents(3000)
 	dir := t.TempDir()
@@ -381,6 +382,9 @@ func TestAsOfCheckpointsKeepManifestStops(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("AsOf(%d, 0) from checkpoints folded %d records, a fresh reader %d", tick, got.Events, want.Events)
+		}
+		if ref := referenceAsOf(events, tick, 0); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("AsOf(%d, 0) folded %d records, the reference %d", tick, got.Events, ref.Events)
 		}
 	}
 }
@@ -595,7 +599,7 @@ func TestScanSeekProperty(t *testing.T) {
 }
 
 // readFile returns the contents of path.
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -605,7 +609,7 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // writeFile replaces the contents of path.
-func writeFile(t *testing.T, path string, data []byte) {
+func writeFile(t testing.TB, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -1016,7 +1020,8 @@ func editManifest(t *testing.T, dir string, edit func(m *archive.Manifest)) {
 // TestManifestRejectsBadCatalogs rewrites a sealed archive's manifest with
 // one rule broken per case. OpenReader and a reopening Open both refuse
 // each one: a manifest names only this archive's own segments, in order,
-// as consecutive non-empty seq ranges, and its record total is theirs.
+// as consecutive non-empty seq ranges, its record total is theirs, and at
+// most one segment file follows the ones it lists.
 // TestIndexFileRejectsBadEntries checks the sparse index entries.
 func TestManifestRejectsBadCatalogs(t *testing.T) {
 	events := genEvents(64)
@@ -1042,6 +1047,9 @@ func TestManifestRejectsBadCatalogs(t *testing.T) {
 			m.Segments[2].MinTick, m.Segments[2].MaxTick = m.Segments[2].MaxTick, m.Segments[2].MinTick
 		}},
 		{"records not the segments' sum", func(m *archive.Manifest) { m.Records++ }},
+		{"sealed segments left out", func(m *archive.Manifest) {
+			m.Segments, m.Records = m.Segments[:2], 32
+		}},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,6 +44,7 @@ type Reader struct {
 	mu    sync.Mutex
 	ckpts []checkpoint         // ckpts[i] is the fold before seq (i+1)*checkpointEvery+1
 	index map[int][]IndexEntry // sealed segment i's sparse index, once loaded
+	ends  map[int]bool         // sealed segment i's last frame carries its MaxTick
 }
 
 type segmentInfo struct {
@@ -65,7 +66,7 @@ func OpenReader(dir string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{dir: dir, records: m.Records, index: map[int][]IndexEntry{}}
+	r := &Reader{dir: dir, records: m.Records, index: map[int][]IndexEntry{}, ends: map[int]bool{}}
 	for _, seg := range m.Segments {
 		if _, err := os.Stat(filepath.Join(dir, seg.Name)); err != nil {
 			return nil, fmt.Errorf("archive: sealed segment missing: %w", err)
@@ -162,7 +163,8 @@ func (q Query) admitsKind(k obs.Kind) bool {
 // record's seq and event. Valid time is nondecreasing across the stream, so
 // the scan seeks past whole segments (and, via the sparse tick index, into
 // the middle of one) to reach SinceTick, and stops at the first record past
-// UntilTick or MaxSeq.
+// UntilTick or MaxSeq. Passing segments over trusts no tick bound the
+// manifest states unchecked (checkPassed).
 func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 	return r.scan(pos{}, q, fn, nil)
 }
@@ -178,18 +180,20 @@ var errStop = errors.New("archive: stop scan")
 // every frame before its position: skipping frames unread ends that.
 func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error, fo *fold) error {
 	lr := durable.NewLineReader(nil) // one pair of buffers for every segment
+	passed := -1                     // the last segment passed over as preceding the window
 	for i := from.seg; i < len(r.segs); i++ {
 		seg := r.segs[i].meta
 		if q.MaxSeq > 0 && seg.SeqStart > q.MaxSeq {
-			return nil
-		}
-		if q.UntilTick >= 0 && seg.MinTick > q.UntilTick {
-			return nil // ticks only grow from here
+			break
 		}
 		if seg.MaxTick < q.SinceTick {
-			fo = nil
+			passed, fo = i, nil
 			continue // whole segment precedes the window
 		}
+		if err := r.checkPassed(passed); err != nil {
+			return err
+		}
+		passed = -1
 		p := pos{seg: i, seq: seg.SeqStart}
 		if q.SinceTick > seg.MinTick && r.segs[i].sealed {
 			var err error
@@ -209,7 +213,64 @@ func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error,
 			return err
 		}
 	}
+	return r.checkPassed(passed)
+}
+
+// checkPassed confirms, the first time a scan relies on it, that sealed
+// segment i ends at the MaxTick its manifest entry states, by reading its
+// last frame. Ticks never decrease along the stream, so a scan that passed
+// over segments up to i for ending before its window has passed over no
+// record inside it. A negative i, or the recovered tail, whose bounds come
+// from its frames, needs no check.
+func (r *Reader) checkPassed(i int) error {
+	if i < 0 || !r.segs[i].sealed {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ends[i] {
+		return nil
+	}
+	seg := r.segs[i].meta
+	t, err := lastTick(filepath.Join(r.dir, seg.Name))
+	if err != nil {
+		return fmt.Errorf("archive: segment %s: %w", seg.Name, err)
+	}
+	if t != seg.MaxTick {
+		return fmt.Errorf("archive: manifest: segment %s ends at tick %d, not at its max tick %d", seg.Name, t, seg.MaxTick)
+	}
+	r.ends[i] = true
 	return nil
+}
+
+// lastTick returns the tick of a segment file's last frame, reading back
+// from the end of the file in doubling chunks until one holds that frame
+// whole.
+func lastTick(path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	size := fi.Size()
+	for n := min(size, 4096); ; n = min(size, 2*n) {
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, size-n); err != nil {
+			return 0, err
+		}
+		if n == 0 || buf[n-1] != '\n' {
+			return 0, fmt.Errorf("%w: no whole last frame", durable.ErrCorrupt)
+		}
+		start := bytes.LastIndexByte(buf[:n-1], '\n') + 1
+		if start > 0 || n == size {
+			e, err := decodeFrame(buf[start : n-1])
+			return int64(e.Time), err
+		}
+	}
 }
 
 // seek returns the frame at which a scan from valid time since enters
@@ -365,10 +426,8 @@ type fold struct {
 	degraded    bool
 	hm          []hmRow  // sorted by partition
 	quarantined []string // sorted
-	// maxTick is the largest tick folded; a checkpoint raises it to the
-	// MinTick of every segment up to its own.
-	maxTick int64
-	next    uint64 // seq of the next checkpoint this fold may record
+	maxTick     int64    // the largest tick folded
+	next        uint64   // seq of the next checkpoint this fold may record
 }
 
 // hmRow is one partition's row of the reconstructed HM table.
@@ -493,10 +552,6 @@ func (r *Reader) checkpoint(fo *fold, p pos) uint64 {
 	if p.seq == uint64(len(r.ckpts)+1)*checkpointEvery+1 {
 		c := checkpoint{fold: *fo, at: p}
 		c.hm, c.quarantined = slices.Clone(fo.hm), slices.Clone(fo.quarantined)
-		// Scan also stops at a segment whose MinTick is past the cut.
-		for _, seg := range r.segs[:p.seg+1] {
-			c.maxTick = max(c.maxTick, seg.meta.MinTick)
-		}
 		r.ckpts = append(r.ckpts, c)
 	}
 	fo.next = p.seq + checkpointEvery

@@ -91,8 +91,28 @@ func Open(dir string, opts Options) (*Sink, error) {
 	return s, nil
 }
 
-// readManifest loads the catalog; a missing file is an empty archive.
+// readManifest loads the catalog; a missing file is an empty archive. A
+// writer opens a segment only once the manifest lists the one before, so
+// at most one segment file, the unsealed one, follows those it lists; a
+// live writer may seal it between the read and that check, so a second
+// read decides.
 func readManifest(dir string) (Manifest, error) {
+	for reread := false; ; reread = true {
+		m, err := decodeManifest(dir)
+		if err != nil {
+			return m, fmt.Errorf("archive: manifest: %w", err)
+		}
+		next := segmentName(len(m.Segments) + 2)
+		if _, err := os.Stat(filepath.Join(dir, next)); err != nil {
+			return m, nil
+		}
+		if reread {
+			return m, fmt.Errorf("archive: manifest: lists %d segments, but %s exists", len(m.Segments), next)
+		}
+	}
+}
+
+func decodeManifest(dir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -100,18 +120,15 @@ func readManifest(dir string) (Manifest, error) {
 		return m, nil
 	}
 	if err != nil {
-		return m, fmt.Errorf("archive: manifest: %w", err)
+		return m, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("archive: manifest: %w", err)
+		return m, err
 	}
 	if m.Version != manifestVersion {
-		return m, fmt.Errorf("archive: manifest: unsupported version %d", m.Version)
+		return m, fmt.Errorf("unsupported version %d", m.Version)
 	}
-	if err := m.validate(); err != nil {
-		return m, fmt.Errorf("archive: manifest: %w", err)
-	}
-	return m, nil
+	return m, m.validate()
 }
 
 // validate checks that the catalog describes this archive's own segment

@@ -178,6 +178,9 @@ type Module struct {
 
 	partitions map[model.PartitionName]*Partition
 	order      []model.PartitionName
+	// byOrdinal holds the partitions in pmk ordinal order (sys.Partitions),
+	// so Step indexes the dispatched partition by DispatchResult.Ordinal.
+	byOrdinal []*Partition
 
 	now     tick.Ticks
 	started bool
@@ -298,6 +301,7 @@ func NewModule(cfg Config) (*Module, error) {
 		m.partitions[pc.Name] = pt
 		m.order = append(m.order, pc.Name)
 	}
+	m.indexPartitions()
 
 	if cfg.Recovery != nil {
 		schedNames := make([]string, len(cfg.System.Schedules))
@@ -319,6 +323,15 @@ func NewModule(cfg Config) (*Module, error) {
 		})
 	}
 	return m, nil
+}
+
+// indexPartitions builds byOrdinal from the partitions map. Every model
+// partition has a config (checkPartitionConfigs), so no slot stays nil.
+func (m *Module) indexPartitions() {
+	m.byOrdinal = make([]*Partition, len(m.sys.Partitions))
+	for i, name := range m.sys.Partitions {
+		m.byOrdinal[i] = m.partitions[name]
+	}
 }
 
 func checkPartitionConfigs(cfg Config) error {
@@ -411,7 +424,7 @@ func (m *Module) Step() error {
 	if res.Active.Idle {
 		return nil
 	}
-	pt := m.partitions[res.Active.Partition]
+	pt := m.byOrdinal[res.Ordinal]
 	violations := pt.pal.TickAnnounce(res.ElapsedTicks)
 	for _, v := range violations {
 		m.traceEvent(Event{Time: m.now, Kind: obs.KindDeadlineMiss,

@@ -42,11 +42,12 @@ const (
 // killSentinel is panicked into a process goroutine to force-terminate it.
 type killSentinel struct{}
 
-// procRuntime is the kernel side of one process goroutine handshake.
+// procRuntime is the kernel side of one process goroutine handshake: the
+// kernel sends on grant, the process answers on yield, and the kernel kills
+// the process by closing grant and waiting for done to close.
 type procRuntime struct {
 	grant chan struct{}
 	yield chan yieldKind
-	kill  chan struct{}
 	done  chan struct{}
 	alive bool
 	// state is the body's state cell: ForkableBody.New on a (re)start, a
@@ -62,19 +63,20 @@ type procRuntime struct {
 	everGranted bool
 }
 
+// waitGrant parks the process until its next granted tick; a closed grant
+// channel is the kernel's kill.
 func (rt *procRuntime) waitGrant() {
-	select {
-	case <-rt.grant:
-	case <-rt.kill:
+	if _, ok := <-rt.grant; !ok {
 		panic(killSentinel{})
 	}
 }
 
 // stop force-terminates the process goroutine, if still alive, and waits
-// for it to exit.
+// for it to exit. A live process is always parked in waitGrant when the
+// kernel runs, so the close wakes exactly that receive.
 func (rt *procRuntime) stop() {
 	if rt.alive {
-		close(rt.kill)
+		close(rt.grant)
 		<-rt.done
 		rt.alive = false
 	}
@@ -96,7 +98,10 @@ type Partition struct {
 	kernel *pos.Kernel
 	pal    *pal.PAL
 
-	runtimes map[pos.ProcessID]*procRuntime
+	// runtimes holds each spawned process's handshake, indexed by
+	// ProcessID-1 as the POS kernel's process table is; nil where no
+	// goroutine was spawned or its process was killed.
+	runtimes []*procRuntime
 	// bodies holds every process's body: a forkable body as registered, a
 	// closure body wrapped with only Run set, the zero value for a
 	// model-only process.
@@ -177,7 +182,7 @@ func (pt *Partition) buildKernel() {
 	p.Bind(k)
 	pt.kernel = k
 	pt.pal = p
-	pt.runtimes = make(map[pos.ProcessID]*procRuntime)
+	pt.runtimes = nil
 	pt.bodies = make(map[pos.ProcessID]ForkableBody)
 }
 
@@ -315,14 +320,23 @@ func (pt *Partition) resetWaitQueues() {
 	}
 }
 
-// killAll force-terminates every live process goroutine.
-//
-//air:allow(maprange): each runtime is killed and removed independently; order-insensitive
-func (pt *Partition) killAll() {
-	for id, rt := range pt.runtimes {
-		rt.stop()
-		delete(pt.runtimes, id)
+// runtime returns a process's handshake, or nil when none was spawned.
+func (pt *Partition) runtime(id pos.ProcessID) *procRuntime {
+	if i := int(id) - 1; i >= 0 && i < len(pt.runtimes) {
+		return pt.runtimes[i]
 	}
+	return nil
+}
+
+// killAll force-terminates every live process goroutine, in process-ID
+// order.
+func (pt *Partition) killAll() {
+	for _, rt := range pt.runtimes {
+		if rt != nil {
+			rt.stop()
+		}
+	}
+	clear(pt.runtimes)
 }
 
 // killProcess stops a process (it becomes dormant) and force-terminates its
@@ -330,9 +344,9 @@ func (pt *Partition) killAll() {
 // itself).
 func (pt *Partition) killProcess(id pos.ProcessID) {
 	_ = pt.kernel.Stop(id)
-	if rt, ok := pt.runtimes[id]; ok {
+	if rt := pt.runtime(id); rt != nil {
 		rt.stop()
-		delete(pt.runtimes, id)
+		pt.runtimes[id-1] = nil
 	}
 }
 
@@ -358,12 +372,14 @@ func (pt *Partition) spawnBody(id pos.ProcessID, fb ForkableBody, state any) {
 	rt := &procRuntime{
 		grant: make(chan struct{}),
 		yield: make(chan yieldKind),
-		kill:  make(chan struct{}),
 		done:  make(chan struct{}),
 		alive: true,
 		state: state,
 	}
-	pt.runtimes[id] = rt
+	for len(pt.runtimes) < int(id) {
+		pt.runtimes = append(pt.runtimes, nil)
+	}
+	pt.runtimes[id-1] = rt
 	sv := pt.services(id, rt)
 	//air:allow(goroutine): process runtimes are goroutines by design, lock-stepped with the kernel via the grant/yield handshake
 	go func() {
@@ -422,7 +438,7 @@ func (pt *Partition) runOneTick() {
 		if !ok {
 			return // no eligible process: the tick idles inside the window
 		}
-		rt := pt.runtimes[proc.ID]
+		rt := pt.runtime(proc.ID)
 		if rt == nil || !rt.alive {
 			// Model-only process: consumes the tick with no observable
 			// effect (a pure CPU burner used in analysis/benchmarks).

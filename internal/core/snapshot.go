@@ -129,7 +129,7 @@ func (pt *Partition) forkableNow() error {
 			return fmt.Errorf("%w: partition %s process %s has an opaque closure body; use CreateForkableProcess",
 				ErrNotForkable, pt.name, proc.Spec.Name)
 		}
-		rt := pt.runtimes[proc.ID]
+		rt := pt.runtime(proc.ID)
 		if rt == nil || !rt.alive {
 			continue // dormant or model-only: kernel state only, no goroutine
 		}
@@ -201,6 +201,7 @@ func (m *Module) fork() (*Module, error) {
 		}
 		m2.partitions[name] = pt2
 	}
+	m2.indexPartitions()
 
 	if m.recov != nil {
 		m2.recov = m.recov.Clone(recovery.Options{
@@ -238,7 +239,6 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 	pt2.kernel = k2
 	pt2.pal = pal2
 
-	pt2.runtimes = make(map[pos.ProcessID]*procRuntime)
 	pt2.bodies = maps.Clone(pt.bodies)
 
 	pt2.buffers = make(map[string]*buffer, len(pt.buffers))
@@ -297,13 +297,13 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 	// point). Iterating the kernel's process table keeps spawn order
 	// deterministic, though re-spawned goroutines only run when granted.
 	for _, proc := range pt.kernel.Processes() {
-		rt := pt.runtimes[proc.ID]
+		rt := pt.runtime(proc.ID)
 		if rt == nil || !rt.alive {
 			continue
 		}
 		fb := pt.bodies[proc.ID]
 		pt2.spawnBody(proc.ID, fb, fb.Clone(rt.state))
-		pt2.runtimes[proc.ID].stackUsed = rt.stackUsed
+		pt2.runtime(proc.ID).stackUsed = rt.stackUsed
 	}
 	return pt2, nil
 }

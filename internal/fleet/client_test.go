@@ -201,10 +201,13 @@ func TestClientFlakyDrainMatchesCleanRun(t *testing.T) {
 		t.Fatalf("retries = %d, want at least the 7 scripted failures", cl.Retries())
 	}
 
+	// testClient's 100 ms timeout is for the scripted drain; the result
+	// download has no injected fault and can take longer under -race, so
+	// it goes through a client at the default timeout.
 	var got struct {
 		Aggregate campaign.Aggregate `json:"aggregate"`
 	}
-	if err := cl.do(pathCampaigns+"/"+id+"/result", nil, &got); err != nil {
+	if err := (&Client{Base: cl.Base}).do(pathCampaigns+"/"+id+"/result", nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	want, err := campaign.Run(testSpec(16))

@@ -172,7 +172,7 @@ func appendString(dst []byte, s string) []byte {
 
 // ParseRecord decodes one wire record — AppendRecord's output without its
 // newline — back into its event: the exact inverse of AppendRecord and the
-// one decoder of the spine wire form (DecodeEvents, archive frames). It
+// one decoder of the spine wire form (ScanEvents, archive frames). It
 // accepts only the form AppendRecord writes: the pinned field order and
 // omitempty set, no whitespace, integers as strconv.AppendInt writes them.
 // A string holding a backslash, a control byte or a non-ASCII byte is
@@ -398,26 +398,33 @@ func EncodeEvents(w io.Writer, events []Event) error {
 	return s.Flush()
 }
 
-// DecodeEvents reads JSONL as EncodeEvents writes it — one ParseRecord
-// record per line — until EOF, and names the line of a bad record. The last
-// line's newline is optional.
-func DecodeEvents(r io.Reader) ([]Event, error) {
+// ScanEvents reads JSONL as EncodeEvents writes it — one ParseRecord record
+// per line — until EOF, passing each record to fn in order as it is read,
+// and names the line of a bad record. The last line's newline is optional.
+func ScanEvents(r io.Reader, fn func(Event)) error {
 	br := bufio.NewReader(r)
-	var events []Event
 	for n := 1; ; n++ {
 		line, err := br.ReadBytes('\n')
 		if len(line) > 0 {
 			e, perr := ParseRecord(bytes.TrimSuffix(line, []byte{'\n'}))
 			if perr != nil {
-				return events, fmt.Errorf("line %d: %w", n, perr)
+				return fmt.Errorf("line %d: %w", n, perr)
 			}
-			events = append(events, e)
+			fn(e)
 		}
 		if err == io.EOF {
-			return events, nil
+			return nil
 		}
 		if err != nil {
-			return events, err
+			return err
 		}
 	}
+}
+
+// DecodeEvents collects what ScanEvents reads; on an error it returns the
+// records before the bad line with it.
+func DecodeEvents(r io.Reader) ([]Event, error) {
+	var events []Event
+	err := ScanEvents(r, func(e Event) { events = append(events, e) })
+	return events, err
 }

@@ -36,6 +36,11 @@ type DispatchResult struct {
 	// The PAL uses it as the surrogate clock tick announcement count
 	// (Fig. 7).
 	ElapsedTicks tick.Ticks
+	// Ordinal is the active partition's index in the scheduler's partition
+	// table (ordinal i is sys.Partitions[i]), or -1 for an idle window or a
+	// partition outside that table, so the kernel finds the partition
+	// without a lookup by name.
+	Ordinal int
 }
 
 // Dispatcher is the AIR Partition Dispatcher featuring mode-based schedules
@@ -47,14 +52,16 @@ type Dispatcher struct {
 	scheduler *Scheduler
 
 	active Heir
-	hasRun bool
+	// activeOrd is the active partition's ordinal (-1 when idle or outside
+	// the compiled partition set).
+	activeOrd int
+	hasRun    bool
 	// lastTick is dense, indexed by the partition ordinal of the scheduler's
-	// compiled tables; extra catches names outside the compiled partition
-	// set (only reachable through direct Dispatch calls in tests) and is
-	// allocated lazily off the hot path.
+	// compiled tables. The scheduler selects no other partition; one
+	// dispatched directly has no ordinal, so its last tick is not kept and
+	// reads as 0.
 	partNames []model.PartitionName
 	lastTick  []tick.Ticks
-	extra     map[model.PartitionName]tick.Ticks
 	switches  int
 
 	obs obs.Emitter
@@ -66,33 +73,21 @@ func NewDispatcher(s *Scheduler, hooks Hooks) *Dispatcher {
 		hooks:     hooks,
 		scheduler: s,
 		active:    Heir{Idle: true},
+		activeOrd: -1,
 		partNames: s.partNames,
 		lastTick:  make([]tick.Ticks, len(s.partNames)),
 	}
 }
 
-// setLastTick and getLastTick run only on the context-switch slow path (one
-// partition window boundary per invocation, not per tick).
-func (d *Dispatcher) setLastTick(p model.PartitionName, t tick.Ticks) {
+// ordinal runs only on the context-switch slow path (one partition window
+// boundary per invocation, not per tick).
+func (d *Dispatcher) ordinal(p model.PartitionName) int {
 	for i, n := range d.partNames {
 		if n == p {
-			d.lastTick[i] = t
-			return
+			return i
 		}
 	}
-	if d.extra == nil {
-		d.extra = make(map[model.PartitionName]tick.Ticks)
-	}
-	d.extra[p] = t
-}
-
-func (d *Dispatcher) getLastTick(p model.PartitionName) tick.Ticks {
-	for i, n := range d.partNames {
-		if n == p {
-			return d.lastTick[i]
-		}
-	}
-	return d.extra[p]
+	return -1
 }
 
 // Dispatch is Algorithm 2: invoked with the heir selected by the scheduler
@@ -103,25 +98,31 @@ func (d *Dispatcher) getLastTick(p model.PartitionName) tick.Ticks {
 func (d *Dispatcher) Dispatch(heir Heir, ticks tick.Ticks) DispatchResult {
 	// Line 1: heirPartition == activePartition → only account one tick.
 	if d.hasRun && heir == d.active {
-		return DispatchResult{Active: d.active, ElapsedTicks: 1}
+		return DispatchResult{Active: d.active, ElapsedTicks: 1, Ordinal: d.activeOrd}
 	}
 	// Lines 4–5: save the outgoing partition's context.
 	if d.hasRun && !d.active.Idle {
 		if d.hooks.SaveContext != nil {
 			d.hooks.SaveContext(d.active.Partition)
 		}
-		d.setLastTick(d.active.Partition, ticks-1) //air:allow(alloc): inlined lazy d.extra map — allocated only for partitions outside the compiled set, reachable from direct test Dispatch calls, never in a running module
+		if d.activeOrd >= 0 {
+			d.lastTick[d.activeOrd] = ticks - 1
+		}
 		d.obs.Emit(obs.Event{Time: ticks, Kind: obs.KindPreemption, Partition: d.active.Partition})
 	}
 	// Line 6: ticks elapsed since the heir last held the processor.
 	var elapsed tick.Ticks
+	ord := -1
 	if heir.Idle {
 		elapsed = 0
 		if d.hooks.EnterIdle != nil {
 			d.hooks.EnterIdle()
 		}
 	} else {
-		elapsed = ticks - d.getLastTick(heir.Partition)
+		elapsed = ticks
+		if ord = d.ordinal(heir.Partition); ord >= 0 {
+			elapsed -= d.lastTick[ord]
+		}
 		// Line 8: restore the heir's context.
 		if d.hooks.RestoreContext != nil {
 			d.hooks.RestoreContext(heir.Partition)
@@ -137,9 +138,10 @@ func (d *Dispatcher) Dispatch(heir Heir, ticks tick.Ticks) DispatchResult {
 	}
 	// Line 7: the heir becomes the active partition.
 	d.active = heir
+	d.activeOrd = ord
 	d.hasRun = true
 	d.switches++
-	return DispatchResult{Switched: true, Active: heir, ElapsedTicks: elapsed}
+	return DispatchResult{Switched: true, Active: heir, ElapsedTicks: elapsed, Ordinal: ord}
 }
 
 // AttachObs publishes partition context switches on the module's
@@ -157,7 +159,10 @@ func (d *Dispatcher) ContextSwitches() int { return d.switches }
 // LastTick returns the tick at which partition p last relinquished the
 // processor (0 if it never ran).
 func (d *Dispatcher) LastTick(p model.PartitionName) tick.Ticks {
-	return d.getLastTick(p)
+	if ord := d.ordinal(p); ord >= 0 {
+		return d.lastTick[ord]
+	}
+	return 0
 }
 
 // Clone returns a deep copy of the dispatcher's Algorithm 2 state, bound to
@@ -169,12 +174,6 @@ func (d *Dispatcher) Clone(s *Scheduler) *Dispatcher {
 	c.hooks = Hooks{}
 	c.lastTick = make([]tick.Ticks, len(d.lastTick))
 	copy(c.lastTick, d.lastTick)
-	if d.extra != nil {
-		c.extra = make(map[model.PartitionName]tick.Ticks, len(d.extra))
-		for p, t := range d.extra { //air:allow(maprange): map-to-map copy; order-insensitive
-			c.extra[p] = t
-		}
-	}
 	c.obs = obs.Emitter{}
 	return &c
 }
