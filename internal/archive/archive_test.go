@@ -266,13 +266,13 @@ type cut struct {
 
 // TestAsOfProperty drives (tick, seq) cuts through AsOf and checks every
 // reconstruction against the reference fold of the event prefix — the
-// bitemporal correctness property. The stream crosses five fold
-// checkpoints; each layout runs the same cuts on fresh readers in
-// ascending, descending and seeded-random order, so cuts resume from
-// checkpoints recorded in every order, and then from four goroutines
+// bitemporal correctness property. The stream crosses a fold checkpoint
+// every CheckpointEvery records; each layout runs the same cuts on fresh
+// readers in ascending, descending and seeded-random order, so cuts resume
+// from checkpoints recorded in every order, and then from four goroutines
 // sharing one reader (run it under -race). The first layout puts
-// checkpoints at segment heads, the second inside segments and in an
-// unsealed tail.
+// checkpoints at segment heads and inside segments, the second inside
+// segments and in an unsealed tail.
 func TestAsOfProperty(t *testing.T) {
 	events := genEvents(3000)
 	maxTick := int64(events[len(events)-1].Time)
@@ -287,7 +287,7 @@ func TestAsOfProperty(t *testing.T) {
 	}
 	// Around every checkpoint s: the seq cuts s-1, s and s+1 and the tick
 	// cuts of records s-1 and s.
-	for s := uint64(513); s <= uint64(len(events)); s += 512 {
+	for s := uint64(archive.CheckpointEvery + 1); s <= uint64(len(events)); s += archive.CheckpointEvery {
 		cuts = append(cuts, cut{-1, s - 1}, cut{-1, s}, cut{-1, s + 1},
 			cut{int64(events[s-2].Time), 0}, cut{int64(events[s-1].Time), 0})
 	}
@@ -394,7 +394,8 @@ func TestAsOfCheckpointsKeepManifestStops(t *testing.T) {
 // every call, and records no checkpoint past it, while cuts before it still
 // match the reference. A frame already folded into a checkpoint is not
 // re-read: corrupting one fails a fresh reader and the cuts before that
-// checkpoint, but the cuts past it answer from the checkpoint.
+// checkpoint, but the cuts past it answer from the checkpoint. The cuts sit
+// on each side of a corrupt frame and of the checkpoints around it.
 func TestAsOfCorruptFrameAfterCheckpoints(t *testing.T) {
 	events := genEvents(3000)
 	dir := t.TempDir()
@@ -403,8 +404,12 @@ func TestAsOfCorruptFrameAfterCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AsOf(-1, 1600); err != nil { // checkpoints at 513, 1025 and 1537
+	if _, err := r.AsOf(-1, 1600); err != nil { // checkpoints every CheckpointEvery records up to seq 1600
 		t.Fatal(err)
+	}
+	// after is the seq of the first checkpoint whose fold holds record seq.
+	after := func(seq uint64) uint64 {
+		return (seq-1)/archive.CheckpointEvery*archive.CheckpointEvery + archive.CheckpointEvery + 1
 	}
 	corrupt := func(seq int) {
 		t.Helper()
@@ -443,15 +448,19 @@ func TestAsOfCorruptFrameAfterCheckpoints(t *testing.T) {
 		}
 	}
 
+	// The last checkpoint before frame 2200 lies past the warm fold; the
+	// first cut that reads on to frame 2200 records it.
+	last := after(2200) - archive.CheckpointEvery
 	corrupt(2200)
 	check(r,
-		[]cut{{-1, 2199}, {-1, 1700}, {-1, 100}, {int64(events[1500].Time), 0}},
+		[]cut{{-1, 2199}, {-1, last - 2}, {-1, last - 1}, {-1, last}, {-1, 1700}, {-1, 100}, {int64(events[1500].Time), 0}},
 		[]cut{{-1, 0}, {-1, 2200}, {-1, 2500}, {int64(events[2199].Time), 0}})
 
+	next := after(100)
 	corrupt(100)
 	check(r,
-		[]cut{{-1, 2199}, {-1, 513}, {int64(events[1500].Time), 0}},
-		[]cut{{-1, 0}, {-1, 100}, {-1, 511}})
+		[]cut{{-1, 2199}, {-1, next}, {int64(events[1500].Time), 0}},
+		[]cut{{-1, 0}, {-1, 100}, {-1, next - 2}})
 	fresh, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)

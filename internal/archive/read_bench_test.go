@@ -194,6 +194,31 @@ func BenchmarkArchiveDiff(b *testing.B) {
 	b.ReportMetric(float64(walked), "records/op")
 }
 
+// TestCheckpointStride pins the fold checkpoint stride at 64 records, the
+// sparse index's default stride, on a 1000-MTF Sect. 6 archive: a cold fold
+// leaves ⌊(records − 1)/64⌋ checkpoints, and every cut at an MTF boundary
+// then resumes fewer than 64 records before the last record it folds.
+func TestCheckpointStride(t *testing.T) {
+	const stride = 64
+	r := openReader(t, archiveRun(t, 1000, sect6Fault))
+	if _, err := r.AsOf(-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Checkpoints(), int((r.Records()-1)/stride); got != want {
+		t.Fatalf("a cold fold of %d records left %d checkpoints, want %d", r.Records(), got, want)
+	}
+	for k := int64(1); k <= 1000; k++ {
+		at := k * int64(mtfTicks)
+		st, err := r.AsOf(at, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from := r.ResumeSeq(at, 0); st.Events+1-from >= stride {
+			t.Fatalf("AsOf(%d, 0) folds records up to seq %d from seq %d, want fewer than %d", at, st.Events, from, stride)
+		}
+	}
+}
+
 // TestAsOfAllocsPerRecord bounds the read path's allocations: opening a
 // fresh reader and folding a Sect. 6 archive makes fewer than three
 // allocations per record, so the decoder and the fold's checkpoints

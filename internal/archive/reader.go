@@ -17,8 +17,9 @@ import (
 )
 
 // checkpointEvery is the fold checkpoint stride: AsOf records its state
-// before every record whose seq − 1 is a positive multiple of it.
-const checkpointEvery = 512
+// before every record whose seq − 1 is a positive multiple of it. It is the
+// sparse index's default stride, so a warm cut decodes at most 63 records.
+const checkpointEvery = 64
 
 // Reader opens an archive directory for queries. Sealed segments are taken
 // from the manifest; any trailing unsealed segment is recovered read-only
@@ -30,11 +31,12 @@ const checkpointEvery = 512
 // A Reader is a snapshot. OpenReader fixes the segment list and the
 // recovered tail's length, so records appended later stay unseen. A sealed
 // segment's sparse index is read from its index file when a scan first
-// seeks into the segment, and kept. AsOf keeps fold checkpoints: every 512
+// seeks into the segment, and kept. AsOf keeps fold checkpoints: every 64
 // records, the fold's state, taken only once this Reader has itself
 // verified every earlier frame. A cut resumes from the last checkpoint
 // inside it, so frames folded into a checkpoint are not re-read, and a
-// later change to one goes unseen by the cuts past it. A Reader is safe for
+// later change to one goes unseen by the cuts past it. The 828 checkpoints
+// of a 53k-record archive retain about 238 KB. A Reader is safe for
 // concurrent use.
 type Reader struct {
 	dir     string
@@ -169,6 +171,10 @@ func (r *Reader) Scan(q Query, fn func(seq uint64, e obs.Event) error) error {
 	return r.scan(pos{}, q, fn, nil)
 }
 
+// lineReaders recycles scan buffers, so a warm AsOf, which reads a few KB,
+// does not allocate and clear a fresh 4 KiB buffer per call.
+var lineReaders = sync.Pool{New: func() any { return durable.NewLineReader(nil) }}
+
 // errStop terminates a scan early from inside a segment.
 var errStop = errors.New("archive: stop scan")
 
@@ -179,8 +185,12 @@ var errStop = errors.New("archive: stop scan")
 // AsOf checkpoints of fo as it passes them, for as long as it has read
 // every frame before its position: skipping frames unread ends that.
 func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error, fo *fold) error {
-	lr := durable.NewLineReader(nil) // one pair of buffers for every segment
-	passed := -1                     // the last segment passed over as preceding the window
+	lr := lineReaders.Get().(*durable.LineReader) // one pair of buffers for every segment
+	defer func() {
+		lr.Reset(nil)
+		lineReaders.Put(lr)
+	}()
+	passed := -1 // the last segment passed over as preceding the window
 	for i := from.seg; i < len(r.segs); i++ {
 		seg := r.segs[i].meta
 		if q.MaxSeq > 0 && seg.SeqStart > q.MaxSeq {

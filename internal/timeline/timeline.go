@@ -22,6 +22,7 @@
 package timeline
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -51,10 +52,19 @@ const (
 	flightFrames = 64
 )
 
+// procKey identifies a process by its fields, as partKey does a partition.
+// Names are free-form, so a string joining them could merge or misorder
+// rows: process "b/c" of partition "a" and process "c" of partition "a/b".
 type procKey struct {
 	core int
 	part model.PartitionName
 	name string
+}
+
+// compare orders process keys by (core, partition, process), the order of
+// a Snapshot's process rows.
+func (k procKey) compare(o procKey) int {
+	return cmp.Or(cmp.Compare(k.core, o.core), cmp.Compare(k.part, o.part), strings.Compare(k.name, o.name))
 }
 
 // procState is the per-process derived state (one per core×partition×name).
@@ -84,6 +94,12 @@ type procState struct {
 type partKey struct {
 	core int
 	name model.PartitionName
+}
+
+// compare orders partition keys by (core, partition), the order of a
+// Snapshot's partition rows.
+func (k partKey) compare(o partKey) int {
+	return cmp.Or(cmp.Compare(k.core, o.core), cmp.Compare(k.name, o.name))
 }
 
 // partState is the per-partition supply accounting (eq. (20) windows vs the
@@ -638,13 +654,7 @@ func (t *Timeline) Snapshot() Snapshot {
 		}
 		s.Partitions = append(s.Partitions, p)
 	}
-	sort.Slice(s.Partitions, func(i, j int) bool {
-		a, b := s.Partitions[i], s.Partitions[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Partition < b.Partition
-	})
+	sortParts(s.Partitions)
 	for _, st := range t.procList {
 		p := ProcSnap{
 			Core:        st.key.core,
@@ -663,16 +673,7 @@ func (t *Timeline) Snapshot() Snapshot {
 		s.Jitter = s.Jitter.Add(p.Jitter)
 		s.Slack = s.Slack.Add(p.Slack)
 	}
-	sort.Slice(s.Processes, func(i, j int) bool {
-		a, b := s.Processes[i], s.Processes[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		return a.Process < b.Process
-	})
+	sortProcs(s.Processes)
 	return s
 }
 
@@ -707,10 +708,10 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		out.Archive = &a
 	}
 
-	parts := make(map[string]PartSnap, len(s.Partitions)+len(o.Partitions))
+	parts := make(map[partKey]PartSnap, len(s.Partitions)+len(o.Partitions))
 	for _, lst := range [][]PartSnap{s.Partitions, o.Partitions} {
 		for _, p := range lst {
-			k := partSnapKey(p)
+			k := p.key()
 			if have, ok := parts[k]; ok {
 				have.Windows += p.Windows
 				have.Supplied += p.Supplied
@@ -728,9 +729,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	for _, p := range parts { //air:allow(maprange): collected into a slice and sorted below
 		out.Partitions = append(out.Partitions, p)
 	}
-	sort.Slice(out.Partitions, func(i, j int) bool {
-		return partSnapKey(out.Partitions[i]) < partSnapKey(out.Partitions[j])
-	})
+	sortParts(out.Partitions)
 	if out.Ticks > 0 {
 		for i := range out.Partitions {
 			out.Partitions[i].Utilization =
@@ -738,10 +737,10 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		}
 	}
 
-	procs := make(map[string]ProcSnap, len(s.Processes)+len(o.Processes))
+	procs := make(map[procKey]ProcSnap, len(s.Processes)+len(o.Processes))
 	for _, lst := range [][]ProcSnap{s.Processes, o.Processes} {
 		for _, p := range lst {
-			k := procSnapKey(p)
+			k := p.key()
 			if have, ok := procs[k]; ok {
 				have.Releases += p.Releases
 				have.Completions += p.Completions
@@ -759,18 +758,25 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	for _, p := range procs { //air:allow(maprange): collected into a slice and sorted below
 		out.Processes = append(out.Processes, p)
 	}
-	sort.Slice(out.Processes, func(i, j int) bool {
-		return procSnapKey(out.Processes[i]) < procSnapKey(out.Processes[j])
-	})
+	sortProcs(out.Processes)
 	return out
 }
 
-func partSnapKey(p PartSnap) string {
-	return string(rune('0'+p.Core)) + "/" + p.Partition
+func (p *PartSnap) key() partKey {
+	return partKey{core: p.Core, name: model.PartitionName(p.Partition)}
 }
 
-func procSnapKey(p ProcSnap) string {
-	return string(rune('0'+p.Core)) + "/" + p.Partition + "/" + p.Process
+func (p *ProcSnap) key() procKey {
+	return procKey{core: p.Core, part: model.PartitionName(p.Partition), name: p.Process}
+}
+
+// sortParts and sortProcs put snapshot rows in key order.
+func sortParts(ps []PartSnap) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].key().compare(ps[j].key()) < 0 })
+}
+
+func sortProcs(ps []ProcSnap) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].key().compare(ps[j].key()) < 0 })
 }
 
 // WorstSlack returns the minimum observed completion slack in ticks and

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"slices"
 	"testing"
 
 	"air/internal/model"
@@ -206,6 +207,37 @@ func TestSnapshotAddMerges(t *testing.T) {
 	}
 	if len(sum.Processes) != 1 || sum.Processes[0].Releases != 2 {
 		t.Errorf("merged processes = %+v", sum.Processes)
+	}
+}
+
+// TestSnapshotRowsKeyedByFields merges snapshots whose free-form names hold
+// the characters a joined "core/partition/process" key would confuse: Add
+// keeps every process apart and emits the rows in the (core, partition,
+// process) order Timeline.Snapshot emits.
+func TestSnapshotRowsKeyedByFields(t *testing.T) {
+	tl := New(Options{})
+	for i, p := range []struct {
+		part model.PartitionName
+		proc string
+	}{{"a/b", "c"}, {"P1-x", "b"}, {"a", "b/c"}, {"P1", "a"}} {
+		tl.Emit(ev(tick.Ticks(i), obs.KindProcessRelease, p.part, p.proc, 100))
+	}
+	rows := func(s Snapshot) []string {
+		var out []string
+		for _, p := range s.Processes {
+			out = append(out, p.Partition+" "+p.Process)
+		}
+		return out
+	}
+	snap := tl.Snapshot()
+	want := []string{"P1 a", "P1-x b", "a b/c", "a/b c"}
+	if got := rows(snap); !slices.Equal(got, want) {
+		t.Fatalf("Snapshot process rows %q, want %q", got, want)
+	}
+	for _, sum := range []Snapshot{snap.Add(Snapshot{}), Snapshot{}.Add(snap), snap.Add(snap)} {
+		if got := rows(sum); !slices.Equal(got, want) {
+			t.Errorf("Add process rows %q, want %q", got, want)
+		}
 	}
 }
 
