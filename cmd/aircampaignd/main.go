@@ -112,7 +112,7 @@ func run(args []string, out io.Writer) error {
 		qMax      = fs.Duration("quarantine-cooldown-max", 0, "coordinator: quarantine cooldown ceiling (0 = 8x -quarantine-cooldown)")
 		join      = fs.String("join", "", "worker mode: base URL of the coordinator to join (switches modes)")
 		id        = fs.String("id", "", "worker mode: shard name (default shard-<pid>)")
-		poll      = fs.Duration("poll", 500*time.Millisecond, "worker mode: acquire back-off while no lease is pending")
+		poll      = fs.Duration("poll", 500*time.Millisecond, "worker mode: cap of the acquire back-off while no lease is pending (it starts at 1ms)")
 		linger    = fs.Bool("linger", false, "worker mode: keep polling after the coordinator drains instead of exiting")
 		maxLeases = fs.Int("max-leases", 0, "worker mode: exit after completing this many leases (0 = run to drain)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "worker mode: per-request deadline on every coordinator call")

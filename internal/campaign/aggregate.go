@@ -6,6 +6,7 @@ import (
 
 	"air/internal/obs"
 	"air/internal/timeline"
+	"air/internal/wire"
 )
 
 // Observation is the structured outcome of one simulation run. All fields
@@ -278,8 +279,8 @@ func (a *Aggregate) Fold(o Observation) {
 	if o.Contained {
 		a.ContainedRuns++
 	}
-	a.Metrics = a.Metrics.Add(o.Metrics)
-	a.Timeline = a.Timeline.Add(o.Timeline)
+	a.Metrics.Accumulate(&o.Metrics)
+	a.Timeline.Accumulate(&o.Timeline)
 
 	sc := classFor(a.ByScenario, o.Scenario)
 	sc.add(&o, hmTotal(o.HMByLevel))
@@ -335,8 +336,8 @@ func (a *Aggregate) Merge(b Aggregate) {
 	a.TicksDegraded += b.TicksDegraded
 	a.ScheduleRestores += b.ScheduleRestores
 	a.ContainedRuns += b.ContainedRuns
-	a.Metrics = a.Metrics.Add(b.Metrics)
-	a.Timeline = a.Timeline.Add(b.Timeline)
+	a.Metrics.Accumulate(&b.Metrics)
+	a.Timeline.Accumulate(&b.Timeline)
 	for name, c := range b.ByScenario {
 		classFor(a.ByScenario, name).merge(c)
 	}
@@ -421,8 +422,8 @@ func (c *ClassAgg) add(o *Observation, hmEvents int) {
 	if o.Contained {
 		c.ContainedRuns++
 	}
-	c.Metrics = c.Metrics.Add(o.Metrics)
-	c.Timeline = c.Timeline.Add(o.Timeline)
+	c.Metrics.Accumulate(&o.Metrics)
+	c.Timeline.Accumulate(&o.Timeline)
 }
 
 // merge folds another class accumulator into this one (the ClassAgg form of
@@ -446,8 +447,8 @@ func (c *ClassAgg) merge(o *ClassAgg) {
 	c.TicksDegraded += o.TicksDegraded
 	c.ScheduleRestores += o.ScheduleRestores
 	c.ContainedRuns += o.ContainedRuns
-	c.Metrics = c.Metrics.Add(o.Metrics)
-	c.Timeline = c.Timeline.Add(o.Timeline)
+	c.Metrics.Accumulate(&o.Metrics)
+	c.Timeline.Accumulate(&o.Timeline)
 }
 
 func hmTotal(byLevel map[string]int) int {
@@ -456,4 +457,185 @@ func hmTotal(byLevel map[string]int) int {
 		n += v
 	}
 	return n
+}
+
+// AppendObservation appends o as encoding/json writes it: the form a fleet
+// completion and its journal record carry each retained run in.
+func AppendObservation(e *wire.Encoder, o *Observation) {
+	e.Raw(`{"run":`)
+	e.Int(int64(o.Run))
+	e.Raw(`,"seed":`)
+	e.Uint(o.Seed)
+	e.Raw(`,"scenario":`)
+	e.Str(o.Scenario)
+	e.Raw(`,"faults":`)
+	wire.AppendArray(e, o.Faults, appendFaultDraw)
+	e.Raw(`,"ticks":`)
+	e.Int(o.Ticks)
+	if o.Halted {
+		e.Raw(`,"halted":true`)
+	}
+	if o.Degraded {
+		e.Raw(`,"degraded":true`)
+	}
+	if o.Error != "" {
+		e.Raw(`,"error":`)
+		e.Str(o.Error)
+	}
+	e.Raw(`,"deadlineMisses":`)
+	e.Int(int64(o.DeadlineMisses))
+	e.OmitemptyInt(`,"detectedMisses":`, int64(o.DetectedMisses))
+	e.OmitemptyInt(`,"detectionLatencySum":`, o.DetectionLatencySum)
+	e.OmitemptyInt(`,"detectionLatencyMax":`, o.DetectionLatencyMax)
+	e.Raw(`,"hmByLevel":`)
+	e.IntMap(o.HMByLevel)
+	e.Raw(`,"hmByCode":`)
+	e.IntMap(o.HMByCode)
+	e.Raw(`,"hmByFaultKind":`)
+	e.IntMap(o.HMByFaultKind)
+	e.OmitemptyInt(`,"partitionRestarts":`, int64(o.PartitionRestarts))
+	e.OmitemptyInt(`,"processRestarts":`, int64(o.ProcessRestarts))
+	e.OmitemptyInt(`,"scheduleSwitches":`, int64(o.ScheduleSwitches))
+	e.OmitemptyInt(`,"restartsDeferred":`, int64(o.RestartsDeferred))
+	e.OmitemptyInt(`,"quarantines":`, int64(o.Quarantines))
+	e.OmitemptyInt(`,"recoveries":`, int64(o.Recoveries))
+	e.OmitemptyInt(`,"mttrSum":`, o.MTTRSum)
+	e.OmitemptyInt(`,"mttrMax":`, o.MTTRMax)
+	e.OmitemptyInt(`,"ticksDegraded":`, o.TicksDegraded)
+	e.OmitemptyInt(`,"scheduleRestores":`, int64(o.ScheduleRestores))
+	e.Raw(`,"contained":`)
+	e.Bool(o.Contained)
+	e.Raw(`,"metrics":`)
+	obs.AppendSnapshot(e, &o.Metrics)
+	e.Raw(`,"timeline":`)
+	timeline.AppendSnapshot(e, &o.Timeline)
+	e.Raw("}")
+}
+
+func appendFaultDraw(e *wire.Encoder, f *FaultDraw) {
+	e.Raw(`{"kind":`)
+	e.Str(f.Kind)
+	if f.Partition != "" {
+		e.Raw(`,"partition":`)
+		e.Str(f.Partition)
+	}
+	e.OmitemptyInt(`,"deadlineTicks":`, f.Deadline)
+	e.OmitemptyInt(`,"magnitude":`, f.Magnitude)
+	e.OmitemptyInt(`,"periodTicks":`, f.Period)
+	e.OmitemptyInt(`,"phaseTicks":`, f.Phase)
+	e.Raw("}")
+}
+
+// ParseObservation reads into the zero o one observation as
+// AppendObservation writes it, any member of which may be left out.
+func ParseObservation(p *wire.Parser, o *Observation) {
+	p.Object()
+	if p.Field(`"run":`) {
+		o.Run = p.Int()
+	}
+	if p.Field(`"seed":`) {
+		o.Seed = p.Uint64()
+	}
+	if p.Field(`"scenario":`) {
+		o.Scenario = p.Str()
+	}
+	if p.Field(`"faults":`) {
+		o.Faults = wire.ParseArray(p, parseFaultDraw)
+	}
+	if p.Field(`"ticks":`) {
+		o.Ticks = p.Int64()
+	}
+	if p.Field(`"halted":`) {
+		o.Halted = p.True()
+	}
+	if p.Field(`"degraded":`) {
+		o.Degraded = p.True()
+	}
+	if p.Field(`"error":`) {
+		o.Error = p.NonemptyStr()
+	}
+	if p.Field(`"deadlineMisses":`) {
+		o.DeadlineMisses = p.Int()
+	}
+	if p.Field(`"detectedMisses":`) {
+		o.DetectedMisses = p.NonzeroInt()
+	}
+	if p.Field(`"detectionLatencySum":`) {
+		o.DetectionLatencySum = p.NonzeroInt64()
+	}
+	if p.Field(`"detectionLatencyMax":`) {
+		o.DetectionLatencyMax = p.NonzeroInt64()
+	}
+	if p.Field(`"hmByLevel":`) {
+		o.HMByLevel = p.IntMap()
+	}
+	if p.Field(`"hmByCode":`) {
+		o.HMByCode = p.IntMap()
+	}
+	if p.Field(`"hmByFaultKind":`) {
+		o.HMByFaultKind = p.IntMap()
+	}
+	if p.Field(`"partitionRestarts":`) {
+		o.PartitionRestarts = p.NonzeroInt()
+	}
+	if p.Field(`"processRestarts":`) {
+		o.ProcessRestarts = p.NonzeroInt()
+	}
+	if p.Field(`"scheduleSwitches":`) {
+		o.ScheduleSwitches = p.NonzeroInt()
+	}
+	if p.Field(`"restartsDeferred":`) {
+		o.RestartsDeferred = p.NonzeroInt()
+	}
+	if p.Field(`"quarantines":`) {
+		o.Quarantines = p.NonzeroInt()
+	}
+	if p.Field(`"recoveries":`) {
+		o.Recoveries = p.NonzeroInt()
+	}
+	if p.Field(`"mttrSum":`) {
+		o.MTTRSum = p.NonzeroInt64()
+	}
+	if p.Field(`"mttrMax":`) {
+		o.MTTRMax = p.NonzeroInt64()
+	}
+	if p.Field(`"ticksDegraded":`) {
+		o.TicksDegraded = p.NonzeroInt64()
+	}
+	if p.Field(`"scheduleRestores":`) {
+		o.ScheduleRestores = p.NonzeroInt()
+	}
+	if p.Field(`"contained":`) {
+		o.Contained = p.Bool()
+	}
+	if p.Field(`"metrics":`) {
+		obs.ParseSnapshot(p, &o.Metrics)
+	}
+	if p.Field(`"timeline":`) {
+		timeline.ParseSnapshot(p, &o.Timeline)
+	}
+	p.End()
+}
+
+func parseFaultDraw(p *wire.Parser, f *FaultDraw) {
+	p.Object()
+	if p.Field(`"kind":`) {
+		f.Kind = p.Str()
+	}
+	if p.Field(`"partition":`) {
+		f.Partition = p.NonemptyStr()
+	}
+	if p.Field(`"deadlineTicks":`) {
+		f.Deadline = p.NonzeroInt64()
+	}
+	if p.Field(`"magnitude":`) {
+		f.Magnitude = p.NonzeroInt64()
+	}
+	if p.Field(`"periodTicks":`) {
+		f.Period = p.NonzeroInt64()
+	}
+	if p.Field(`"phaseTicks":`) {
+		f.Phase = p.NonzeroInt64()
+	}
+	p.End()
 }

@@ -28,6 +28,7 @@ import (
 	"air/internal/recovery"
 	"air/internal/tick"
 	"air/internal/timeline"
+	"air/internal/wire"
 	"air/internal/workload"
 )
 
@@ -334,6 +335,56 @@ type Shard struct {
 	// The coordinator stores the files durably and strips this field before
 	// journaling — bulk archive bytes never enter the journal.
 	Archives []RunArchive `json:"archives,omitempty"`
+}
+
+// AppendShard appends sh as encoding/json writes it. Observations go
+// through AppendObservation; a streamed aggregate and shipped archives,
+// one of each per lease at most, keep encoding/json.
+func AppendShard(e *wire.Encoder, sh *Shard) {
+	e.Raw(`{"start":`)
+	e.Int(int64(sh.Start))
+	e.Raw(`,"end":`)
+	e.Int(int64(sh.End))
+	if len(sh.Observations) > 0 {
+		e.Raw(`,"observations":`)
+		wire.AppendArray(e, sh.Observations, AppendObservation)
+	}
+	if sh.Aggregate != nil {
+		e.Raw(`,"aggregate":`)
+		e.Marshal(sh.Aggregate)
+	}
+	if len(sh.Archives) > 0 {
+		e.Raw(`,"archives":`)
+		e.Marshal(sh.Archives)
+	}
+	e.Raw("}")
+}
+
+// ParseShard reads into the zero sh one shard as AppendShard writes it,
+// any member of which may be left out. The aggregate and the archives
+// decode by encoding/json's rules.
+func ParseShard(p *wire.Parser, sh *Shard) {
+	p.Object()
+	if p.Field(`"start":`) {
+		sh.Start = p.Int()
+	}
+	if p.Field(`"end":`) {
+		sh.End = p.Int()
+	}
+	if p.Field(`"observations":`) {
+		sh.Observations = wire.ParseArray(p, ParseObservation)
+		p.Omitempty(len(sh.Observations) == 0)
+	}
+	if p.Field(`"aggregate":`) {
+		p.Omitempty(p.Null())
+		sh.Aggregate = &Aggregate{}
+		p.Unmarshal(sh.Aggregate)
+	}
+	if p.Field(`"archives":`) {
+		p.Unmarshal(&sh.Archives)
+		p.Omitempty(len(sh.Archives) == 0)
+	}
+	p.End()
 }
 
 // RunShard executes the run range [start, end) of the campaign and returns

@@ -17,7 +17,6 @@ package durable
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -176,8 +175,7 @@ func Recover(f *os.File, decode func(payload []byte, offset int64) error) (int64
 // record so an appended record survives a crash at any instant.
 type Log struct {
 	f   *os.File
-	buf bytes.Buffer // the frame being appended, reused across records
-	enc *json.Encoder
+	buf []byte // the frame being appended, reused across records
 }
 
 // OpenLog opens the log at path, creating it if absent, replays each
@@ -192,22 +190,20 @@ func OpenLog(path string, decode func(payload []byte) error) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{f: f}
-	l.enc = json.NewEncoder(&l.buf)
-	return l, nil
+	return &Log{f: f}, nil
 }
 
-// Append encodes v as one JSON record (the bytes json.Marshal gives), then
-// writes its frame and syncs the file.
-func (l *Log) Append(v any) error {
-	l.buf.Reset()
-	l.buf.Write(Begin(l.buf.AvailableBuffer()))
-	if err := l.enc.Encode(v); err != nil {
-		return err
+// Append writes payload, one encoded JSON record, as one frame and syncs
+// the file. A payload holding a newline would split its frame and is
+// refused.
+func (l *Log) Append(payload []byte) error {
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return errors.New("durable: record payload holds a newline")
 	}
-	Seal(l.buf.Bytes())
+	l.buf = append(append(Begin(l.buf[:0]), payload...), '\n')
+	Seal(l.buf)
 	//air:allow(durable): Append IS the log's framing encoder; buf holds one sealed frame, synced below
-	if _, err := l.f.Write(l.buf.Bytes()); err != nil {
+	if _, err := l.f.Write(l.buf); err != nil {
 		return err
 	}
 	return l.f.Sync()

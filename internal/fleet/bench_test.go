@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -38,9 +37,10 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // BenchmarkComplete measures one lease completion without the network, at
 // lease sizes 2 (fleet-http's) and 64 (the default), retaining and
 // streaming: the worker puts a finished shard in the form its lease asks
-// for (folding it when the coordinator streams) and encodes the request;
-// Handler decodes it, and the coordinator folds retained observations and
-// merges. No journal, so no fsync.
+// for (folding it when the coordinator streams) and encodes the request as
+// Client.Complete does; Handler decodes it, and the coordinator folds
+// retained observations and merges. No journal, so no fsync. The
+// coordinator and its Handler are built outside the timer.
 func BenchmarkComplete(b *testing.B) {
 	for _, retain := range []bool{true, false} {
 		for _, size := range []int{2, 64} {
@@ -61,16 +61,17 @@ func BenchmarkComplete(b *testing.B) {
 					if _, err := c.Submit(spec); err != nil {
 						b.Fatal(err)
 					}
+					h := Handler(c)
 					l, _, _ := c.Acquire("w")
 					sh := &campaign.Shard{Start: ran.Start, End: ran.End, Observations: ran.Observations}
 					b.StartTimer()
 					ship(l, sh)
-					body, err := json.Marshal(completeRequest{Worker: "w", Lease: l, Shard: sh})
+					body, err := encodeComplete("w", l, sh)
 					if err != nil {
 						b.Fatal(err)
 					}
 					rec := httptest.NewRecorder()
-					Handler(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathComplete, bytes.NewReader(body)))
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathComplete, bytes.NewReader(body)))
 					if rec.Code != http.StatusNoContent {
 						b.Fatalf("complete = %d: %s", rec.Code, rec.Body)
 					}

@@ -107,7 +107,7 @@ type Coordinator struct {
 	//air:guard(mu)
 	workers map[string]*workerInfo
 	//air:guard(mu)
-	journal *durable.Log
+	journal *journal
 	// metrics is the fleet-level registry: lease/shard/campaign events,
 	// exported through the same /metrics page as the merged simulation
 	// counters.

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"air/internal/campaign"
+	"air/internal/wire"
 )
 
 // Lease is one contiguous slice of a campaign's run space, handed to a
@@ -65,6 +66,48 @@ type Lease struct {
 
 // Runs is the number of runs the lease covers.
 func (l Lease) Runs() int { return l.End - l.Start }
+
+// appendLease appends l as encoding/json writes it.
+func appendLease(e *wire.Encoder, l *Lease) {
+	e.Raw(`{"campaign":`)
+	e.Str(l.Campaign)
+	e.Raw(`,"index":`)
+	e.Int(int64(l.Index))
+	e.Raw(`,"start":`)
+	e.Int(int64(l.Start))
+	e.Raw(`,"end":`)
+	e.Int(int64(l.End))
+	if l.Retain {
+		e.Raw(`,"retain":true`)
+	}
+	e.OmitemptyInt(`,"renewEvery":`, int64(l.RenewEvery))
+	e.Raw("}")
+}
+
+// parseLease reads into the zero l one lease as appendLease writes it, any
+// member of which may be left out.
+func parseLease(p *wire.Parser, l *Lease) {
+	p.Object()
+	if p.Field(`"campaign":`) {
+		l.Campaign = p.Str()
+	}
+	if p.Field(`"index":`) {
+		l.Index = p.Int()
+	}
+	if p.Field(`"start":`) {
+		l.Start = p.Int()
+	}
+	if p.Field(`"end":`) {
+		l.End = p.Int()
+	}
+	if p.Field(`"retain":`) {
+		l.Retain = p.True()
+	}
+	if p.Field(`"renewEvery":`) {
+		l.RenewEvery = time.Duration(p.NonzeroInt64())
+	}
+	p.End()
+}
 
 // AcquireState is the outcome of asking the coordinator for work.
 type AcquireState int

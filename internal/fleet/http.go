@@ -15,6 +15,7 @@ import (
 
 	"air/internal/campaign"
 	"air/internal/config"
+	"air/internal/wire"
 )
 
 // API paths. The campaign surface is operator-facing; the /fleet surface is
@@ -43,11 +44,67 @@ type acquireResponse struct {
 	Lease *Lease `json:"lease,omitempty"`
 }
 
-// completeRequest is POST /fleet/complete's body.
+// completeRequest is POST /fleet/complete's body. It crosses the wire in
+// one hand-written form, appendCompleteRequest's, which is the bytes
+// encoding/json writes for it.
 type completeRequest struct {
 	Worker string          `json:"worker"`
 	Lease  Lease           `json:"lease"`
 	Shard  *campaign.Shard `json:"shard"`
+}
+
+// encodeComplete is a completion's body as Client.Complete sends it, in a
+// buffer sized for its observations up front.
+func encodeComplete(worker string, l Lease, sh *campaign.Shard) ([]byte, error) {
+	size := 512
+	if sh != nil {
+		size += observationSizeHint * len(sh.Observations)
+	}
+	return appendCompleteRequest(make([]byte, 0, size), &completeRequest{Worker: worker, Lease: l, Shard: sh})
+}
+
+// observationSizeHint is about what one retained run of the default
+// matrix encodes to.
+const observationSizeHint = 4 << 10
+
+// appendCompleteRequest appends r as encoding/json writes it.
+func appendCompleteRequest(dst []byte, r *completeRequest) ([]byte, error) {
+	e := wire.NewEncoder(dst)
+	e.Raw(`{"worker":`)
+	e.Str(r.Worker)
+	e.Raw(`,"lease":`)
+	appendLease(e, &r.Lease)
+	e.Raw(`,"shard":`)
+	if r.Shard == nil {
+		e.Raw("null")
+	} else {
+		campaign.AppendShard(e, r.Shard)
+	}
+	e.Raw("}")
+	return e.Bytes()
+}
+
+// parseCompleteRequest reads one body as appendCompleteRequest writes it,
+// any member of which may be left out, and refuses every other form.
+func parseCompleteRequest(b []byte) (completeRequest, error) {
+	var r completeRequest
+	p := wire.NewParser(b)
+	p.Object()
+	if p.Field(`"worker":`) {
+		r.Worker = p.Str()
+	}
+	if p.Field(`"lease":`) {
+		parseLease(&p, &r.Lease)
+	}
+	if p.Field(`"shard":`) && !p.Null() {
+		r.Shard = &campaign.Shard{}
+		campaign.ParseShard(&p, r.Shard)
+	}
+	p.End()
+	if err := p.Finish(); err != nil {
+		return completeRequest{}, err
+	}
+	return r, nil
 }
 
 // heartbeatRequest is POST /fleet/heartbeat's body. Lease, when set, asks
@@ -156,8 +213,13 @@ func Handler(c *Coordinator) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /fleet/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req completeRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<30)).Decode(&req); err != nil {
+		body, err := readBody(r, 1<<30)
+		if err != nil {
+			http.Error(w, "bad complete request: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		req, err := parseCompleteRequest(body)
+		if err != nil {
 			http.Error(w, "bad complete request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -180,6 +242,19 @@ func Handler(c *Coordinator) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux
+}
+
+// readBody reads a request body of at most limit bytes into one buffer,
+// sized from the Content-Length when the request declares one.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(io.LimitReader(r.Body, limit))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -316,7 +391,11 @@ func (cl *Client) Spec(campaignID string) (campaign.Spec, error) {
 
 // Complete implements Service.
 func (cl *Client) Complete(worker string, l Lease, sh *campaign.Shard) error {
-	return cl.post(pathComplete, completeRequest{Worker: worker, Lease: l, Shard: sh}, nil)
+	body, err := encodeComplete(worker, l, sh)
+	if err != nil {
+		return err
+	}
+	return cl.do(pathComplete, body, nil)
 }
 
 // Heartbeat implements Service.

@@ -20,8 +20,10 @@ type WorkerOptions struct {
 	// Workers sizes the shard's local simulation pool per lease (defaults
 	// to runtime.GOMAXPROCS(0); affects wall clock only, never results).
 	Workers int
-	// Poll is the back-off between Acquire attempts while the coordinator
-	// reports Wait (default 50ms).
+	// Poll caps the back-off between Acquire attempts while the
+	// coordinator reports Wait: it starts at 1ms, doubles up to Poll, and a
+	// grant resets it. Poll is also the base of the back-off after failed
+	// calls (default 50ms).
 	Poll time.Duration
 	// MaxLeases bounds how many leases the shard executes before
 	// returning (0 = until Drained). Tests use 1 to stage shard deaths.
@@ -45,6 +47,9 @@ const (
 	// server-side, so retrying is always safe — and every retry that lands
 	// saves a full re-run of finished work.
 	completeRetries = 3
+	// firstWait is the first back-off after a Wait, so a worker finds a
+	// lease freed by another shard's completion within milliseconds.
+	firstWait = time.Millisecond
 )
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -91,8 +96,9 @@ func drainRequested(stop <-chan struct{}) bool {
 // until the coordinator is drained (or MaxLeases executed, or Stop requests
 // a drain). Returns the number of leases completed.
 //
-// The loop is built to survive an unreliable coordinator path: Acquire
-// failures are retried under a consecutive-failure budget with doubling
+// While the coordinator answers Wait, the loop re-polls with a back-off
+// from 1ms doubling up to Poll. The loop is built to survive an unreliable
+// coordinator path: Acquire failures are retried under a consecutive-failure budget with doubling
 // back-off, a heartbeat goroutine renews the in-flight lease at the lease's
 // RenewEvery so slow progress is never reclaimed as death, and Complete —
 // idempotent server-side — is re-sent before any finished work is
@@ -106,6 +112,7 @@ func Work(svc Service, opts WorkerOptions) (int, error) {
 	specs := map[string]campaign.Spec{}
 	completed := 0
 	failures := 0
+	wait := min(firstWait, opts.Poll)
 	for {
 		if drainRequested(opts.Stop) {
 			return completed, nil
@@ -124,9 +131,11 @@ func Work(svc Service, opts WorkerOptions) (int, error) {
 		case Drained:
 			return completed, nil
 		case Wait:
-			sleep(opts.Poll)
+			sleep(wait)
+			wait = min(2*wait, opts.Poll)
 			continue
 		}
+		wait = min(firstWait, opts.Poll)
 		spec, ok := specs[l.Campaign]
 		if !ok {
 			spec, err = fetchSpec(svc, opts, l.Campaign)

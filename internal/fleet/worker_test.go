@@ -99,3 +99,30 @@ func TestWorkRetryBudgets(t *testing.T) {
 		}
 	}
 }
+
+// scriptedService answers Acquire from a script of states, then Drained.
+type scriptedService struct {
+	Service
+	states []AcquireState
+}
+
+func (s *scriptedService) Acquire(string) (Lease, AcquireState, error) {
+	if len(s.states) == 0 {
+		return Lease{}, Drained, nil
+	}
+	st := s.states[0]
+	s.states = s.states[1:]
+	return Lease{}, st, nil
+}
+
+// TestWorkWaitBacksOffFromOneMillisecond: after a Wait the worker re-polls
+// within milliseconds, not after a whole Poll, so a lease freed by another
+// shard's completion is taken up at once. Poll only caps the back-off.
+func TestWorkWaitBacksOffFromOneMillisecond(t *testing.T) {
+	svc := &scriptedService{states: []AcquireState{Wait, Wait, Drained}}
+	start := time.Now()
+	n, err := Work(svc, WorkerOptions{ID: "w", Workers: 1, Poll: time.Second})
+	if took := time.Since(start); err != nil || n != 0 || took > 300*time.Millisecond {
+		t.Fatalf("Work = %d, %v after %v; want a drained return within milliseconds of two Waits", n, err, took)
+	}
+}

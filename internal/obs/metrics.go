@@ -1,6 +1,9 @@
 package obs
 
-import "air/internal/tick"
+import (
+	"air/internal/tick"
+	"air/internal/wire"
+)
 
 // histBuckets is the number of log2 latency buckets: bucket i counts
 // observations v with 2^(i-1) ≤ v < 2^i (bucket 0 counts v ≤ 0, which the
@@ -207,43 +210,59 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 // Add returns the per-counter sum s + other — how campaign aggregation folds
 // the per-run snapshots of one scenario or fault class into a class total.
 func (s Snapshot) Add(other Snapshot) Snapshot {
-	t := Snapshot{
-		Events:            s.Events + other.Events,
-		DetectionLatency:  addHist(s.DetectionLatency, other.DetectionLatency),
-		WindowGap:         addHist(s.WindowGap, other.WindowGap),
-		MTTR:              addHist(s.MTTR, other.MTTR),
-		DegradedTicks:     addHist(s.DegradedTicks, other.DegradedTicks),
-		RestartDeferral:   addHist(s.RestartDeferral, other.RestartDeferral),
-		RestartsPerWindow: addHist(s.RestartsPerWindow, other.RestartsPerWindow),
-	}
-	if s.Counts != nil || other.Counts != nil {
-		t.Counts = make(map[string]uint64, len(s.Counts)+len(other.Counts))
-		for name, c := range s.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
-			t.Counts[name] += c
-		}
-		for name, c := range other.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
-			t.Counts[name] += c
-		}
-	}
+	var t Snapshot
+	t.Accumulate(&s)
+	t.Accumulate(&other)
 	return t
 }
 
-func addHist(a, b HistSnapshot) HistSnapshot {
-	t := HistSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum, Max: a.Max}
-	if b.Max > t.Max {
-		t.Max = b.Max
-	}
-	if t.Count > 0 {
-		t.Mean = float64(t.Sum) / float64(t.Count)
-	}
-	if n := max(len(a.Buckets), len(b.Buckets)); n > 0 {
-		t.Buckets = make([]uint64, n)
-		copy(t.Buckets, a.Buckets)
-		for i, v := range b.Buckets {
-			t.Buckets[i] += v
+// Accumulate adds o into s in place: Add's one merge rule, without a fresh
+// snapshot per fold. s never takes o's map or bucket slices, so what s
+// accumulates stays independent of o.
+func (s *Snapshot) Accumulate(o *Snapshot) {
+	s.Events += o.Events
+	s.DetectionLatency.accumulate(&o.DetectionLatency)
+	s.WindowGap.accumulate(&o.WindowGap)
+	s.MTTR.accumulate(&o.MTTR)
+	s.DegradedTicks.accumulate(&o.DegradedTicks)
+	s.RestartDeferral.accumulate(&o.RestartDeferral)
+	s.RestartsPerWindow.accumulate(&o.RestartsPerWindow)
+	if o.Counts != nil {
+		if s.Counts == nil {
+			s.Counts = make(map[string]uint64, len(o.Counts))
+		}
+		for name, c := range o.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
+			s.Counts[name] += c
 		}
 	}
-	return t
+}
+
+// accumulate adds o into h in place: counts and sums add, the maximum
+// widens, the mean follows, buckets add index-wise into h's own slice.
+func (h *HistSnapshot) accumulate(o *HistSnapshot) {
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+	h.Mean = 0
+	if h.Count > 0 {
+		h.Mean = float64(h.Sum) / float64(h.Count)
+	}
+	h.Buckets = addBuckets(h.Buckets, o.Buckets)
+}
+
+// addBuckets adds o into b index-wise, growing b to o's length in a slice
+// of its own, and returns it; nil when both are empty.
+func addBuckets(b, o []uint64) []uint64 {
+	if len(o) > len(b) {
+		b = append(b, make([]uint64, len(o)-len(b))...)
+	}
+	for i, v := range o {
+		b[i] += v
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	return b
 }
 
 func subHist(a, b HistSnapshot) HistSnapshot {
@@ -262,4 +281,81 @@ func subHist(a, b HistSnapshot) HistSnapshot {
 		}
 	}
 	return d
+}
+
+// AppendSnapshot appends s as encoding/json writes it: the form a fleet
+// completion carries each run's metrics in.
+func AppendSnapshot(e *wire.Encoder, s *Snapshot) {
+	e.Raw(`{"events":`)
+	e.Uint(s.Events)
+	if len(s.Counts) > 0 {
+		e.Raw(`,"counts":`)
+		e.UintMap(s.Counts)
+	}
+	appendHist(e, `,"detectionLatency":`, &s.DetectionLatency)
+	appendHist(e, `,"windowGap":`, &s.WindowGap)
+	appendHist(e, `,"mttr":`, &s.MTTR)
+	appendHist(e, `,"degradedTicks":`, &s.DegradedTicks)
+	appendHist(e, `,"restartDeferral":`, &s.RestartDeferral)
+	appendHist(e, `,"restartsPerWindow":`, &s.RestartsPerWindow)
+	e.Raw("}")
+}
+
+func appendHist(e *wire.Encoder, key string, h *HistSnapshot) {
+	e.Raw(key)
+	e.Raw(`{"count":`)
+	e.Uint(h.Count)
+	e.Raw(`,"sum":`)
+	e.Uint(h.Sum)
+	e.Raw(`,"max":`)
+	e.Uint(h.Max)
+	e.Raw(`,"mean":`)
+	e.Float(h.Mean)
+	if len(h.Buckets) > 0 {
+		e.Raw(`,"buckets":`)
+		e.Uints(h.Buckets)
+	}
+	e.Raw("}")
+}
+
+// ParseSnapshot reads into the zero s one snapshot as AppendSnapshot writes
+// it, any member of which may be left out.
+func ParseSnapshot(p *wire.Parser, s *Snapshot) {
+	p.Object()
+	if p.Field(`"events":`) {
+		s.Events = p.Uint64()
+	}
+	if p.Field(`"counts":`) {
+		s.Counts = p.NonemptyUintMap()
+	}
+	parseHist(p, `"detectionLatency":`, &s.DetectionLatency)
+	parseHist(p, `"windowGap":`, &s.WindowGap)
+	parseHist(p, `"mttr":`, &s.MTTR)
+	parseHist(p, `"degradedTicks":`, &s.DegradedTicks)
+	parseHist(p, `"restartDeferral":`, &s.RestartDeferral)
+	parseHist(p, `"restartsPerWindow":`, &s.RestartsPerWindow)
+	p.End()
+}
+
+func parseHist(p *wire.Parser, key string, h *HistSnapshot) {
+	if !p.Field(key) {
+		return
+	}
+	p.Object()
+	if p.Field(`"count":`) {
+		h.Count = p.Uint64()
+	}
+	if p.Field(`"sum":`) {
+		h.Sum = p.Uint64()
+	}
+	if p.Field(`"max":`) {
+		h.Max = p.Uint64()
+	}
+	if p.Field(`"mean":`) {
+		h.Mean = p.Float64()
+	}
+	if p.Field(`"buckets":`) {
+		h.Buckets = p.NonemptyUints()
+	}
+	p.End()
 }

@@ -1,6 +1,9 @@
 package timeline
 
-import "air/internal/tick"
+import (
+	"air/internal/tick"
+	"air/internal/wire"
+)
 
 // histBuckets is the number of log2 buckets of a timeline histogram: bucket
 // i (i ≥ 1) counts observations v with 2^(i-1) ≤ v < 2^i, bucket 0 counts
@@ -79,26 +82,81 @@ func (h *hist) snap() HistSnap {
 // Add merges two snapshots: counts and sums add, extrema widen, buckets add
 // index-wise. Campaign aggregation folds per-run histograms through it.
 func (s HistSnap) Add(o HistSnap) HistSnap {
-	t := HistSnap{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
+	var t HistSnap
+	t.accumulate(&s)
+	t.accumulate(&o)
+	return t
+}
+
+// accumulate adds o into s in place, Add's one merge rule: the buckets add
+// into s's own slice, grown to o's length, never o's.
+func (s *HistSnap) accumulate(o *HistSnap) {
 	switch {
 	case s.Count == 0:
-		t.Min, t.Max = o.Min, o.Max
-	case o.Count == 0:
-		t.Min, t.Max = s.Min, s.Max
-	default:
-		t.Min, t.Max = min(s.Min, o.Min), max(s.Max, o.Max)
+		s.Min, s.Max = o.Min, o.Max
+	case o.Count != 0:
+		s.Min, s.Max = min(s.Min, o.Min), max(s.Max, o.Max)
 	}
-	if t.Count > 0 {
-		t.Mean = float64(t.Sum) / float64(t.Count)
+	s.Count += o.Count
+	s.Sum += o.Sum
+	s.Mean = 0
+	if s.Count > 0 {
+		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
-	if n := max(len(s.Buckets), len(o.Buckets)); n > 0 {
-		t.Buckets = make([]uint64, n)
-		copy(t.Buckets, s.Buckets)
-		for i, v := range o.Buckets {
-			t.Buckets[i] += v
-		}
+	if len(o.Buckets) > len(s.Buckets) {
+		s.Buckets = append(s.Buckets, make([]uint64, len(o.Buckets)-len(s.Buckets))...)
 	}
-	return t
+	for i, v := range o.Buckets {
+		s.Buckets[i] += v
+	}
+	if len(s.Buckets) == 0 {
+		s.Buckets = nil
+	}
+}
+
+func appendHist(e *wire.Encoder, key string, h *HistSnap) {
+	e.Raw(key)
+	e.Raw(`{"count":`)
+	e.Uint(h.Count)
+	e.Raw(`,"sum":`)
+	e.Uint(h.Sum)
+	e.Raw(`,"min":`)
+	e.Uint(h.Min)
+	e.Raw(`,"max":`)
+	e.Uint(h.Max)
+	e.Raw(`,"mean":`)
+	e.Float(h.Mean)
+	if len(h.Buckets) > 0 {
+		e.Raw(`,"buckets":`)
+		e.Uints(h.Buckets)
+	}
+	e.Raw("}")
+}
+
+func parseHist(p *wire.Parser, key string, h *HistSnap) {
+	if !p.Field(key) {
+		return
+	}
+	p.Object()
+	if p.Field(`"count":`) {
+		h.Count = p.Uint64()
+	}
+	if p.Field(`"sum":`) {
+		h.Sum = p.Uint64()
+	}
+	if p.Field(`"min":`) {
+		h.Min = p.Uint64()
+	}
+	if p.Field(`"max":`) {
+		h.Max = p.Uint64()
+	}
+	if p.Field(`"mean":`) {
+		h.Mean = p.Float64()
+	}
+	if p.Field(`"buckets":`) {
+		h.Buckets = p.NonemptyUints()
+	}
+	p.End()
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the log2 buckets: the

@@ -30,6 +30,7 @@ import (
 	"air/internal/model"
 	"air/internal/obs"
 	"air/internal/tick"
+	"air/internal/wire"
 )
 
 // Options configures an analyzer.
@@ -669,9 +670,9 @@ func (t *Timeline) Snapshot() Snapshot {
 			Slack:       st.slack.snap(),
 		}
 		s.Processes = append(s.Processes, p)
-		s.Response = s.Response.Add(p.Response)
-		s.Jitter = s.Jitter.Add(p.Jitter)
-		s.Slack = s.Slack.Add(p.Slack)
+		s.Response.accumulate(&p.Response)
+		s.Jitter.accumulate(&p.Jitter)
+		s.Slack.accumulate(&p.Slack)
 	}
 	sortProcs(s.Processes)
 	return s
@@ -680,86 +681,356 @@ func (t *Timeline) Snapshot() Snapshot {
 // Add merges two snapshots (union of partitions and processes by key,
 // histograms and counters folded) — the campaign aggregation primitive.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	out := Snapshot{
-		Ticks:            s.Ticks + o.Ticks,
-		Schedule:         s.Schedule,
-		DeadlineMisses:   s.DeadlineMisses + o.DeadlineMisses,
-		EarlyWarnings:    s.EarlyWarnings + o.EarlyWarnings,
-		EarlyWarningLead: s.EarlyWarningLead.Add(o.EarlyWarningLead),
-		ModelViolations:  s.ModelViolations + o.ModelViolations,
-		Response:         s.Response.Add(o.Response),
-		Jitter:           s.Jitter.Add(o.Jitter),
-		Slack:            s.Slack.Add(o.Slack),
-	}
-	if out.Schedule == "" {
-		out.Schedule = o.Schedule
-	} else if o.Schedule != "" && o.Schedule != out.Schedule {
-		out.Schedule = "mixed"
-	}
-	if s.Archive != nil || o.Archive != nil {
-		var a ArchiveSnap
-		for _, in := range []*ArchiveSnap{s.Archive, o.Archive} {
-			if in != nil {
-				a.Segments += in.Segments
-				a.Bytes += in.Bytes
-				a.Records += in.Records
-			}
-		}
-		out.Archive = &a
-	}
+	var t Snapshot
+	t.Accumulate(&s)
+	t.Accumulate(&o)
+	return t
+}
 
-	parts := make(map[partKey]PartSnap, len(s.Partitions)+len(o.Partitions))
-	for _, lst := range [][]PartSnap{s.Partitions, o.Partitions} {
-		for _, p := range lst {
-			k := p.key()
-			if have, ok := parts[k]; ok {
-				have.Windows += p.Windows
-				have.Supplied += p.Supplied
-				have.Shortfalls += p.Shortfalls
-				have.LastCycleSupplied = p.LastCycleSupplied
-				if have.CycleTicks == 0 {
-					have.CycleTicks, have.BudgetTicks = p.CycleTicks, p.BudgetTicks
-				}
-				parts[k] = have
-			} else {
-				parts[k] = p
-			}
+// Accumulate merges o into s in place: Add's one merge rule, without a
+// fresh snapshot per fold. Rows merge-join, as both sides keep them in key
+// order; a key s lacks is copied in with its own buckets, so what s
+// accumulates never aliases o.
+func (s *Snapshot) Accumulate(o *Snapshot) {
+	s.Ticks += o.Ticks
+	if s.Schedule == "" {
+		s.Schedule = o.Schedule
+	} else if o.Schedule != "" && o.Schedule != s.Schedule {
+		s.Schedule = "mixed"
+	}
+	s.DeadlineMisses += o.DeadlineMisses
+	s.EarlyWarnings += o.EarlyWarnings
+	s.EarlyWarningLead.accumulate(&o.EarlyWarningLead)
+	s.ModelViolations += o.ModelViolations
+	s.Response.accumulate(&o.Response)
+	s.Jitter.accumulate(&o.Jitter)
+	s.Slack.accumulate(&o.Slack)
+	if o.Archive != nil {
+		if s.Archive == nil {
+			s.Archive = &ArchiveSnap{}
+		}
+		s.Archive.Segments += o.Archive.Segments
+		s.Archive.Bytes += o.Archive.Bytes
+		s.Archive.Records += o.Archive.Records
+	}
+	s.Partitions = mergeRows(s.Partitions, o.Partitions)
+	if s.Ticks > 0 {
+		for i := range s.Partitions {
+			s.Partitions[i].Utilization = float64(s.Partitions[i].Supplied) / float64(s.Ticks)
 		}
 	}
-	for _, p := range parts { //air:allow(maprange): collected into a slice and sorted below
-		out.Partitions = append(out.Partitions, p)
-	}
-	sortParts(out.Partitions)
-	if out.Ticks > 0 {
-		for i := range out.Partitions {
-			out.Partitions[i].Utilization =
-				float64(out.Partitions[i].Supplied) / float64(out.Ticks)
-		}
-	}
+	s.Processes = mergeRows(s.Processes, o.Processes)
+}
 
-	procs := make(map[procKey]ProcSnap, len(s.Processes)+len(o.Processes))
-	for _, lst := range [][]ProcSnap{s.Processes, o.Processes} {
-		for _, p := range lst {
-			k := p.key()
-			if have, ok := procs[k]; ok {
-				have.Releases += p.Releases
-				have.Completions += p.Completions
-				have.Misses += p.Misses
-				have.Warnings += p.Warnings
-				have.Response = have.Response.Add(p.Response)
-				have.Jitter = have.Jitter.Add(p.Jitter)
-				have.Slack = have.Slack.Add(p.Slack)
-				procs[k] = have
-			} else {
-				procs[k] = p
-			}
+// row is a snapshot row, PartSnap or ProcSnap: ordered and merged by key.
+type row[R any] interface {
+	*R
+	compare(o *R) int
+	merge(o *R)
+	clone() R
+}
+
+// mergeRows merge-joins o's rows into rows, both in key order: a row whose
+// key rows holds merges into it, any other is cloned in. It works in place
+// when rows holds every key of o, and returns nil for no rows.
+func mergeRows[R any, P row[R]](rows, o []R) []R {
+	missing := 0
+	for i, j := 0, 0; j < len(o); {
+		if i == len(rows) {
+			missing += len(o) - j
+			break
+		}
+		switch c := P(&rows[i]).compare(&o[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			missing++
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	for _, p := range procs { //air:allow(maprange): collected into a slice and sorted below
-		out.Processes = append(out.Processes, p)
+	if missing == 0 {
+		// The same walk as above, which met every row of o.
+		for i, j := 0, 0; j < len(o); i++ {
+			if P(&rows[i]).compare(&o[j]) == 0 {
+				P(&rows[i]).merge(&o[j])
+				j++
+			}
+		}
+		if len(rows) == 0 {
+			return nil
+		}
+		return rows
 	}
-	sortProcs(out.Processes)
+	out := make([]R, 0, len(rows)+missing)
+	i, j := 0, 0
+	for i < len(rows) || j < len(o) {
+		c := -1
+		switch {
+		case i == len(rows):
+			c = 1
+		case j < len(o):
+			c = P(&rows[i]).compare(&o[j])
+		}
+		switch {
+		case c < 0:
+			out = append(out, rows[i])
+			i++
+		case c > 0:
+			out = append(out, P(&o[j]).clone())
+			j++
+		default:
+			P(&rows[i]).merge(&o[j])
+			out = append(out, rows[i])
+			i++
+			j++
+		}
+	}
 	return out
+}
+
+func (p *PartSnap) compare(o *PartSnap) int { return p.key().compare(o.key()) }
+
+func (p *ProcSnap) compare(o *ProcSnap) int { return p.key().compare(o.key()) }
+
+// merge folds a later snapshot's row of the same partition into p: supply
+// adds, the last cycle is the later one's, the contract the first known.
+func (p *PartSnap) merge(o *PartSnap) {
+	p.Windows += o.Windows
+	p.Supplied += o.Supplied
+	p.Shortfalls += o.Shortfalls
+	p.LastCycleSupplied = o.LastCycleSupplied
+	if p.CycleTicks == 0 {
+		p.CycleTicks, p.BudgetTicks = o.CycleTicks, o.BudgetTicks
+	}
+}
+
+func (p *PartSnap) clone() PartSnap { return *p }
+
+// merge folds another snapshot's row of the same process into p.
+func (p *ProcSnap) merge(o *ProcSnap) {
+	p.Releases += o.Releases
+	p.Completions += o.Completions
+	p.Misses += o.Misses
+	p.Warnings += o.Warnings
+	p.Response.accumulate(&o.Response)
+	p.Jitter.accumulate(&o.Jitter)
+	p.Slack.accumulate(&o.Slack)
+}
+
+// clone copies p with buckets of its own, its three histograms' in one
+// allocation. Each slice is capped at its length, so growing one never
+// writes into the next.
+func (p *ProcSnap) clone() ProcSnap {
+	c := *p
+	r, j, s := len(p.Response.Buckets), len(p.Jitter.Buckets), len(p.Slack.Buckets)
+	if r+j+s == 0 {
+		return c
+	}
+	buf := make([]uint64, r+j+s)
+	c.Response.Buckets = cloneInto(buf[:r:r], p.Response.Buckets)
+	c.Jitter.Buckets = cloneInto(buf[r:r+j:r+j], p.Jitter.Buckets)
+	c.Slack.Buckets = cloneInto(buf[r+j:], p.Slack.Buckets)
+	return c
+}
+
+// cloneInto copies src into dst, of src's length, keeping src's nil.
+func cloneInto(dst, src []uint64) []uint64 {
+	if src == nil {
+		return nil
+	}
+	copy(dst, src)
+	return dst
+}
+
+// AppendSnapshot appends s as encoding/json writes it: the form a fleet
+// completion carries each run's timeline in.
+func AppendSnapshot(e *wire.Encoder, s *Snapshot) {
+	e.Raw(`{"ticks":`)
+	e.Uint(s.Ticks)
+	if s.Schedule != "" {
+		e.Raw(`,"schedule":`)
+		e.Str(s.Schedule)
+	}
+	e.Raw(`,"partitions":`)
+	wire.AppendArray(e, s.Partitions, appendPart)
+	e.Raw(`,"processes":`)
+	wire.AppendArray(e, s.Processes, appendProc)
+	appendHist(e, `,"response":`, &s.Response)
+	appendHist(e, `,"jitter":`, &s.Jitter)
+	appendHist(e, `,"slack":`, &s.Slack)
+	e.Raw(`,"deadlineMisses":`)
+	e.Uint(s.DeadlineMisses)
+	e.Raw(`,"earlyWarnings":`)
+	e.Uint(s.EarlyWarnings)
+	appendHist(e, `,"earlyWarningLead":`, &s.EarlyWarningLead)
+	e.Raw(`,"modelViolations":`)
+	e.Uint(s.ModelViolations)
+	if a := s.Archive; a != nil {
+		e.Raw(`,"archive":{"segments":`)
+		e.Uint(a.Segments)
+		e.Raw(`,"bytes":`)
+		e.Uint(a.Bytes)
+		e.Raw(`,"records":`)
+		e.Uint(a.Records)
+		e.Raw("}")
+	}
+	e.Raw("}")
+}
+
+func appendPart(e *wire.Encoder, p *PartSnap) {
+	e.Raw("{")
+	if p.Core != 0 {
+		e.Raw(`"core":`)
+		e.Int(int64(p.Core))
+		e.Raw(",")
+	}
+	e.Raw(`"partition":`)
+	e.Str(p.Partition)
+	e.Raw(`,"windows":`)
+	e.Uint(p.Windows)
+	e.Raw(`,"suppliedTicks":`)
+	e.Uint(p.Supplied)
+	e.Raw(`,"utilization":`)
+	e.Float(p.Utilization)
+	e.OmitemptyUint(`,"cycleTicks":`, p.CycleTicks)
+	e.OmitemptyUint(`,"budgetTicks":`, p.BudgetTicks)
+	e.OmitemptyUint(`,"lastCycleSupplied":`, p.LastCycleSupplied)
+	e.OmitemptyUint(`,"shortfalls":`, p.Shortfalls)
+	e.Raw("}")
+}
+
+func appendProc(e *wire.Encoder, p *ProcSnap) {
+	e.Raw("{")
+	if p.Core != 0 {
+		e.Raw(`"core":`)
+		e.Int(int64(p.Core))
+		e.Raw(",")
+	}
+	e.Raw(`"partition":`)
+	e.Str(p.Partition)
+	e.Raw(`,"process":`)
+	e.Str(p.Process)
+	e.Raw(`,"releases":`)
+	e.Uint(p.Releases)
+	e.Raw(`,"completions":`)
+	e.Uint(p.Completions)
+	e.OmitemptyUint(`,"misses":`, p.Misses)
+	e.OmitemptyUint(`,"warnings":`, p.Warnings)
+	appendHist(e, `,"response":`, &p.Response)
+	appendHist(e, `,"jitter":`, &p.Jitter)
+	appendHist(e, `,"slack":`, &p.Slack)
+	e.Raw("}")
+}
+
+// ParseSnapshot reads into the zero s one snapshot as AppendSnapshot writes
+// it, any member of which may be left out.
+func ParseSnapshot(p *wire.Parser, s *Snapshot) {
+	p.Object()
+	if p.Field(`"ticks":`) {
+		s.Ticks = p.Uint64()
+	}
+	if p.Field(`"schedule":`) {
+		s.Schedule = p.NonemptyStr()
+	}
+	if p.Field(`"partitions":`) {
+		s.Partitions = wire.ParseArray(p, parsePart)
+	}
+	if p.Field(`"processes":`) {
+		s.Processes = wire.ParseArray(p, parseProc)
+	}
+	parseHist(p, `"response":`, &s.Response)
+	parseHist(p, `"jitter":`, &s.Jitter)
+	parseHist(p, `"slack":`, &s.Slack)
+	if p.Field(`"deadlineMisses":`) {
+		s.DeadlineMisses = p.Uint64()
+	}
+	if p.Field(`"earlyWarnings":`) {
+		s.EarlyWarnings = p.Uint64()
+	}
+	parseHist(p, `"earlyWarningLead":`, &s.EarlyWarningLead)
+	if p.Field(`"modelViolations":`) {
+		s.ModelViolations = p.Uint64()
+	}
+	if p.Field(`"archive":`) {
+		a := &ArchiveSnap{}
+		p.Object()
+		if p.Field(`"segments":`) {
+			a.Segments = p.Uint64()
+		}
+		if p.Field(`"bytes":`) {
+			a.Bytes = p.Uint64()
+		}
+		if p.Field(`"records":`) {
+			a.Records = p.Uint64()
+		}
+		p.End()
+		s.Archive = a
+	}
+	p.End()
+}
+
+func parsePart(p *wire.Parser, r *PartSnap) {
+	p.Object()
+	if p.Field(`"core":`) {
+		r.Core = p.NonzeroInt()
+	}
+	if p.Field(`"partition":`) {
+		r.Partition = p.Str()
+	}
+	if p.Field(`"windows":`) {
+		r.Windows = p.Uint64()
+	}
+	if p.Field(`"suppliedTicks":`) {
+		r.Supplied = p.Uint64()
+	}
+	if p.Field(`"utilization":`) {
+		r.Utilization = p.Float64()
+	}
+	if p.Field(`"cycleTicks":`) {
+		r.CycleTicks = p.NonzeroUint64()
+	}
+	if p.Field(`"budgetTicks":`) {
+		r.BudgetTicks = p.NonzeroUint64()
+	}
+	if p.Field(`"lastCycleSupplied":`) {
+		r.LastCycleSupplied = p.NonzeroUint64()
+	}
+	if p.Field(`"shortfalls":`) {
+		r.Shortfalls = p.NonzeroUint64()
+	}
+	p.End()
+}
+
+func parseProc(p *wire.Parser, r *ProcSnap) {
+	p.Object()
+	if p.Field(`"core":`) {
+		r.Core = p.NonzeroInt()
+	}
+	if p.Field(`"partition":`) {
+		r.Partition = p.Str()
+	}
+	if p.Field(`"process":`) {
+		r.Process = p.Str()
+	}
+	if p.Field(`"releases":`) {
+		r.Releases = p.Uint64()
+	}
+	if p.Field(`"completions":`) {
+		r.Completions = p.Uint64()
+	}
+	if p.Field(`"misses":`) {
+		r.Misses = p.NonzeroUint64()
+	}
+	if p.Field(`"warnings":`) {
+		r.Warnings = p.NonzeroUint64()
+	}
+	parseHist(p, `"response":`, &r.Response)
+	parseHist(p, `"jitter":`, &r.Jitter)
+	parseHist(p, `"slack":`, &r.Slack)
+	p.End()
 }
 
 func (p *PartSnap) key() partKey {
