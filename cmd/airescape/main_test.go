@@ -17,8 +17,8 @@ internal/obs/hot.go:20:12: func literal escapes to heap
 internal/obs/hot.go:25:2: xs does not escape
 not a diagnostic line
 # air/internal/pal
-internal/pal/heap.go:159:6: can inline (*HeapQueue).fix
-internal/pal/heap.go:159:7: q does not escape
+internal/pal/queue.go:165:6: can inline (*ListQueue).unlink
+internal/pal/queue.go:165:7: q does not escape
 internal/pal/queue.go:181:6: can inline less
 # air/internal/core
 internal/core/snapshot.go:200:14: make(map[pos.ProcessID]ForkableBody, len(pt.forkable)) escapes to heap

@@ -15,9 +15,9 @@ import (
 //
 // The document's partition options map onto the runtime: policy
 // "round-robin" selects the non-real-time POS scheduler, deadlineQueue
-// "list" selects the paper's sorted linked list and "tree" the AVL deadline
-// structure (Sect. 5.3 ablation) in place of the default array-heap, and
-// system: true authorizes module-level services.
+// "tree" selects the AVL deadline structure (Sect. 5.3 ablation) in place of
+// the paper's sorted linked list ("" or "list"), and system: true authorizes
+// module-level services.
 func (m *Module) BuildCoreConfig(inits map[string]core.InitFunc) (core.Config, error) {
 	sys, report, err := m.Verify()
 	if err != nil {
@@ -48,8 +48,7 @@ func (m *Module) BuildCoreConfig(inits map[string]core.InitFunc) (core.Config, e
 				p.Name, p.Policy)
 		}
 		switch p.DeadlineQueue {
-		case "":
-		case "list":
+		case "", "list":
 			pc.Queue = core.QueueList
 		case "tree":
 			pc.Queue = core.QueueTree

@@ -57,13 +57,13 @@ func TestBuildCoreConfigAndRun(t *testing.T) {
 }
 
 // TestBuildCoreConfigDeadlineQueue maps each document queue name to its
-// runtime queue: the default is the array-heap, and "list" is the paper's
-// sorted list, not the default.
+// runtime queue: the default and "list" are the paper's sorted list, and
+// "tree" is the AVL tree.
 func TestBuildCoreConfigDeadlineQueue(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want core.QueueKind
-	}{{"", core.QueueHeap}, {"list", core.QueueList}, {"tree", core.QueueTree}} {
+	}{{"", core.QueueList}, {"list", core.QueueList}, {"tree", core.QueueTree}} {
 		doc := Fig8Module()
 		doc.Partitions[0].DeadlineQueue = tc.name
 		cfg, err := doc.BuildCoreConfig(nil)

@@ -40,9 +40,8 @@ type Partition struct {
 	System bool `json:"system,omitempty"`
 	// Policy is "priority" (default) or "round-robin".
 	Policy string `json:"policy,omitempty"`
-	// DeadlineQueue is empty for the array-heap (default), "list" for the
-	// paper's sorted linked list or "tree" for the AVL tree (Sect. 5.3
-	// ablation).
+	// DeadlineQueue is empty or "list" for the paper's sorted linked list
+	// (default), or "tree" for the AVL tree (Sect. 5.3 ablation).
 	DeadlineQueue string `json:"deadlineQueue,omitempty"`
 	// Processes declares the partition's task set for offline analysis.
 	Processes []Process `json:"processes,omitempty"`

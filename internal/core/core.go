@@ -52,7 +52,7 @@ type PartitionConfig struct {
 	// Policy selects the POS scheduler; zero value = priority preemptive.
 	Policy pos.Policy
 	// Queue selects the PAL deadline queue (Sect. 5.3 ablation); the zero
-	// value is the flat array-heap. All three queues share the (deadline,
+	// value is the paper's sorted list. Both queues share the (deadline,
 	// pid) total order, so the choice never changes a trace byte — only the
 	// constant factors.
 	Queue QueueKind
@@ -78,8 +78,7 @@ type QueueKind uint8
 
 // Deadline queue kinds.
 const (
-	QueueHeap QueueKind = iota // flat array-heap, the default
-	QueueList                  // the paper's sorted doubly linked list
+	QueueList QueueKind = iota // the paper's sorted doubly linked list, the default
 	QueueTree                  // AVL tree, the discussed alternative
 )
 

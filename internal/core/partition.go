@@ -156,14 +156,9 @@ func newPartition(m *Module, cfg PartitionConfig) (*Partition, error) {
 // buildKernel creates a fresh POS kernel + PAL pair for the partition.
 func (pt *Partition) buildKernel() {
 	nowFn := func() tick.Ticks { return pt.mod.now }
-	var queue pal.DeadlineQueue
-	switch pt.cfg.Queue {
-	case QueueTree:
+	var queue pal.DeadlineQueue // nil: pal.New installs the list
+	if pt.cfg.Queue == QueueTree {
 		queue = pal.NewTreeQueue()
-	case QueueList:
-		queue = pal.NewListQueue()
-	default:
-		queue = pal.NewHeapQueue()
 	}
 	p := pal.New(pal.Config{
 		Partition: pt.name,

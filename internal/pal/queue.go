@@ -60,10 +60,11 @@ type listNode struct {
 // ListQueue is the paper's production implementation: a sorted doubly linked
 // list with a per-process index map. "Since we already have a pointer to the
 // node to be removed, the complexity of the deadline removal from the linked
-// list will effectively be O(1)" (Sect. 5.3).
+// list will effectively be O(1)" (Sect. 5.3). A process keeps its node while
+// its deadline is registered, so updating a deadline does not allocate.
 type ListQueue struct {
-	head, tail *listNode
-	index      map[pos.ProcessID]*listNode
+	head  *listNode
+	index map[pos.ProcessID]*listNode
 }
 
 var _ DeadlineQueue = (*ListQueue)(nil)
@@ -73,41 +74,33 @@ func NewListQueue() *ListQueue {
 	return &ListQueue{index: make(map[pos.ProcessID]*listNode)}
 }
 
-// Register inserts or updates pid's deadline, keeping ascending order.
+// Register inserts or updates pid's deadline, keeping ascending order. An
+// update (a replenish, a periodic wait) re-links the process's node.
 func (q *ListQueue) Register(e Entry) {
-	if n, ok := q.index[e.PID]; ok {
+	n, ok := q.index[e.PID]
+	if ok {
 		q.unlink(n)
+		n.entry = e
+	} else {
+		n = &listNode{entry: e}
+		q.index[e.PID] = n
 	}
-	n := &listNode{entry: e}
-	q.index[e.PID] = n
 	// O(n) ordered insertion — performed in the partition's execution
 	// window, not inside the clock tick ISR.
 	var after *listNode
-	for cur := q.head; cur != nil; cur = cur.next {
-		if less(cur.entry, e) {
-			after = cur
-			continue
-		}
-		break
+	for cur := q.head; cur != nil && less(cur.entry, e); cur = cur.next {
+		after = cur
 	}
 	if after == nil { // new head
 		n.next = q.head
-		if q.head != nil {
-			q.head.prev = n
-		}
 		q.head = n
-		if q.tail == nil {
-			q.tail = n
-		}
-		return
+	} else {
+		n.prev = after
+		n.next = after.next
+		after.next = n
 	}
-	n.prev = after
-	n.next = after.next
-	after.next = n
 	if n.next != nil {
 		n.next.prev = n
-	} else {
-		q.tail = n
 	}
 }
 
@@ -118,11 +111,14 @@ func (q *ListQueue) Unregister(pid pos.ProcessID) bool {
 		return false
 	}
 	q.unlink(n)
+	delete(q.index, pid)
 	return true
 }
 
 // Earliest returns the head of the list — O(1), the property the paper
 // requires for verification inside the system clock ISR.
+//
+//air:hotpath
 func (q *ListQueue) Earliest() (Entry, bool) {
 	if q.head == nil {
 		return Entry{}, false
@@ -131,13 +127,18 @@ func (q *ListQueue) Earliest() (Entry, bool) {
 }
 
 // RemoveEarliest unlinks the head in O(1).
+//
+//air:hotpath
 func (q *ListQueue) RemoveEarliest() {
-	if q.head != nil {
-		q.unlink(q.head)
+	if n := q.head; n != nil {
+		q.unlink(n)
+		delete(q.index, n.entry.PID)
 	}
 }
 
 // Len returns the number of registered deadlines.
+//
+//air:hotpath
 func (q *ListQueue) Len() int { return len(q.index) }
 
 // Entries returns the registered deadlines in ascending order.
@@ -158,6 +159,9 @@ func (q *ListQueue) Clone() DeadlineQueue {
 	return c
 }
 
+// unlink detaches n from the list; the index map keeps it.
+//
+//air:hotpath
 func (q *ListQueue) unlink(n *listNode) {
 	if n.prev != nil {
 		n.prev.next = n.next
@@ -166,11 +170,8 @@ func (q *ListQueue) unlink(n *listNode) {
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
-	} else {
-		q.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
-	delete(q.index, n.entry.PID)
 }
 
 // less orders entries by (deadline, pid); the pid tiebreak makes ordering

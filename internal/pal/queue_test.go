@@ -2,6 +2,7 @@ package pal
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -133,19 +134,27 @@ func TestQueueRemoveEarliestEmpty(t *testing.T) {
 
 // TestQueueEquivalenceProperty drives both implementations with the same
 // random operation sequence and requires identical observable behaviour —
-// the tree is validated against the list as a reference model.
+// the tree is validated against the list as a reference model. A Clone step
+// (the fork path) requires the copy to equal its source, and neither's
+// later mutations to reach the other.
 func TestQueueEquivalenceProperty(t *testing.T) {
 	type op struct {
 		Kind     uint8
 		PID      uint8
 		Deadline uint16
 	}
+	// frozen is a queue replaced by its clone, with the entries it held
+	// when the sequence moved on to the clone.
+	type frozen struct {
+		q    DeadlineQueue
+		want []Entry
+	}
 	prop := func(ops []op) bool {
-		list := NewListQueue()
-		avl := NewTreeQueue()
+		var list, avl DeadlineQueue = NewListQueue(), NewTreeQueue()
+		var sources []frozen
 		for _, o := range ops {
 			pid := pos.ProcessID(o.PID%32 + 1)
-			switch o.Kind % 3 {
+			switch o.Kind % 4 {
 			case 0:
 				e := Entry{PID: pid, Deadline: tick.Ticks(o.Deadline)}
 				list.Register(e)
@@ -157,6 +166,19 @@ func TestQueueEquivalenceProperty(t *testing.T) {
 			case 2:
 				list.RemoveEarliest()
 				avl.RemoveEarliest()
+			case 3:
+				lc, ac := list.Clone(), avl.Clone()
+				want := list.Entries()
+				// Mutate the sources, then go on with the clones.
+				for _, q := range []DeadlineQueue{list, avl} {
+					q.Register(Entry{PID: pid, Deadline: tick.Ticks(o.Deadline)})
+					q.RemoveEarliest()
+					sources = append(sources, frozen{q, q.Entries()})
+				}
+				if !slices.Equal(lc.Entries(), want) || !slices.Equal(ac.Entries(), want) {
+					return false
+				}
+				list, avl = lc, ac
 			}
 			if list.Len() != avl.Len() {
 				return false
@@ -166,21 +188,45 @@ func TestQueueEquivalenceProperty(t *testing.T) {
 			if lok != aok || le != ae {
 				return false
 			}
-			les, aes := list.Entries(), avl.Entries()
-			for i := range les {
-				if les[i] != aes[i] {
-					return false
-				}
+			les := list.Entries()
+			if !slices.Equal(les, avl.Entries()) {
+				return false
 			}
 			// Entries must be ascending.
 			if !sort.SliceIsSorted(les, func(i, j int) bool { return less(les[i], les[j]) }) {
 				return false
+			}
+			for _, f := range sources {
+				if f.q.Len() != len(f.want) || !slices.Equal(f.q.Entries(), f.want) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestListQueueUpdateAllocFree: updating a registered deadline (a
+// replenish, a periodic wait) re-links the process's node, so the list
+// allocates only for a process it does not hold.
+func TestListQueueUpdateAllocFree(t *testing.T) {
+	q := NewListQueue()
+	for pid := pos.ProcessID(1); pid <= 8; pid++ {
+		q.Register(Entry{PID: pid, Deadline: tick.Ticks(100 * pid)})
+	}
+	var d tick.Ticks
+	allocs := testing.AllocsPerRun(100, func() {
+		d = (d + 337) % 1000
+		q.Register(Entry{PID: 3, Deadline: d})
+	})
+	if allocs != 0 {
+		t.Errorf("Register of a registered pid: %v allocs, want 0", allocs)
+	}
+	if q.Len() != 8 {
+		t.Errorf("Len = %d, want 8", q.Len())
 	}
 }
 

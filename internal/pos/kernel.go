@@ -433,11 +433,10 @@ func (k *Kernel) PeriodicWait(id ProcessID) error {
 
 // ClockAnnounce advances the kernel's view of time to now: time-bounded
 // waits that expired are resolved (delays and period releases wake normally;
-// object waits wake with TimedOut set). It returns the processes released in
-// this announcement so the APEX layer can update deadlines for periodic
-// releases.
-func (k *Kernel) ClockAnnounce(now tick.Ticks) []*Process {
-	var released []*Process
+// object waits wake with TimedOut set).
+//
+//air:hotpath
+func (k *Kernel) ClockAnnounce(now tick.Ticks) {
 	for _, p := range k.procs {
 		if p.State != model.StateWaiting || p.Suspended {
 			continue
@@ -446,26 +445,20 @@ func (k *Kernel) ClockAnnounce(now tick.Ticks) []*Process {
 			continue
 		}
 		switch p.WaitingOn {
-		case WaitDelay:
+		case WaitDelay, WaitPeriod:
+			// Delay expired or release point reached; a periodic
+			// activation's deadline was already registered at PeriodicWait
+			// time.
 			k.makeReady(p)
 			k.emitRelease(p, now)
-			released = append(released, p)
-		case WaitPeriod:
-			// Release point reached; the activation's deadline was already
-			// registered at PeriodicWait time.
-			k.makeReady(p)
-			k.emitRelease(p, now)
-			released = append(released, p)
 		case WaitSuspended:
 			// Unbounded; nothing to do (defensive: WakeAt is Infinity).
 		default:
 			// Object wait timed out.
 			p.TimedOut = true
 			k.makeReady(p)
-			released = append(released, p)
 		}
 	}
-	return released
 }
 
 // Heir selects the heir process per eq. (14): the highest-priority eligible
@@ -608,6 +601,8 @@ func (k *Kernel) ResetAll() {
 // when the deadline expired while the owning partition was off the
 // processor), so the timeline analyzer can reconstruct the deadline instant
 // without any allocation on this path.
+//
+//air:hotpath
 func (k *Kernel) emitRelease(p *Process, now tick.Ticks) {
 	var remaining tick.Ticks
 	if p.HasDeadline {
@@ -617,6 +612,7 @@ func (k *Kernel) emitRelease(p *Process, now tick.Ticks) {
 		Partition: k.partition, Process: p.Spec.Name, Latency: remaining})
 }
 
+//air:hotpath
 func (k *Kernel) makeReady(p *Process) {
 	p.State = model.StateReady
 	p.WaitingOn = WaitNone

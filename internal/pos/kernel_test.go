@@ -156,14 +156,12 @@ func TestDelayedStart(t *testing.T) {
 	}
 	// Before expiry nothing wakes.
 	clock.now = 49
-	if rel := k.ClockAnnounce(49); len(rel) != 0 {
-		t.Fatalf("woke early: %v", rel)
+	k.ClockAnnounce(49)
+	if p.State != model.StateWaiting || p.WaitingOn != WaitDelay {
+		t.Fatalf("woke early: %s on %s", p.State, p.WaitingOn)
 	}
 	clock.now = 50
-	rel := k.ClockAnnounce(50)
-	if len(rel) != 1 || rel[0].ID != id {
-		t.Fatalf("release = %v", rel)
-	}
+	k.ClockAnnounce(50)
 	if p.State != model.StateReady {
 		t.Errorf("state after release = %s", p.State)
 	}
@@ -351,9 +349,9 @@ func TestPeriodicWaitAndRelease(t *testing.T) {
 		t.Errorf("deadline = %d (observer %d), want 200 at wait time", p.Deadline, obs.set[id])
 	}
 	clock.now = 100
-	rel := k.ClockAnnounce(100)
-	if len(rel) != 1 {
-		t.Fatalf("releases = %v", rel)
+	k.ClockAnnounce(100)
+	if p.State != model.StateReady {
+		t.Fatalf("state after release = %s", p.State)
 	}
 	if p.Deadline != 200 || obs.set[id] != 200 {
 		t.Errorf("deadline = %d (observer %d), want 200", p.Deadline, obs.set[id])
@@ -394,8 +392,9 @@ func TestBlockWakeAndTimeout(t *testing.T) {
 		t.Fatalf("blocked state: %s on %s", p.State, p.WaitingOn)
 	}
 	// Unbounded wait never times out.
-	if rel := k.ClockAnnounce(1 << 40); len(rel) != 0 {
-		t.Fatal("unbounded wait woke by clock")
+	k.ClockAnnounce(1 << 40)
+	if p.State != model.StateWaiting || p.TimedOut {
+		t.Fatalf("unbounded wait woke by clock: %s timedOut=%v", p.State, p.TimedOut)
 	}
 	if err := k.Wake(id); err != nil {
 		t.Fatal(err)
@@ -408,9 +407,9 @@ func TestBlockWakeAndTimeout(t *testing.T) {
 	if err := k.Block(id, WaitEvent, 150); err != nil {
 		t.Fatal(err)
 	}
-	rel := k.ClockAnnounce(150)
-	if len(rel) != 1 || !p.TimedOut {
-		t.Fatalf("timeout: releases=%v timedOut=%v", rel, p.TimedOut)
+	k.ClockAnnounce(150)
+	if p.State != model.StateReady || !p.TimedOut {
+		t.Fatalf("timeout: %s timedOut=%v", p.State, p.TimedOut)
 	}
 	// Waking a non-waiting process errors.
 	if err := k.Wake(id); !errors.Is(err, ErrNotWaiting) {

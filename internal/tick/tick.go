@@ -31,6 +31,8 @@ func (t Ticks) String() string {
 }
 
 // IsInfinite reports whether t is the unbounded sentinel.
+//
+//air:hotpath
 func (t Ticks) IsInfinite() bool { return t == Infinity }
 
 // GCD returns the greatest common divisor of a and b. GCD(0, b) = b.

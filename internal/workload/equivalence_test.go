@@ -51,34 +51,33 @@ func runTraced(t *testing.T, cfg core.Config, n tick.Ticks) (trace, health []byt
 	return tb.Bytes(), hb.Bytes(), m.Metrics()
 }
 
-// TestCompiledScheduleEquivalence proves the compiled deadline queue — the
-// flat array-heap — is observationally identical to the paper's sorted-list
-// deadline queue: the full JSONL trace, the health log and the metrics
-// snapshot must match byte for byte on every committed scenario. The
-// Partition Scheduler's compiled tables are checked against Algorithm 1 by
-// pmk's TestSchedulerLockstep.
+// TestCompiledScheduleEquivalence proves the paper's sorted-list deadline
+// queue, which every partition runs by default, is observationally identical
+// to the AVL tree it is ablated against (Sect. 5.3): the full JSONL trace,
+// the health log and the metrics snapshot must match byte for byte on every
+// committed scenario. The Partition Scheduler's compiled tables are checked
+// against Algorithm 1 by pmk's TestSchedulerLockstep.
 func TestCompiledScheduleEquivalence(t *testing.T) {
 	const horizon = 8 * forkMTF
 	for name, opts := range equivalenceScenarios() { //air:allow(maprange): subtests; t.Run output is name-keyed
 		t.Run(name, func(t *testing.T) {
-			compiled := Config(opts)
-			trace1, health1, metrics1 := runTraced(t, compiled, horizon)
+			trace1, health1, metrics1 := runTraced(t, Config(opts), horizon)
 
-			list := Config(opts)
-			for i := range list.Partitions {
-				list.Partitions[i].Queue = core.QueueList
+			tree := Config(opts)
+			for i := range tree.Partitions {
+				tree.Partitions[i].Queue = core.QueueTree
 			}
-			trace2, health2, metrics2 := runTraced(t, list, horizon)
+			trace2, health2, metrics2 := runTraced(t, tree, horizon)
 
 			if !bytes.Equal(trace1, trace2) {
-				t.Errorf("array-heap trace differs from sorted-list trace (%d vs %d bytes)",
+				t.Errorf("sorted-list trace differs from AVL-tree trace (%d vs %d bytes)",
 					len(trace1), len(trace2))
 			}
 			if !bytes.Equal(health1, health2) {
-				t.Errorf("array-heap health log differs from sorted-list health log")
+				t.Errorf("sorted-list health log differs from AVL-tree health log")
 			}
 			if !reflect.DeepEqual(metrics1, metrics2) {
-				t.Errorf("array-heap metrics differ from sorted-list metrics")
+				t.Errorf("sorted-list metrics differ from AVL-tree metrics")
 			}
 		})
 	}
