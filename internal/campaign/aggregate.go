@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"time"
 
@@ -195,13 +196,48 @@ type Result struct {
 }
 
 // JSON serializes the result deterministically (map keys sorted by
-// encoding/json, observations ordered by run index, no timing fields).
+// encoding/json, observations ordered by run index, no timing fields) as
+// json.MarshalIndent(r, "", "  ") and a newline. It encodes each field and
+// observation on its own, once to size the artifact and once into a buffer
+// of that size: one large allocation, where MarshalIndent makes several.
 func (r *Result) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	walk := func(write func([]byte)) (err error) {
+		encode := func(sep string, v any, prefix string) {
+			buf.Reset()
+			enc.SetIndent(prefix, "  ")
+			if err == nil {
+				err = enc.Encode(v)
+			}
+			write([]byte(sep))
+			write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+		}
+		encode("{\n  \"seed\": ", r.Seed, "  ")
+		encode(",\n  \"runs\": ", r.Runs, "  ")
+		encode(",\n  \"mtfsPerRun\": ", r.MTFs, "  ")
+		encode(",\n  \"scenarios\": ", r.Scenarios, "  ")
+		if len(r.Observations) == 0 {
+			encode(",\n  \"observations\": ", r.Observations, "  ") // null or []
+		} else {
+			sep := ",\n  \"observations\": [\n    "
+			for i := range r.Observations {
+				encode(sep, &r.Observations[i], "    ")
+				sep = ",\n    "
+			}
+			write([]byte("\n  ]"))
+		}
+		encode(",\n  \"aggregate\": ", &r.Aggregate, "  ")
+		write([]byte("\n}\n"))
+		return err
+	}
+	size := 0
+	if err := walk(func(b []byte) { size += len(b) }); err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	out := make([]byte, 0, size)
+	err := walk(func(b []byte) { out = append(out, b...) })
+	return out, err
 }
 
 // NewAggregate returns an empty aggregate ready for incremental folding.

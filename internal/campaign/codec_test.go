@@ -89,6 +89,47 @@ func TestObservationCodecMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestResultJSONMatchesMarshalIndent: Result.JSON writes the bytes of
+// json.MarshalIndent(r, "", "  ") and a newline, for a default-matrix
+// campaign and for results whose slices are nil, empty or one long, and it
+// fails where MarshalIndent fails.
+func TestResultJSONMatchesMarshalIndent(t *testing.T) {
+	res, err := Run(Spec{Runs: 64, Seed: 1, MTFs: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Result{
+		res,
+		{},
+		{Scenarios: []string{}, Observations: []Observation{}},
+		{Seed: 9, Scenarios: res.Scenarios[:1], Observations: res.Observations[:1]},
+	} {
+		want, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		got, err := r.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			n := 0
+			for n < len(got) && n < len(want) && got[n] == want[n] {
+				n++
+			}
+			t.Fatalf("JSON differs from MarshalIndent at byte %d of %d: %.80q, want %.80q", n, len(want), got[n:], want[n:])
+		}
+	}
+	nan := &Result{Aggregate: Aggregate{MTTRMean: math.NaN()}}
+	if _, err := json.MarshalIndent(nan, "", "  "); err == nil {
+		t.Fatal("MarshalIndent of a NaN mean: no error")
+	}
+	if _, err := nan.JSON(); err == nil {
+		t.Fatal("JSON of a NaN mean: no error")
+	}
+}
+
 // TestFoldLeavesObservationsUnchanged: folding and merging accumulate in
 // place but never into the observations or partials they read — retained
 // observations go into a campaign's result as they arrived.
