@@ -15,7 +15,8 @@
 // per sealed segment, and a manifest:
 //
 //	MANIFEST.json     sealed-segment catalog (records, seq/tick/byte
-//	                  bounds), rewritten atomically at each seal
+//	                  bounds) in compact JSON, rewritten atomically at
+//	                  each seal
 //	seg-000001.jsonl  CRC-framed records, one per line
 //	seg-000001.idx    the sealed segment's sparse tick index, written once
 //	                  at its seal
@@ -38,10 +39,18 @@
 // entry per segment, so opening a reader and sealing a segment cost
 // O(segments); a reader reads a segment's index only when a scan first
 // seeks into that segment by tick. A missing index file means no seek
-// points: the scan enters the segment at its start. Archives written before
-// index files existed carry each segment's index inside MANIFEST.json
-// instead; readers ignore that key, so their scans enter every segment at
-// its start, and a writer reopening one drops it at its next seal.
+// points: the scan enters the segment at its start.
+//
+// Both catalog files hold encoding/json's compact form of their value, and
+// readers parse that form without reflection (internal/wire), as they do
+// frames. An index payload in any other form is corrupt, as a frame's is.
+// A manifest in any other form is read by encoding/json, so every archive
+// written before the compact manifest still opens: the indented manifests
+// of earlier writers, and those of archives written before index files
+// existed, which carry each segment's index inside MANIFEST.json. Readers
+// ignore that key, so their scans enter every segment at its start, and a
+// writer reopening either kind writes the compact manifest, without the
+// key, at its next seal.
 //
 // The frame and its recovery rule belong to internal/durable, which the
 // fleet journal shares. A seal fsyncs the segment, then writes its index

@@ -62,7 +62,8 @@ func genEvents(n int) []obs.Event {
 	return out
 }
 
-// writeArchive runs events through a sink into dir.
+// writeArchive runs events through a sink into dir, and checks that the
+// catalog files it leaves parse to what encoding/json reads from them.
 func writeArchive(t testing.TB, dir string, events []obs.Event, opts archive.Options) {
 	t.Helper()
 	s, err := archive.Open(dir, opts)
@@ -74,6 +75,9 @@ func writeArchive(t testing.TB, dir string, events []obs.Event, opts archive.Opt
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := archive.CheckCatalog(dir); err != nil {
+		t.Fatalf("the catalog a sink wrote: %v", err)
 	}
 }
 
@@ -641,6 +645,11 @@ func indexFile(t *testing.T, entries []archive.IndexEntry) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return framed(payload)
+}
+
+// framed renders payload as one durable frame.
+func framed(payload []byte) []byte {
 	frame := append(append(durable.Begin(nil), payload...), '\n')
 	durable.Seal(frame)
 	return frame
@@ -663,12 +672,14 @@ func indexEntries(t *testing.T, path string) []archive.IndexEntry {
 
 // TestIndexFileRejectsBadEntries rewrites sealed segment 2's index file
 // with one rule broken per case: entries whose seqs and offsets strictly
-// increase and lie inside the segment, in one CRC-valid frame. The archive
-// still opens, since a reader reads an index only when a scan first seeks
-// into its segment. Every scan that seeks into segment 2 fails with an
-// error naming the file, on every call, and succeeds on the same reader
-// once the file is mended; AsOf, Diff and scans that seek elsewhere still
-// match the reference.
+// increase and lie inside the segment, in one CRC-valid frame, in the
+// compact form writeIndex writes. The entries indented, or with their keys
+// reordered, are a frame encoding/json reads but corrupt all the same. The
+// archive still opens, since a reader reads an index only when a scan
+// first seeks into its segment. Every scan that seeks into segment 2 fails
+// with an error naming the file, on every call, and succeeds on the same
+// reader once the file is mended; AsOf, Diff and scans that seek elsewhere
+// still match the reference.
 func TestIndexFileRejectsBadEntries(t *testing.T) {
 	events := genEvents(64)
 	opts := archive.Options{SegmentRecords: 16, IndexEvery: 4}
@@ -689,10 +700,28 @@ func TestIndexFileRejectsBadEntries(t *testing.T) {
 	}
 	flipped := slices.Clone(good)
 	flipped[3] = flipHexDigit(flipped[3])
+	indented, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered := []byte("[")
+	for i, ent := range entries {
+		if i > 0 {
+			reordered = append(reordered, ',')
+		}
+		reordered = fmt.Appendf(reordered, `{"t":%d,"offset":%d,"seq":%d}`, ent.Tick, ent.Offset, ent.Seq)
+	}
+	reordered = append(reordered, ']')
+	for _, payload := range [][]byte{indented, reordered} {
+		var got []archive.IndexEntry
+		if err := json.Unmarshal(payload, &got); err != nil || !reflect.DeepEqual(got, entries) {
+			t.Fatalf("encoding/json reads %q as %+v, %v; want the intact entries", payload, got, err)
+		}
+	}
 	cases := []struct {
 		name    string
 		data    []byte
-		corrupt bool // a bad frame: the error wraps durable.ErrCorrupt
+		corrupt bool // a bad frame or payload form: the error wraps durable.ErrCorrupt
 	}{
 		{"index seqs not increasing", edited(func(idx []archive.IndexEntry) { idx[2].Seq = idx[1].Seq }), false},
 		{"index offsets not increasing", edited(func(idx []archive.IndexEntry) { idx[2].Offset = idx[1].Offset }), false},
@@ -700,6 +729,8 @@ func TestIndexFileRejectsBadEntries(t *testing.T) {
 		{"index seq before the segment", edited(func(idx []archive.IndexEntry) { idx[0].Seq = seg.SeqStart - 1 }), false},
 		{"index offset past the segment", edited(func(idx []archive.IndexEntry) { idx[len(idx)-1].Offset = seg.Bytes }), false},
 		{"flipped crc digit", flipped, true},
+		{"index indented", framed(indented), true},
+		{"index keys reordered", framed(reordered), true},
 	}
 	seeking := []archive.Query{
 		{SinceTick: seg.MinTick + 1, UntilTick: -1},
@@ -757,68 +788,103 @@ func TestIndexFileRejectsBadEntries(t *testing.T) {
 	}
 }
 
-// TestOldManifestIndexIgnored opens an archive in the layout written before
-// index files existed: each segment's index inside MANIFEST.json, here with
-// offsets past the segments, and no index files. Readers ignore the old key
-// and enter every segment at its start, so Scan, AsOf and Diff match the
-// reference; a writer reopening the archive drops the key at its next seal.
+// TestOldManifestIndexIgnored opens archives in the layouts earlier
+// writers left: each segment's index inside MANIFEST.json, here with
+// offsets past the segments, and no index files, as written before index
+// files existed; and the manifest indented by json.MarshalIndent, with no
+// index key, as written before the compact manifest. Readers ignore the
+// old key and enter every segment at its start, and read the indented
+// manifest through encoding/json, so Scan, AsOf and Diff match the
+// reference; a writer reopening either archive writes the compact
+// manifest, without the key, at its next seal.
 func TestOldManifestIndexIgnored(t *testing.T) {
 	events := genEvents(400)
 	opts := archive.Options{SegmentRecords: 64, IndexEvery: 8}
-	dir, twin := t.TempDir(), t.TempDir()
-	writeArchive(t, dir, events[:300], opts)
+	twin := t.TempDir()
 	writeArchive(t, twin, events[:300], opts)
-	path := filepath.Join(dir, "MANIFEST.json")
-	var m map[string]any
-	if err := json.Unmarshal(readFile(t, path), &m); err != nil {
-		t.Fatal(err)
-	}
-	for i, seg := range m["segments"].([]any) {
-		idxPath := filepath.Join(dir, fmt.Sprintf("seg-%06d.idx", i+1))
-		entries := indexEntries(t, idxPath)
-		entries[len(entries)-1].Offset = 1 << 40
-		seg.(map[string]any)["index"] = entries
-		if err := os.Remove(idxPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, path, append(data, '\n'))
-
-	r := openReader(t, dir)
-	maxTick := int64(events[299].Time)
-	for _, since := range []int64{0, 1, maxTick / 3, maxTick / 2, maxTick - 1} {
-		for _, until := range []int64{-1, since + maxTick/5} {
-			if err := checkScan(r, events[:300], archive.Query{SinceTick: since, UntilTick: until}); err != nil {
+	layouts := []struct {
+		name    string
+		rewrite func(t *testing.T, dir string) []byte // the older manifest
+	}{
+		{"index in manifest", func(t *testing.T, dir string) []byte {
+			var m map[string]any
+			if err := json.Unmarshal(readFile(t, filepath.Join(dir, "MANIFEST.json")), &m); err != nil {
 				t.Fatal(err)
 			}
-		}
+			for i, seg := range m["segments"].([]any) {
+				idxPath := filepath.Join(dir, fmt.Sprintf("seg-%06d.idx", i+1))
+				entries := indexEntries(t, idxPath)
+				entries[len(entries)-1].Offset = 1 << 40
+				seg.(map[string]any)["index"] = entries
+				if err := os.Remove(idxPath); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := json.MarshalIndent(m, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}},
+		{"indented manifest", func(t *testing.T, dir string) []byte {
+			var m archive.Manifest
+			if err := json.Unmarshal(readFile(t, filepath.Join(dir, "MANIFEST.json")), &m); err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.MarshalIndent(m, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}},
 	}
-	for _, c := range []cut{{-1, 0}, {maxTick / 2, 0}, {-1, 150}} {
-		got, err := r.AsOf(c.tick, c.seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := referenceAsOf(events[:300], c.tick, c.seq); !reflect.DeepEqual(got, want) {
-			t.Fatalf("AsOf(%d, %d) diverges from reference", c.tick, c.seq)
-		}
-	}
-	if d, err := archive.Diff(r, openReader(t, twin)); err != nil || d.Diverged {
-		t.Fatalf("Diff against the twin in the current layout = %+v, %v", d, err)
-	}
+	for _, layout := range layouts {
+		t.Run(layout.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeArchive(t, dir, events[:300], opts)
+			path := filepath.Join(dir, "MANIFEST.json")
+			writeFile(t, path, append(layout.rewrite(t, dir), '\n'))
+			if _, err := archive.ParseManifest(readFile(t, path)); err == nil {
+				t.Fatal("the older manifest is in the compact form")
+			}
 
-	writeArchive(t, dir, events[300:], opts)
-	if bytes.Contains(readFile(t, path), []byte(`"index"`)) {
-		t.Fatal("a reopened writer's seal kept the old index key")
-	}
-	if got := readAll(t, dir); len(got) != len(events) {
-		t.Fatalf("read %d records after the reopened writer's appends, want %d", len(got), len(events))
-	}
-	if err := checkScan(openReader(t, dir), events, archive.Query{SinceTick: int64(events[350].Time), UntilTick: -1}); err != nil {
-		t.Fatal(err)
+			r := openReader(t, dir)
+			maxTick := int64(events[299].Time)
+			for _, since := range []int64{0, 1, maxTick / 3, maxTick / 2, maxTick - 1} {
+				for _, until := range []int64{-1, since + maxTick/5} {
+					if err := checkScan(r, events[:300], archive.Query{SinceTick: since, UntilTick: until}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, c := range []cut{{-1, 0}, {maxTick / 2, 0}, {-1, 150}} {
+				got, err := r.AsOf(c.tick, c.seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceAsOf(events[:300], c.tick, c.seq); !reflect.DeepEqual(got, want) {
+					t.Fatalf("AsOf(%d, %d) diverges from reference", c.tick, c.seq)
+				}
+			}
+			if d, err := archive.Diff(r, openReader(t, twin)); err != nil || d.Diverged {
+				t.Fatalf("Diff against the twin in the current layout = %+v, %v", d, err)
+			}
+
+			writeArchive(t, dir, events[300:], opts)
+			data := readFile(t, path)
+			if bytes.Contains(data, []byte(`"index"`)) {
+				t.Fatal("a reopened writer's seal kept the old index key")
+			}
+			if _, err := archive.ParseManifest(data); err != nil {
+				t.Fatalf("a reopened writer's seal left the manifest in an older form: %v", err)
+			}
+			if got := readAll(t, dir); len(got) != len(events) {
+				t.Fatalf("read %d records after the reopened writer's appends, want %d", len(got), len(events))
+			}
+			if err := checkScan(openReader(t, dir), events, archive.Query{SinceTick: int64(events[350].Time), UntilTick: -1}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,13 @@ package archive
 // CheckpointEvery is the fold checkpoint stride, for the external tests.
 const CheckpointEvery = checkpointEvery
 
+// ParseManifest is the manifest parser, for the external tests.
+var ParseManifest = parseManifest
+
+// CheckCatalog reports whether the catalog files in dir parse to what
+// encoding/json reads from them, for the external tests.
+var CheckCatalog = checkCatalog
+
 // Checkpoints returns how many fold checkpoints r holds.
 func (r *Reader) Checkpoints() int {
 	r.mu.Lock()

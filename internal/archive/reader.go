@@ -2,7 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +13,7 @@ import (
 
 	"air/internal/durable"
 	"air/internal/obs"
+	"air/internal/wire"
 )
 
 // checkpointEvery is the fold checkpoint stride: AsOf records its state
@@ -310,7 +310,8 @@ func (r *Reader) seek(i int, since int64) (pos, error) {
 
 // readIndex reads and checks the n-th segment's index file: one durable
 // frame of IndexEntry points whose seqs and offsets strictly increase and
-// lie inside seg. A missing file is an empty index.
+// lie inside seg. A missing file is an empty index. A payload that is not
+// in the form writeIndex writes is corrupt, as a frame's is.
 func readIndex(dir string, n int, seg SegmentMeta) ([]IndexEntry, error) {
 	name := indexName(n)
 	data, err := os.ReadFile(filepath.Join(dir, name))
@@ -323,7 +324,7 @@ func readIndex(dir string, n int, seg SegmentMeta) ([]IndexEntry, error) {
 	var index []IndexEntry
 	payload, err := durable.Payload(bytes.TrimSuffix(data, []byte("\n")))
 	if err == nil {
-		if err = json.Unmarshal(payload, &index); err != nil {
+		if index, err = parseIndex(payload); err != nil {
 			err = fmt.Errorf("%w: %w", durable.ErrCorrupt, err)
 		}
 	}
@@ -338,6 +339,27 @@ func readIndex(dir string, n int, seg SegmentMeta) ([]IndexEntry, error) {
 		prev = ent
 	}
 	return index, nil
+}
+
+// parseIndex reads an index payload as writeIndex writes it, without
+// reflection: encoding/json's compact array of IndexEntry points, each
+// with every member in field order. It accepts that form only; whatever it
+// accepts, encoding/json decodes to the same entries.
+func parseIndex(payload []byte) ([]IndexEntry, error) {
+	p := wire.NewParser(payload)
+	index := wire.ParseArray(&p, parseIndexEntry)
+	return index, p.Finish()
+}
+
+// parseIndexEntry reads one sparse index point.
+func parseIndexEntry(p *wire.Parser, ent *IndexEntry) {
+	p.Want(`{"seq":`)
+	ent.Seq = p.Uint64()
+	p.Want(`,"t":`)
+	ent.Tick = p.Int64()
+	p.Want(`,"offset":`)
+	ent.Offset = p.Int64()
+	p.Want("}")
 }
 
 // scanOne reads segment p.seg from frame p to its end, or until q stops

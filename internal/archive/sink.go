@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"air/internal/durable"
 	"air/internal/obs"
+	"air/internal/wire"
 )
 
 // Sink is the archive writer: an obs.Sink that appends every spine event it
@@ -112,23 +114,64 @@ func readManifest(dir string) (Manifest, error) {
 	}
 }
 
+// decodeManifest reads the catalog in dir. The form writeManifest writes is
+// read by parseManifest; a manifest in any other form goes through
+// encoding/json, so the indented manifests of earlier writers, and those
+// that still carry each segment's index, open as they always have. The
+// version check and validate run on either path.
 func decodeManifest(dir string) (Manifest, error) {
-	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
-		m.Version = manifestVersion
-		return m, nil
+		return Manifest{Version: manifestVersion}, nil
 	}
 	if err != nil {
-		return m, err
+		return Manifest{}, err
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, err
+	m, err := parseManifest(data)
+	if err != nil {
+		m = Manifest{} // json.Unmarshal would merge into what the parse left
+		if err := json.Unmarshal(data, &m); err != nil {
+			return m, err
+		}
 	}
 	if m.Version != manifestVersion {
 		return m, fmt.Errorf("unsupported version %d", m.Version)
 	}
 	return m, m.validate()
+}
+
+// parseManifest reads a manifest as writeManifest writes it, without
+// reflection: encoding/json's compact form of a Manifest, every member in
+// field order, and one newline. It accepts that form only; whatever it
+// accepts, encoding/json decodes to the same Manifest.
+func parseManifest(data []byte) (Manifest, error) {
+	var m Manifest
+	p := wire.NewParser(bytes.TrimSuffix(data, []byte("\n")))
+	p.Want(`{"version":`)
+	m.Version = p.Int()
+	p.Want(`,"records":`)
+	m.Records = p.Uint64()
+	p.Want(`,"segments":`)
+	m.Segments = wire.ParseArray(&p, parseSegmentMeta)
+	p.Want("}")
+	return m, p.Finish()
+}
+
+// parseSegmentMeta reads one manifest segment entry.
+func parseSegmentMeta(p *wire.Parser, seg *SegmentMeta) {
+	p.Want(`{"name":`)
+	seg.Name = p.Str()
+	p.Want(`,"records":`)
+	seg.Records = p.Uint64()
+	p.Want(`,"seqStart":`)
+	seg.SeqStart = p.Uint64()
+	p.Want(`,"minTick":`)
+	seg.MinTick = p.Int64()
+	p.Want(`,"maxTick":`)
+	seg.MaxTick = p.Int64()
+	p.Want(`,"bytes":`)
+	seg.Bytes = p.Int64()
+	p.Want("}")
 }
 
 // validate checks that the catalog describes this archive's own segment
@@ -312,9 +355,10 @@ func writeIndex(dir string, n int, index []IndexEntry) error {
 	return nil
 }
 
-// writeManifest atomically replaces the catalog.
+// writeManifest atomically replaces the catalog with encoding/json's
+// compact form of m and a newline, the form parseManifest reads.
 func writeManifest(dir string, m Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err == nil {
 		err = durable.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644)
 	}

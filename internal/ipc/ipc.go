@@ -205,18 +205,17 @@ func (c *QueuingChannel) Send(from model.PartitionName, data []byte, now tick.Ti
 }
 
 // Receive dequeues the oldest visible message (destination side). On a
-// remote channel a message still in flight is not yet receivable.
+// remote channel a message still in flight is not yet receivable. An empty
+// queue, or one whose head is still in flight, returns the bare
+// ErrQueueEmpty, so a receiver that polls every frame allocates nothing.
 func (c *QueuingChannel) Receive(to model.PartitionName, now tick.Ticks) ([]byte, error) {
 	if to != c.cfg.Destination.Partition {
 		return nil, fmt.Errorf("%w: %s receiving on %s", ErrNotDestination, to, c.cfg.Name)
 	}
-	if len(c.queue) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrQueueEmpty, c.cfg.Name)
+	if len(c.queue) == 0 || now < c.queue[0].sent+c.cfg.Latency {
+		return nil, ErrQueueEmpty
 	}
 	head := c.queue[0]
-	if now < head.sent+c.cfg.Latency {
-		return nil, fmt.Errorf("%w: %s (in flight)", ErrQueueEmpty, c.cfg.Name)
-	}
 	c.queue = c.queue[1:]
 	c.obs.Emit(obs.Event{Time: now, Kind: obs.KindPortReceive,
 		Partition: to, Process: c.cfg.Destination.Port, Detail: c.cfg.Name})

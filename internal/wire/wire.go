@@ -1,7 +1,8 @@
 // Package wire holds the JSON primitives every hand-written codec in the
-// repository shares: the spine record (obs.AppendRecord, obs.ParseRecord)
-// and the fleet's lease completion, whose observation snapshots are coded
-// beside their types in obs, timeline and campaign.
+// repository shares: the spine record (obs.AppendRecord, obs.ParseRecord),
+// the flight archive's catalog parsers, and the fleet's lease completion,
+// whose observation snapshots are coded beside their types in obs,
+// timeline and campaign.
 //
 // The writers produce exactly the bytes encoding/json's Marshal writes for
 // the same Go value: strings HTML-escaped and coerced to valid UTF-8,

@@ -17,8 +17,8 @@ func TestAllocsPerMTF(t *testing.T) {
 		opts Options
 		max  float64
 	}{
-		{"nominal", Options{}, 24},
-		{"sect6_fault", Options{Faults: []FaultSpec{{Kind: FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}}, 36},
+		{"nominal", Options{}, 18},
+		{"sect6_fault", Options{Faults: []FaultSpec{{Kind: FaultDeadlineOverrun, Partition: "P1", Deadline: 220}}}, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := startSatellite(t, tc.opts)
