@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"time"
 
 	"air/internal/obs"
@@ -44,23 +45,9 @@ type Observation struct {
 	HMByLevel     map[string]int `json:"hmByLevel"`
 	HMByCode      map[string]int `json:"hmByCode"`
 	HMByFaultKind map[string]int `json:"hmByFaultKind"`
-	// Recovery-action counters, read from the observability spine's
-	// metrics registry.
-	PartitionRestarts int `json:"partitionRestarts,omitempty"`
-	ProcessRestarts   int `json:"processRestarts,omitempty"`
-	ScheduleSwitches  int `json:"scheduleSwitches,omitempty"`
-	// Recovery-orchestration effectiveness (internal/recovery): deferred
-	// restarts, quarantine entries, lifted quarantines (each carrying an
-	// MTTR — ticks from quarantine entry to the healthy probe), ticks spent
-	// in safe-mode schedules and nominal-schedule restores. All zero when
-	// the campaign runs without a recovery policy.
-	RestartsDeferred int   `json:"restartsDeferred,omitempty"`
-	Quarantines      int   `json:"quarantines,omitempty"`
-	Recoveries       int   `json:"recoveries,omitempty"`
-	MTTRSum          int64 `json:"mttrSum,omitempty"`
-	MTTRMax          int64 `json:"mttrMax,omitempty"`
-	TicksDegraded    int64 `json:"ticksDegraded,omitempty"`
-	ScheduleRestores int   `json:"scheduleRestores,omitempty"`
+	// Counters holds the run's restart and recovery counters, read off
+	// Metrics.
+	Counters
 	// Contained reports error confinement: every HM event of the run lies
 	// on a partition targeted by an injected fault (vacuously true for the
 	// fault-free baseline).
@@ -88,18 +75,20 @@ type FaultDraw struct {
 	Phase     int64  `json:"phaseTicks,omitempty"`
 }
 
-// ClassAgg accumulates the observations of one class of runs (a scenario or
-// a fault kind).
-type ClassAgg struct {
-	Runs              int `json:"runs"`
-	Degraded          int `json:"degraded,omitempty"`
-	Halted            int `json:"halted,omitempty"`
-	DeadlineMisses    int `json:"deadlineMisses"`
-	HMEvents          int `json:"hmEvents"`
+// Counters are the restart and recovery counters of a run or of a class of
+// runs. Each is a function of the level's metrics snapshot (countersOf), so
+// a level reads them off the snapshot it accumulated instead of summing
+// them on their own.
+type Counters struct {
+	// Recovery actions: partition and process restarts, schedule switches.
 	PartitionRestarts int `json:"partitionRestarts,omitempty"`
 	ProcessRestarts   int `json:"processRestarts,omitempty"`
 	ScheduleSwitches  int `json:"scheduleSwitches,omitempty"`
-	// Recovery-orchestration effectiveness sums (see Observation).
+	// Recovery-orchestration effectiveness (internal/recovery): deferred
+	// restarts, quarantine entries, lifted quarantines (each carrying an
+	// MTTR — ticks from quarantine entry to the healthy probe), ticks spent
+	// in safe-mode schedules and nominal-schedule restores. All zero when
+	// the campaign runs without a recovery policy.
 	RestartsDeferred int   `json:"restartsDeferred,omitempty"`
 	Quarantines      int   `json:"quarantines,omitempty"`
 	Recoveries       int   `json:"recoveries,omitempty"`
@@ -107,6 +96,37 @@ type ClassAgg struct {
 	MTTRMax          int64 `json:"mttrMax,omitempty"`
 	TicksDegraded    int64 `json:"ticksDegraded,omitempty"`
 	ScheduleRestores int   `json:"scheduleRestores,omitempty"`
+}
+
+// countersOf reads the counters off a metrics snapshot: the one mapping
+// from spine event kinds and histograms to counters.
+func countersOf(s *obs.Snapshot) Counters {
+	// Snapshot.CountKind would copy the snapshot on every call.
+	n := func(k obs.Kind) int { return int(s.Counts[k.String()]) }
+	return Counters{
+		PartitionRestarts: n(obs.KindPartitionRestart),
+		ProcessRestarts:   n(obs.KindProcessRestarted),
+		ScheduleSwitches:  n(obs.KindScheduleSwitch),
+		RestartsDeferred:  n(obs.KindRestartDeferred),
+		Quarantines:       n(obs.KindQuarantineEnter),
+		Recoveries:        n(obs.KindQuarantineExit),
+		MTTRSum:           int64(s.MTTR.Sum),
+		MTTRMax:           int64(s.MTTR.Max),
+		TicksDegraded:     int64(s.DegradedTicks.Sum),
+		ScheduleRestores:  n(obs.KindScheduleRestore),
+	}
+}
+
+// ClassAgg accumulates the observations of one class of runs (a scenario or
+// a fault kind).
+type ClassAgg struct {
+	Runs           int `json:"runs"`
+	Degraded       int `json:"degraded,omitempty"`
+	Halted         int `json:"halted,omitempty"`
+	DeadlineMisses int `json:"deadlineMisses"`
+	HMEvents       int `json:"hmEvents"`
+	// Counters are read off Metrics after every merge.
+	Counters
 	// ContainedRuns counts the class's runs whose HM activity stayed on
 	// fault-target partitions.
 	ContainedRuns int `json:"containedRuns"`
@@ -276,62 +296,48 @@ func (a *Aggregate) init() {
 }
 
 // Fold accumulates one observation into the aggregate — the streaming form
-// of campaign aggregation. Observations of one aggregate must be folded in
-// run order (merging the campaign's Timeline snapshots is order-sensitive in
-// its last-cycle fields); derived means and quantiles are recomputed after
-// every fold, so the aggregate is always consistent and serializable.
+// of campaign aggregation, and the one-run form of Merge: the run's totals
+// merge into the aggregate, and the run, as a one-run class, into its
+// scenario class and each distinct fault-kind class. Observations of one
+// aggregate must be folded in run order (merging the campaign's Timeline
+// snapshots is order-sensitive in its last-cycle fields); derived means and
+// quantiles are recomputed after every fold, so the aggregate is always
+// consistent and serializable.
 func (a *Aggregate) Fold(o Observation) {
-	a.init()
-	a.Runs++
-	if o.Degraded {
-		a.Degraded++
+	// Merge and merge only read their argument, so the one-run values share
+	// the observation's maps and snapshots.
+	run := ClassAgg{
+		Runs:           1,
+		Degraded:       count(o.Degraded),
+		Halted:         count(o.Halted),
+		DeadlineMisses: o.DeadlineMisses,
+		HMEvents:       hmTotal(o.HMByLevel),
+		ContainedRuns:  count(o.Contained),
+		Metrics:        o.Metrics,
+		Timeline:       o.Timeline,
 	}
-	if o.Halted {
-		a.Halted++
-	}
-	a.Ticks += o.Ticks
-	a.DeadlineMisses += o.DeadlineMisses
-	if o.DetectionLatencyMax > a.DetectionLatencyMax {
-		a.DetectionLatencyMax = o.DetectionLatencyMax
-	}
-	for k, v := range o.HMByLevel {
-		a.HMByLevel[k] += v
-		a.HMEvents += v
-	}
-	for k, v := range o.HMByCode {
-		a.HMByCode[k] += v
-	}
-	a.PartitionRestarts += o.PartitionRestarts
-	a.ProcessRestarts += o.ProcessRestarts
-	a.ScheduleSwitches += o.ScheduleSwitches
-	a.RestartsDeferred += o.RestartsDeferred
-	a.Quarantines += o.Quarantines
-	a.Recoveries += o.Recoveries
-	if o.MTTRMax > a.MTTRMax {
-		a.MTTRMax = o.MTTRMax
-	}
-	a.TicksDegraded += o.TicksDegraded
-	a.ScheduleRestores += o.ScheduleRestores
-	if o.Contained {
-		a.ContainedRuns++
-	}
-	a.Metrics.Accumulate(&o.Metrics)
-	a.Timeline.Accumulate(&o.Timeline)
-
-	sc := classFor(a.ByScenario, o.Scenario)
-	sc.add(&o, hmTotal(o.HMByLevel))
-	seenKinds := map[string]bool{}
-	for _, f := range o.Faults {
-		if seenKinds[f.Kind] {
+	a.Merge(Aggregate{
+		Runs:           run.Runs,
+		Degraded:       run.Degraded,
+		Halted:         run.Halted,
+		Ticks:          o.Ticks,
+		DeadlineMisses: run.DeadlineMisses,
+		HMEvents:       run.HMEvents,
+		HMByLevel:      o.HMByLevel,
+		HMByCode:       o.HMByCode,
+		HMByFaultKind:  o.HMByFaultKind,
+		ContainedRuns:  run.ContainedRuns,
+		Metrics:        o.Metrics,
+		Timeline:       o.Timeline,
+	})
+	classFor(a.ByScenario, o.Scenario).merge(&run)
+	for i, f := range o.Faults {
+		if slices.ContainsFunc(o.Faults[:i], func(g FaultDraw) bool { return g.Kind == f.Kind }) {
 			continue
 		}
-		seenKinds[f.Kind] = true
-		classFor(a.ByFaultKind, f.Kind).add(&o, o.HMByFaultKind[f.Kind])
+		run.HMEvents = o.HMByFaultKind[f.Kind]
+		classFor(a.ByFaultKind, f.Kind).merge(&run)
 	}
-	for k, v := range o.HMByFaultKind {
-		a.HMByFaultKind[k] += v
-	}
-	a.derive()
 }
 
 // Merge folds another aggregate into this one — the shard-combination form
@@ -339,7 +345,8 @@ func (a *Aggregate) Fold(o Observation) {
 // merged aggregate is byte-identical to folding all n observations into one
 // aggregate. Merges must be applied in run order (a's runs strictly precede
 // b's); the fleet coordinator guarantees this by merging lease partials in
-// lease order.
+// lease order. Merge only reads b, and takes no counter from it: the
+// merged counters are read off the merged metrics.
 func (a *Aggregate) Merge(b Aggregate) {
 	a.init()
 	a.Runs += b.Runs
@@ -347,9 +354,6 @@ func (a *Aggregate) Merge(b Aggregate) {
 	a.Halted += b.Halted
 	a.Ticks += b.Ticks
 	a.DeadlineMisses += b.DeadlineMisses
-	if b.DetectionLatencyMax > a.DetectionLatencyMax {
-		a.DetectionLatencyMax = b.DetectionLatencyMax
-	}
 	a.HMEvents += b.HMEvents
 	for k, v := range b.HMByLevel {
 		a.HMByLevel[k] += v
@@ -360,17 +364,6 @@ func (a *Aggregate) Merge(b Aggregate) {
 	for k, v := range b.HMByFaultKind {
 		a.HMByFaultKind[k] += v
 	}
-	a.PartitionRestarts += b.PartitionRestarts
-	a.ProcessRestarts += b.ProcessRestarts
-	a.ScheduleSwitches += b.ScheduleSwitches
-	a.RestartsDeferred += b.RestartsDeferred
-	a.Quarantines += b.Quarantines
-	a.Recoveries += b.Recoveries
-	if b.MTTRMax > a.MTTRMax {
-		a.MTTRMax = b.MTTRMax
-	}
-	a.TicksDegraded += b.TicksDegraded
-	a.ScheduleRestores += b.ScheduleRestores
 	a.ContainedRuns += b.ContainedRuns
 	a.Metrics.Accumulate(&b.Metrics)
 	a.Timeline.Accumulate(&b.Timeline)
@@ -383,27 +376,35 @@ func (a *Aggregate) Merge(b Aggregate) {
 	a.derive()
 }
 
-// derive recomputes the aggregate's derived means and quantiles from its
-// accumulated sums. Every input is an integer total, so the derived values
-// depend only on what was folded, never on how the folds were partitioned
-// into shards.
+// derive recomputes the aggregate's counters, means and quantiles from its
+// accumulated metrics and timeline. Every input is an integer total or a
+// maximum, so the derived values depend only on what was folded, never on
+// how the folds were partitioned into shards.
 //
-// The detection-latency and MTTR means come out of the spine's metrics
-// histograms rather than dedicated accumulators: the registry observes
-// exactly one detection latency per DEADLINE_MISS event and one quarantine
-// duration per QUARANTINE_EXIT event, so Metrics.DetectionLatency.{Sum,Count}
-// and Metrics.MTTR.Sum are identical to the per-observation sums the batch
-// aggregation historically kept.
+// The counters, the detection-latency maximum and mean and the MTTR mean
+// come out of the spine's metrics histograms rather than dedicated
+// accumulators: the registry observes exactly one detection latency per
+// DEADLINE_MISS event and one quarantine duration per QUARANTINE_EXIT
+// event.
 func (a *Aggregate) derive() {
-	if c := a.Metrics.DetectionLatency.Count; c > 0 {
-		a.DetectionLatencyMean = float64(a.Metrics.DetectionLatency.Sum) / float64(c)
-	} else {
-		a.DetectionLatencyMean = 0
+	c := countersOf(&a.Metrics)
+	a.PartitionRestarts = c.PartitionRestarts
+	a.ProcessRestarts = c.ProcessRestarts
+	a.ScheduleSwitches = c.ScheduleSwitches
+	a.RestartsDeferred = c.RestartsDeferred
+	a.Quarantines = c.Quarantines
+	a.Recoveries = c.Recoveries
+	a.MTTRMax = c.MTTRMax
+	a.TicksDegraded = c.TicksDegraded
+	a.ScheduleRestores = c.ScheduleRestores
+	a.MTTRMean = 0
+	if c.Recoveries > 0 {
+		a.MTTRMean = float64(c.MTTRSum) / float64(c.Recoveries)
 	}
-	if a.Recoveries > 0 {
-		a.MTTRMean = float64(a.Metrics.MTTR.Sum) / float64(a.Recoveries)
-	} else {
-		a.MTTRMean = 0
+	a.DetectionLatencyMax = int64(a.Metrics.DetectionLatency.Max)
+	a.DetectionLatencyMean = 0
+	if n := a.Metrics.DetectionLatency.Count; n > 0 {
+		a.DetectionLatencyMean = float64(a.Metrics.DetectionLatency.Sum) / float64(n)
 	}
 	a.ResponseP50 = a.Timeline.Response.Quantile(0.5)
 	a.ResponseP99 = a.Timeline.Response.Quantile(0.99)
@@ -433,58 +434,18 @@ func classFor(m map[string]*ClassAgg, key string) *ClassAgg {
 	return c
 }
 
-func (c *ClassAgg) add(o *Observation, hmEvents int) {
-	c.Runs++
-	if o.Degraded {
-		c.Degraded++
-	}
-	if o.Halted {
-		c.Halted++
-	}
-	c.DeadlineMisses += o.DeadlineMisses
-	c.HMEvents += hmEvents
-	c.PartitionRestarts += o.PartitionRestarts
-	c.ProcessRestarts += o.ProcessRestarts
-	c.ScheduleSwitches += o.ScheduleSwitches
-	c.RestartsDeferred += o.RestartsDeferred
-	c.Quarantines += o.Quarantines
-	c.Recoveries += o.Recoveries
-	c.MTTRSum += o.MTTRSum
-	if o.MTTRMax > c.MTTRMax {
-		c.MTTRMax = o.MTTRMax
-	}
-	c.TicksDegraded += o.TicksDegraded
-	c.ScheduleRestores += o.ScheduleRestores
-	if o.Contained {
-		c.ContainedRuns++
-	}
-	c.Metrics.Accumulate(&o.Metrics)
-	c.Timeline.Accumulate(&o.Timeline)
-}
-
 // merge folds another class accumulator into this one (the ClassAgg form of
-// Aggregate.Merge; same run-order requirement).
+// Aggregate.Merge; same run-order requirement). It only reads o.
 func (c *ClassAgg) merge(o *ClassAgg) {
 	c.Runs += o.Runs
 	c.Degraded += o.Degraded
 	c.Halted += o.Halted
 	c.DeadlineMisses += o.DeadlineMisses
 	c.HMEvents += o.HMEvents
-	c.PartitionRestarts += o.PartitionRestarts
-	c.ProcessRestarts += o.ProcessRestarts
-	c.ScheduleSwitches += o.ScheduleSwitches
-	c.RestartsDeferred += o.RestartsDeferred
-	c.Quarantines += o.Quarantines
-	c.Recoveries += o.Recoveries
-	c.MTTRSum += o.MTTRSum
-	if o.MTTRMax > c.MTTRMax {
-		c.MTTRMax = o.MTTRMax
-	}
-	c.TicksDegraded += o.TicksDegraded
-	c.ScheduleRestores += o.ScheduleRestores
 	c.ContainedRuns += o.ContainedRuns
 	c.Metrics.Accumulate(&o.Metrics)
 	c.Timeline.Accumulate(&o.Timeline)
+	c.Counters = countersOf(&c.Metrics)
 }
 
 func hmTotal(byLevel map[string]int) int {
@@ -493,6 +454,14 @@ func hmTotal(byLevel map[string]int) int {
 		n += v
 	}
 	return n
+}
+
+// count is 1 for a run that has the property, 0 for one that has not.
+func count(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AppendObservation appends o as encoding/json writes it: the form a fleet

@@ -35,6 +35,24 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 }
 
+// foldSink keeps BenchmarkFold's result live.
+var foldSink Aggregate
+
+// BenchmarkFold measures folding a campaign's observations into its
+// aggregate: the 256 observations of a seed-1, 20-MTF fork-prefix campaign,
+// the shape of the campaign-fork benchmark workload.
+func BenchmarkFold(b *testing.B) {
+	res, err := Run(Spec{Runs: 256, Workers: 2, Seed: 1, MTFs: 20, ForkPrefix: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		foldSink = Fold(res.Observations)
+	}
+}
+
 // BenchmarkCampaignForkThroughput measures prefix-sharing against from-zero
 // execution: the identical campaign (16 runs of 24 MTFs, faults activating
 // after frame 21) run with and without ForkPrefix. The fork variant

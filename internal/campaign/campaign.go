@@ -474,12 +474,7 @@ func buildPrefix(spec Spec) (*prefix, error) {
 	if !spec.ForkPrefix {
 		return nil, nil
 	}
-	cfg := workload.Config(workload.Options{
-		Recovery:      spec.Recovery,
-		TraceCapacity: spec.TraceCapacity,
-	})
-	cfg.BatchObs = true
-	m, err := core.NewModule(cfg)
+	m, err := newModule(spec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: prefix: %w", err)
 	}
@@ -508,6 +503,19 @@ func buildPrefix(spec Spec) (*prefix, error) {
 		}
 	}
 	return &prefix{parent: m, snap: snap}, nil
+}
+
+// newModule builds the satellite module a from-zero run or the shared
+// prefix ticks: the run's faults, the spec's recovery policy and trace
+// capacity, and batched observability.
+func newModule(spec Spec, faults []workload.FaultSpec) (*core.Module, error) {
+	cfg := workload.Config(workload.Options{
+		Faults:        faults,
+		Recovery:      spec.Recovery,
+		TraceCapacity: spec.TraceCapacity,
+	})
+	cfg.BatchObs = true
+	return core.NewModule(cfg)
 }
 
 // runOne executes one simulation. It never panics: application faults are
@@ -543,12 +551,9 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 		}
 	}()
 
-	mtf := model.Fig8System().Schedules[0].MTF
-	var m *core.Module
-	var tl *timeline.Timeline
 	var asink *archive.Sink
+	var err error
 	if spec.ArchiveDir != "" {
-		var err error
 		asink, err = archive.Open(RunDir(spec.ArchiveDir, run), archive.Options{})
 		if err != nil {
 			ob.Degraded = true
@@ -562,61 +567,44 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 			}
 		}()
 	}
+	// A fork resumes the shared prefix and gets its faults injected; a
+	// from-zero run builds its module with them and starts it.
+	var m *core.Module
 	if pre != nil {
-		var err error
 		m, err = pre.snap.Fork()
-		if err != nil {
-			ob.Degraded = true
-			ob.Error = err.Error()
-			return ob
-		}
-		defer m.Shutdown()
-		// The timeliness analyzer rides the fork's spine from the fork point:
-		// attached before injection so injector process starts are seen. In
-		// fork mode the timeline covers only the post-prefix suffix. The
-		// archive sink attaches at the same instant, so its stream and the
-		// timeline describe the same window.
-		tl = timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
-		if asink != nil {
-			m.Bus().Attach(asink)
-		}
-		if err := workload.InjectFaults(m, workload.Options{Faults: faults}); err != nil {
-			ob.Degraded = true
-			ob.Error = err.Error()
-			collect(m, &ob, faults, tl)
-			return ob
-		}
 	} else {
-		cfg := workload.Config(workload.Options{
-			Faults:        faults,
-			Recovery:      spec.Recovery,
-			TraceCapacity: spec.TraceCapacity,
-		})
-		cfg.BatchObs = true
-		var err error
-		m, err = core.NewModule(cfg)
-		if err != nil {
-			ob.Degraded = true
-			ob.Error = err.Error()
-			return ob
-		}
-		defer m.Shutdown()
-		// The timeliness analyzer rides the module's observability spine;
-		// attached before Start so initialization-time process releases are seen.
-		tl = timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
-		if asink != nil {
-			m.Bus().Attach(asink)
-		}
-		if err := m.Start(); err != nil {
-			ob.Degraded = true
-			ob.Error = err.Error()
-			collect(m, &ob, faults, tl)
-			return ob
-		}
+		m, err = newModule(spec, faults)
+	}
+	if err != nil {
+		ob.Degraded = true
+		ob.Error = err.Error()
+		return ob
+	}
+	defer m.Shutdown()
+	// The timeliness analyzer rides the module's observability spine,
+	// attached before the module begins so that initialization-time process
+	// releases and injector starts are seen; in fork mode it covers only the
+	// post-prefix suffix. The archive sink attaches at the same instant, so
+	// its stream and the timeline describe the same window.
+	tl := timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
+	if asink != nil {
+		m.Bus().Attach(asink)
+	}
+	if pre != nil {
+		err = workload.InjectFaults(m, workload.Options{Faults: faults})
+	} else {
+		err = m.Start()
+	}
+	if err != nil {
+		ob.Degraded = true
+		ob.Error = err.Error()
+		collect(m, &ob, faults, tl)
+		return ob
 	}
 	// Both paths tick the module to MTFs major time frames of total
 	// simulated time, in MTF-sized chunks between watchdog checks. A fork
 	// resumes mid-campaign, so its remaining budget is the difference.
+	mtf := model.Fig8System().Schedules[0].MTF
 	remaining := tick.Ticks(spec.MTFs)*mtf - m.Now()
 	for i := 0; remaining > 0; i++ {
 		if spec.Watchdog > 0 && spec.Clock().Sub(start) > spec.Watchdog {
@@ -642,27 +630,20 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 	return ob
 }
 
-// collect folds the module's health-monitoring log and its observability
-// metrics snapshot into the observation. The trace-derived counters come
-// from the spine's monotonic registry rather than a walk over the bounded
-// trace ring, so they are exact even when the ring overflowed.
+// fold reads the run's metrics snapshot into the observation. The
+// trace-derived counters come from the spine's monotonic registry rather
+// than a walk over the bounded trace ring, so they are exact even when the
+// ring overflowed.
 func (ob *Observation) fold(snap obs.Snapshot) {
 	ob.Metrics = snap
 	ob.DetectedMisses = int(snap.CountKind(obs.KindDeadlineMiss))
 	ob.DetectionLatencySum = int64(snap.DetectionLatency.Sum)
 	ob.DetectionLatencyMax = int64(snap.DetectionLatency.Max)
-	ob.PartitionRestarts = int(snap.CountKind(obs.KindPartitionRestart))
-	ob.ProcessRestarts = int(snap.CountKind(obs.KindProcessRestarted))
-	ob.ScheduleSwitches = int(snap.CountKind(obs.KindScheduleSwitch))
-	ob.RestartsDeferred = int(snap.CountKind(obs.KindRestartDeferred))
-	ob.Quarantines = int(snap.CountKind(obs.KindQuarantineEnter))
-	ob.Recoveries = int(snap.CountKind(obs.KindQuarantineExit))
-	ob.MTTRSum = int64(snap.MTTR.Sum)
-	ob.MTTRMax = int64(snap.MTTR.Max)
-	ob.TicksDegraded = int64(snap.DegradedTicks.Sum)
-	ob.ScheduleRestores = int(snap.CountKind(obs.KindScheduleRestore))
+	ob.Counters = countersOf(&snap)
 }
 
+// collect folds the module's health-monitoring log and its observability
+// metrics snapshot into the observation.
 func collect(m *core.Module, ob *Observation, faults []workload.FaultSpec, tl *timeline.Timeline) {
 	ob.Ticks = int64(m.Now())
 	ob.Halted = m.Halted()

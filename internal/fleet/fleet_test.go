@@ -19,6 +19,7 @@ import (
 	"air/internal/campaign"
 	"air/internal/config"
 	"air/internal/durable"
+	"air/internal/workload"
 )
 
 // fakeClock is an injectable wall clock for lease TTL / liveness tests.
@@ -665,101 +666,142 @@ func TestHTTPFleetRoundTrip(t *testing.T) {
 	}
 }
 
+// recoverySpec is a campaign under the built-in recovery policy whose
+// aggregate has every recovery counter non-zero: baseline, restart-storm
+// and partition-hang scenarios at their default parameters, 6 runs of 80
+// MTFs.
+func recoverySpec() campaign.Spec {
+	pol := config.DefaultRecovery().Policy()
+	return campaign.Spec{Runs: 6, Seed: 11, MTFs: 80, Workers: 2, Recovery: &pol, Matrix: []campaign.Scenario{
+		{Name: "baseline"},
+		{Name: "restart-storm", Faults: []campaign.FaultRange{{Kind: workload.FaultRestartStorm}}},
+		{Name: "partition-hang", Faults: []campaign.FaultRange{{Kind: workload.FaultPartitionHang}}},
+	}}
+}
+
 // TestCompletionCarriesOneForm drains a journaled coordinator over HTTP,
 // once retaining observations and once streaming, and reads what crossed the
 // wire and what reached the journal: a retained completion carries its
 // observations and no aggregate, a streamed one its aggregate and no
 // observations. The workers are configured identically; only the lease's
-// terms differ. Both results equal the single-process run's.
+// terms differ. Both results, and those of a coordinator reopened over each
+// journal, equal the single-process run's. The recovery campaign carries
+// restart and recovery counters, which each level recomputes from its
+// merged metrics, through decoding, the journal and replay.
 func TestCompletionCarriesOneForm(t *testing.T) {
-	spec := testSpec(6)
-	want, err := campaign.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, retain := range []bool{true, false} {
-		t.Run(fmt.Sprintf("retain=%v", retain), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "fleet.journal")
-			c, err := New(Options{LeaseSize: 2, JournalPath: path, KeepObservations: retain})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			id, err := c.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var bodies [][]byte
-			h := Handler(c)
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == pathComplete {
-					body, err := io.ReadAll(r.Body)
-					if err != nil {
-						t.Error(err)
-					}
-					mu.Lock()
-					bodies = append(bodies, body)
-					mu.Unlock()
-					r.Body = io.NopCloser(bytes.NewReader(body))
-				}
-				h.ServeHTTP(w, r)
-			}))
-			defer srv.Close()
-			if n, err := Work(&Client{Base: srv.URL}, WorkerOptions{ID: "w", Workers: 1, Poll: time.Millisecond}); err != nil || n != 3 {
-				t.Fatalf("drain: %d leases, err %v", n, err)
-			}
-
-			has, lacks := "observations", "aggregate"
-			if !retain {
-				has, lacks = lacks, has
-			}
-			if len(bodies) != 3 {
-				t.Fatalf("%d completion bodies, want 3", len(bodies))
-			}
-			for i, body := range bodies {
-				var req struct{ Shard map[string]json.RawMessage }
-				if err := json.Unmarshal(body, &req); err != nil {
+	for _, tc := range []struct {
+		prefix string
+		spec   campaign.Spec
+	}{{"", testSpec(6)}, {"recovery/", recoverySpec()}} {
+		spec := tc.spec
+		want, err := campaign.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Recovery != nil && (want.Aggregate.Quarantines == 0 || want.Aggregate.Recoveries == 0) {
+			t.Fatalf("recovery campaign quarantined %d and recovered %d times; want both",
+				want.Aggregate.Quarantines, want.Aggregate.Recoveries)
+		}
+		for _, retain := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%sretain=%v", tc.prefix, retain), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "fleet.journal")
+				opts := Options{LeaseSize: 2, JournalPath: path, KeepObservations: retain}
+				c, err := New(opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := req.Shard[has]; !ok {
-					t.Fatalf("completion %d has no %q key", i, has)
+				defer c.Close()
+				id, err := c.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if _, ok := req.Shard[lacks]; ok {
-					t.Fatalf("completion %d carries %q beside %q", i, lacks, has)
+				var mu sync.Mutex
+				var bodies [][]byte
+				h := Handler(c)
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == pathComplete {
+						body, err := io.ReadAll(r.Body)
+						if err != nil {
+							t.Error(err)
+						}
+						mu.Lock()
+						bodies = append(bodies, body)
+						mu.Unlock()
+						r.Body = io.NopCloser(bytes.NewReader(body))
+					}
+					h.ServeHTTP(w, r)
+				}))
+				defer srv.Close()
+				if n, err := Work(&Client{Base: srv.URL}, WorkerOptions{ID: "w", Workers: 1, Poll: time.Millisecond}); err != nil || n != 3 {
+					t.Fatalf("drain: %d leases, err %v", n, err)
 				}
-			}
-			_, records, err := openJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			completions := 0
-			for _, r := range records {
-				if r.Op != opComplete {
-					continue
-				}
-				completions++
-				if retain != (len(r.Observations) == r.End-r.Start) || retain != (r.Aggregate == nil) {
-					t.Fatalf("journaled lease %d: %d observations, aggregate %v; want one form (retain=%v)",
-						r.Lease, len(r.Observations), r.Aggregate != nil, retain)
-				}
-			}
-			if completions != 3 {
-				t.Fatalf("%d journaled completions, want 3", completions)
-			}
 
-			ref := *want
-			if !retain {
-				ref.Observations = nil
-			}
-			got, err := c.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(resultJSON(t, got), resultJSON(t, &ref)) {
-				t.Fatal("result differs from campaign.Run")
-			}
-		})
+				has, lacks := "observations", "aggregate"
+				if !retain {
+					has, lacks = lacks, has
+				}
+				if len(bodies) != 3 {
+					t.Fatalf("%d completion bodies, want 3", len(bodies))
+				}
+				for i, body := range bodies {
+					var req struct{ Shard map[string]json.RawMessage }
+					if err := json.Unmarshal(body, &req); err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := req.Shard[has]; !ok {
+						t.Fatalf("completion %d has no %q key", i, has)
+					}
+					if _, ok := req.Shard[lacks]; ok {
+						t.Fatalf("completion %d carries %q beside %q", i, lacks, has)
+					}
+				}
+				_, records, err := openJournal(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				completions := 0
+				for _, r := range records {
+					if r.Op != opComplete {
+						continue
+					}
+					completions++
+					if retain != (len(r.Observations) == r.End-r.Start) || retain != (r.Aggregate == nil) {
+						t.Fatalf("journaled lease %d: %d observations, aggregate %v; want one form (retain=%v)",
+							r.Lease, len(r.Observations), r.Aggregate != nil, retain)
+					}
+				}
+				if completions != 3 {
+					t.Fatalf("%d journaled completions, want 3", completions)
+				}
+
+				ref := *want
+				if !retain {
+					ref.Observations = nil
+				}
+				got, err := c.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resultJSON(t, got), resultJSON(t, &ref)) {
+					t.Fatal("result differs from campaign.Run")
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				reopened, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer reopened.Close()
+				got, err = reopened.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resultJSON(t, got), resultJSON(t, &ref)) {
+					t.Fatal("result of the reopened coordinator differs from campaign.Run")
+				}
+			})
+		}
 	}
 }
 

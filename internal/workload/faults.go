@@ -285,16 +285,19 @@ func newInjection(opts *Options) *injection {
 	return inj
 }
 
-// hasKind reports whether any resolved injector is of the given kind.
-func (inj *injection) hasKind(kind FaultKind) bool {
+// hangTicks is the partition liveness watchdog threshold
+// (core.Config.HangTicks) the injected faults need: a partition hang is
+// undetectable without the watchdog, so an injected one arms it at two of
+// the hang target's 100-tick windows plus margin. 0 leaves it disarmed.
+func (inj *injection) hangTicks() tick.Ticks {
 	for _, insts := range inj.byPartition { //air:allow(maprange): existence check over all entries; order-insensitive
 		for _, inst := range insts {
-			if inst.spec.Kind == kind {
-				return true
+			if inst.spec.Kind == FaultPartitionHang {
+				return 260
 			}
 		}
 	}
-	return false
+	return 0
 }
 
 // processTable merges the HM process-level rules the partition's injectors

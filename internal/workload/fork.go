@@ -49,12 +49,8 @@ func InjectFaults(m *core.Module, opts Options) error {
 			return fmt.Errorf("workload: injecting faults into %s: %w", p, err)
 		}
 	}
-	hangTicks := opts.HangWatchdog
-	if hangTicks == 0 && inj.hasKind(FaultPartitionHang) {
-		hangTicks = 260 // two of the hang target's 100-tick windows, plus margin
-	}
-	if hangTicks > 0 {
-		m.SetHangTicks(hangTicks)
+	if t := inj.hangTicks(); t > 0 {
+		m.SetHangTicks(t)
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"air/internal/ipc"
 	"air/internal/model"
 	"air/internal/recovery"
-	"air/internal/tick"
 )
 
 // Output receives application console lines, keyed by partition — the
@@ -39,10 +38,6 @@ type Options struct {
 	// restart budgets, quarantine and safe-mode degradation for the
 	// scenario's partitions. Nil runs without the recovery layer.
 	Recovery *recovery.Policy
-	// HangWatchdog forwards to core.Config.HangTicks. 0 auto-enables a
-	// 260-tick watchdog when a partition-hang fault is injected (the hang is
-	// undetectable without it); negative disables the watchdog entirely.
-	HangWatchdog tick.Ticks
 	// TraceCapacity forwards to core.Config.
 	TraceCapacity int
 }
@@ -64,17 +59,10 @@ func Config(opts Options) core.Config {
 		}
 	}
 	inj := newInjection(&opts)
-	hangTicks := opts.HangWatchdog
-	if hangTicks == 0 && inj.hasKind(FaultPartitionHang) {
-		hangTicks = 260 // two of the hang target's 100-tick windows, plus margin
-	}
-	if hangTicks < 0 {
-		hangTicks = 0
-	}
 	return core.Config{
 		System:        sys,
 		Recovery:      opts.Recovery,
-		HangTicks:     hangTicks,
+		HangTicks:     inj.hangTicks(),
 		TraceCapacity: opts.TraceCapacity,
 		Sampling: []ipc.SamplingConfig{{
 			Name: "attitude", MaxMessage: 64, Refresh: 1300,
