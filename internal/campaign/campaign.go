@@ -80,8 +80,10 @@ type Spec struct {
 	// TraceCapacity sizes each module's trace ring. Campaign observations
 	// derive entirely from the HM log and the metrics registry, so the
 	// default is -1 — no ring at all, sparing every run (and every
-	// prefix-fork clone) a multi-MiB allocation nothing reads. Set > 0 to
-	// retain per-run traces when debugging through OnObservation hooks.
+	// prefix-fork clone) the copy of trace events nothing reads. A ring
+	// grows to its bound as events arrive, so that copy is what the ring
+	// holds, not its capacity. Set > 0 to retain per-run traces when
+	// debugging through OnObservation hooks.
 	TraceCapacity int
 	// Matrix is the fault matrix (default DefaultMatrix()).
 	Matrix []Scenario

@@ -95,8 +95,11 @@ type Config struct {
 	HMModuleTable hm.Table
 	// MemoryBytes sizes the simulated physical memory (default 16 MiB).
 	MemoryBytes int
-	// TraceCapacity bounds the trace ring (default 4096 events; <0
-	// disables trace retention — the spine's metrics still accumulate).
+	// TraceCapacity bounds the trace ring (0 selects
+	// obs.DefaultTraceCapacity events; <0 disables trace retention — the
+	// spine's metrics still accumulate). The ring grows to its bound as
+	// events arrive, so a module and each fork of it pay for the events
+	// retained, not for the bound.
 	TraceCapacity int
 	// Recovery, when non-nil, layers the recovery orchestration policy
 	// engine (internal/recovery) between Health Monitor decisions and their

@@ -17,14 +17,14 @@ func (m *Module) traceEvent(e Event) {
 }
 
 // newTraceRing sizes the module trace ring: capacity < 0 disables retention
-// (metrics still accumulate), 0 selects the 4096-event default. The ring
+// (metrics still accumulate), 0 selects obs.DefaultTraceCapacity. The ring
 // admits only the twelve historical trace kinds plus the recovery
 // orchestration and timeline-analysis kinds, so the spine's high-frequency
 // fine-grained events cannot crowd coarse trace records out of bounded
 // retention.
 func newTraceRing(capacity int) *obs.Ring {
 	if capacity == 0 {
-		capacity = 4096
+		capacity = obs.DefaultTraceCapacity
 	}
 	kinds := append(obs.TraceKinds(), obs.RecoveryKinds()...)
 	kinds = append(kinds, obs.TimelineKinds()...)

@@ -47,8 +47,9 @@ type Config struct {
 	// MemoryBytes sizes the shared simulated physical memory.
 	MemoryBytes int
 	// TraceCapacity bounds the module-wide trace ring shared by all cores
-	// (0 inherits Cores[0].TraceCapacity, then the 4096 default; <0
-	// disables retention — spine metrics still accumulate).
+	// (0 inherits Cores[0].TraceCapacity, then obs.DefaultTraceCapacity;
+	// <0 disables retention — spine metrics still accumulate). The ring
+	// grows to its bound as events arrive.
 	TraceCapacity int
 	// Sinks attaches additional observability sinks to the shared spine.
 	Sinks []obs.Sink
@@ -102,7 +103,7 @@ func NewModule(cfg Config) (*Module, error) {
 		traceCap = cfg.Cores[0].TraceCapacity
 	}
 	if traceCap == 0 {
-		traceCap = 4096
+		traceCap = obs.DefaultTraceCapacity
 	}
 	m := &Module{byPart: byPart}
 	// One observability spine spans the whole module: every core emits into

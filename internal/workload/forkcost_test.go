@@ -30,8 +30,9 @@ func forkParent(b *testing.B) *core.Snapshot {
 
 // BenchmarkModuleFork isolates Fork() itself: the copy of every subsystem
 // (the MMU's frame table, whose frames are shared copy-on-write, page
-// tables, kernels, IPC channels, HM state, trace ring) plus re-spawning
-// the process goroutines. This is the constant a campaign pays per
+// tables, kernels, IPC channels, HM state, and the default trace ring,
+// whose clone copies only the events it holds) plus re-spawning the
+// process goroutines. This is the constant a campaign pays per
 // prefix-shared variant, so it bounds how short a per-run suffix can get
 // before forking stops paying.
 func BenchmarkModuleFork(b *testing.B) {
@@ -66,18 +67,39 @@ func BenchmarkModuleBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkModuleBuildDefault is what airsim, airmon and the air facade pay
+// to bring a module up and down: NewModule + Start + Shutdown of the
+// satellite module at the default trace capacity, without batching.
+func BenchmarkModuleBuildDefault(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		m, err := core.NewModule(Config(Options{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			b.Fatal(err)
+		}
+		m.Shutdown()
+	}
+}
+
 // TestModuleBuildAndForkAllocBound bounds the bytes a module build and a
 // fork allocate. Simulated RAM that nothing writes must cost frame-table
 // entries, not zeroed or copied frames: the Fig. 8 module maps 384 pages
-// (1.5 MiB), so either cost above 1 MiB means frames are being allocated
-// eagerly again.
+// (1.5 MiB). The trace ring must cost the events it holds, not its
+// 4096-event (512 KiB) bound: a default-trace build and a fork of a
+// default-trace module each allocated about 0.57 MB while the ring was
+// allocated whole, and under 0.1 MB since it grows on demand. Either cost
+// above 256 KiB means frames or trace capacity are being allocated eagerly
+// again.
 func TestModuleBuildAndForkAllocBound(t *testing.T) {
-	const bound = 1 << 20
+	const bound = 256 << 10
 	for _, bm := range []struct {
 		name string
 		fn   func(*testing.B)
 	}{
 		{"build", BenchmarkModuleBuild},
+		{"default-trace build", BenchmarkModuleBuildDefault},
 		{"fork", BenchmarkModuleFork},
 	} {
 		r := testing.Benchmark(bm.fn)
