@@ -118,6 +118,24 @@ func run(args []string, out io.Writer) error {
 	}
 	defer m.Shutdown()
 
+	// The AIR windows mirror the spine: the PMK window shows what the module
+	// trace ring admits except application output (which has its
+	// partition's window), the HM window every Health Monitor report. The
+	// events are collected as they arrive and printed after each MTF, below
+	// any line the loop printed before it. The mirror is attached before the
+	// timeline, so the timeline's findings follow the events that caused
+	// them, as in the module's own trace.
+	mirrored := map[obs.Kind]bool{obs.KindHMReport: true}
+	for _, k := range obs.TraceKinds() {
+		mirrored[k] = k != obs.KindApplicationMessage
+	}
+	var pending []obs.Event
+	m.Bus().Attach(sinkFunc(func(e obs.Event) {
+		if mirrored[e.Kind] {
+			pending = append(pending, e)
+		}
+	}))
+
 	// The timeliness analyzer always rides the spine (its summary line
 	// costs nothing); the HTTP endpoints are opt-in.
 	tl := timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
@@ -170,7 +188,6 @@ func run(args []string, out io.Writer) error {
 	if *frames > 0 {
 		printEvery = (*mtfs + *frames - 1) / *frames
 	}
-	var tracedUpTo, hmUpTo int
 	for frame := 1; frame <= *mtfs; frame++ {
 		if *switchAt >= 0 && frame == *switchAt {
 			pt, err := m.Partition("P1")
@@ -183,19 +200,14 @@ func run(args []string, out io.Writer) error {
 		if err := m.Run(mtf); err != nil {
 			return err
 		}
-		// Mirror new trace and HM events into the AIR windows.
-		trace := m.Trace()
-		for _, e := range trace[min(tracedUpTo, len(trace)):] {
-			if e.Kind != obs.KindApplicationMessage {
+		for _, e := range pending {
+			if e.Kind == obs.KindHMReport {
+				hmWin.Println(hmLine(e))
+			} else {
 				pmkWin.Println(e.String())
 			}
 		}
-		tracedUpTo = len(trace)
-		events := m.Health().Events()
-		for _, e := range events[min(hmUpTo, len(events)):] {
-			hmWin.Println(e.String())
-		}
-		hmUpTo = len(events)
+		pending = pending[:0]
 
 		st := m.ScheduleStatus()
 		pmkWin.Printf("[%6d] MTF %d done; schedule=%s next=%s switches at t=%d",
@@ -265,9 +277,19 @@ func writeExport(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(obs.Event)
+
+// Emit implements obs.Sink.
+func (f sinkFunc) Emit(e obs.Event) { f(e) }
+
+// hmLine renders a KindHMReport spine event as hm.Event.String renders the
+// log record the monitor published it for.
+func hmLine(e obs.Event) string {
+	who := string(e.Partition)
+	if e.Process != "" {
+		who += "/" + e.Process
 	}
-	return b
+	return fmt.Sprintf("[%6d] HM %s level=%s at=%s action=%s %s",
+		e.Time, e.Code, e.Level, who, e.Action, e.Detail)
 }

@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"air/internal/hm"
+	"air/internal/obs"
+	"air/internal/tick"
 )
 
 func TestRunNominal(t *testing.T) {
@@ -61,6 +65,57 @@ func TestRunRecoveryStorm(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "0 quarantines") {
 		t.Errorf("storm never quarantined:\n%s", out.String())
+	}
+}
+
+// TestRunAIRWindowsOutliveFullRing: the AIR windows keep mirroring after the
+// module's trace ring has filled (well before MTF 700 under these faults):
+// the last frame's PMK window still shows that MTF's deadline miss.
+func TestRunAIRWindowsOutliveFullRing(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-mtfs", "700", "-frames", "1",
+		"-fault", "-faults", "restart-storm", "-recovery"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frame, ok := strings.Cut(out.String(), "(MTF 700/700)")
+	if !ok {
+		t.Fatalf("no MTF 700 frame:\n%s", out.String())
+	}
+	_, rows, ok := strings.Cut(frame, "[AIR PMK]")
+	if !ok {
+		t.Fatalf("no AIR PMK window in the MTF 700 frame:\n%s", frame)
+	}
+	var pmk []string
+	for _, row := range strings.Split(rows, "\n")[1:] {
+		if strings.HasPrefix(row, "+") {
+			break
+		}
+		left, _, _ := strings.Cut(row, "||") // the HM window sits to the right
+		pmk = append(pmk, left)
+	}
+	if !strings.Contains(strings.Join(pmk, "\n"), "DEADLINE_MISS") {
+		t.Errorf("MTF 700 PMK window holds no DEADLINE_MISS line:\n%s", strings.Join(pmk, "\n"))
+	}
+}
+
+// TestHMLineMatchesLogRecord: the HM window renders a monitor's spine
+// report exactly as the monitor's log renders the record.
+func TestHMLineMatchesLogRecord(t *testing.T) {
+	bus := obs.NewBus()
+	ring := obs.NewRing(4)
+	bus.Attach(ring)
+	mon := hm.New(hm.Config{Now: func() tick.Ticks { return 42 }, Obs: obs.NewEmitter(bus, 0)})
+	mon.ReportProcess("P1", "faulty", hm.ErrDeadlineMissed, "process deadline violated")
+	mon.ReportModule(hm.ErrPowerFail, "brownout")
+	log, reports := mon.Events(), ring.Events()
+	if len(reports) != len(log) {
+		t.Fatalf("%d spine reports for %d log records", len(reports), len(log))
+	}
+	for i, e := range reports {
+		if got, want := hmLine(e), log[i].String(); got != want {
+			t.Errorf("report %d renders as %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -651,7 +651,7 @@ func collect(m *core.Module, ob *Observation, faults []workload.FaultSpec, tl *t
 	ob.Halted = m.Halted()
 	ob.Timeline = tl.Snapshot()
 	// The HM's monotonic per-code counter survives log truncation, unlike a
-	// walk over the MaxLog-bounded event slice below.
+	// walk over the DefaultMaxLog-bounded event slice below.
 	ob.DeadlineMisses = int(m.Health().Reported(hm.ErrDeadlineMissed))
 	ob.HMByLevel = map[string]int{}
 	ob.HMByCode = map[string]int{}

@@ -118,13 +118,17 @@ type Config struct {
 	// (only meaningful under a multicore shared platform).
 	CoreID int
 	// Sinks attaches additional observability sinks (streaming JSONL
-	// export, custom probes) to the module's spine at construction.
+	// export, custom probes) to the module's spine at construction, after
+	// the trace ring.
 	Sinks []obs.Sink
-	// Shared, when non-nil, injects platform components owned by an
-	// enclosing multicore module (paper Sect. 8 future work (iv)): the
-	// physical memory/MMU, the interpartition channel router, the health
-	// monitor and the observability spine are shared across cores while
-	// each core keeps its own partition scheduler and dispatcher.
+	// Shared, when non-nil, is the platform the module runs on instead of
+	// one of its own: a multicore module (paper Sect. 8 future work (iv))
+	// builds one with NewPlatform and hands it to every core, so memory
+	// and MMU, the channel router, the Health Monitor and the spine are
+	// module-wide while each core keeps its own partition scheduler and
+	// dispatcher. The platform settings (MemoryBytes, TraceCapacity,
+	// Sampling, Queuing, HMModuleTable) are then the platform's, not the
+	// core's.
 	Shared *SharedPlatform
 	// BatchObs defers spine sink delivery to once per partition window: hot
 	// layers stage events into the bus's fixed buffer and the kernel flushes
@@ -135,17 +139,56 @@ type Config struct {
 	BatchObs bool
 }
 
-// SharedPlatform carries the module-wide components shared by the cores of
-// a multicore configuration.
+// SharedPlatform is the platform a module's partitions run on: simulated
+// memory and its MMU, the interpartition channel router, the Health Monitor
+// and the observability spine with its trace ring (nil when retention is
+// disabled). NewPlatform builds it, for one single-core module or for all
+// the cores of a multicore one.
 type SharedPlatform struct {
 	Memory *mmu.MMU
 	Router *ipc.Router
 	Health *hm.Monitor
-	// Bus, when non-nil, is the module-wide observability spine all cores
-	// emit into; Ring is its bounded retention sink (may be nil when
-	// retention is disabled).
-	Bus  *obs.Bus
-	Ring *obs.Ring
+	Bus    *obs.Bus
+	Ring   *obs.Ring
+}
+
+// NewPlatform builds a module platform from cfg's platform settings:
+// MemoryBytes of simulated memory (16 MiB when 0), a spine whose trace ring
+// holds TraceCapacity events (see newTraceRing), a router carrying the
+// Sampling and Queuing channels, and a Health Monitor applying
+// HMModuleTable and stamping its events with now. The router's and the
+// monitor's spine events carry cfg.CoreID. Sinks are not attached: the
+// module or multicore module that owns the platform attaches its own.
+func NewPlatform(cfg Config, now func() tick.Ticks) (*SharedPlatform, error) {
+	memBytes := cfg.MemoryBytes
+	if memBytes == 0 {
+		memBytes = 16 << 20
+	}
+	bus := obs.NewBus()
+	ring := newTraceRing(cfg.TraceCapacity)
+	if ring != nil {
+		bus.Attach(ring)
+	}
+	em := obs.NewEmitter(bus, cfg.CoreID)
+	router := ipc.NewRouter()
+	router.AttachObs(em)
+	for _, sc := range cfg.Sampling {
+		if _, err := router.AddSampling(sc); err != nil {
+			return nil, err
+		}
+	}
+	for _, qc := range cfg.Queuing {
+		if _, err := router.AddQueuing(qc); err != nil {
+			return nil, err
+		}
+	}
+	return &SharedPlatform{
+		Memory: mmu.New(memBytes),
+		Router: router,
+		Health: hm.New(hm.Config{Now: now, ModuleTable: cfg.HMModuleTable, Obs: em}),
+		Bus:    bus,
+		Ring:   ring,
+	}, nil
 }
 
 // DeviceMapping binds a memory-mapped I/O device into one partition's
@@ -209,68 +252,22 @@ func NewModule(cfg Config) (*Module, error) {
 		return nil, err
 	}
 
-	memBytes := cfg.MemoryBytes
-	if memBytes == 0 {
-		memBytes = 16 << 20
-	}
 	m := &Module{
 		cfg:        cfg,
 		sys:        cfg.System,
 		partitions: make(map[model.PartitionName]*Partition, len(cfg.Partitions)),
 		coreID:     cfg.CoreID,
 	}
-	if cfg.Shared != nil && cfg.Shared.Bus != nil {
-		m.bus = cfg.Shared.Bus
-		m.ring = cfg.Shared.Ring
-	} else {
-		m.bus = obs.NewBus()
-		m.ring = newTraceRing(cfg.TraceCapacity)
-		if m.ring != nil {
-			m.bus.Attach(m.ring)
+	plat := cfg.Shared
+	if plat == nil {
+		var err error
+		if plat, err = NewPlatform(cfg, m.Now); err != nil {
+			return nil, err
 		}
 	}
+	m.memory, m.router, m.health, m.bus, m.ring = plat.Memory, plat.Router, plat.Health, plat.Bus, plat.Ring
 	for _, s := range cfg.Sinks {
 		m.bus.Attach(s)
-	}
-	nowFn := func() tick.Ticks { return m.now }
-	if cfg.Shared != nil {
-		m.memory = cfg.Shared.Memory
-		m.router = cfg.Shared.Router
-		m.health = cfg.Shared.Health
-		for _, pc := range cfg.Partitions {
-			if pc.HMPartitionTable != nil {
-				m.health.SetPartitionTable(pc.Name, pc.HMPartitionTable)
-			}
-			if pc.HMProcessTable != nil {
-				m.health.SetProcessTable(pc.Name, pc.HMProcessTable)
-			}
-		}
-	} else {
-		m.memory = mmu.New(memBytes)
-		m.router = ipc.NewRouter()
-		m.router.AttachObs(obs.NewEmitter(m.bus, m.coreID))
-		m.health = hm.New(hm.Config{
-			Now:             nowFn,
-			ModuleTable:     cfg.HMModuleTable,
-			PartitionTables: partitionTables(cfg, func(pc PartitionConfig) hm.Table { return pc.HMPartitionTable }),
-			ProcessTables:   partitionTables(cfg, func(pc PartitionConfig) hm.Table { return pc.HMProcessTable }),
-			Obs:             obs.NewEmitter(m.bus, m.coreID),
-		})
-	}
-
-	if cfg.BatchObs {
-		m.bus.SetBatching(true)
-	}
-
-	for _, sc := range cfg.Sampling {
-		if _, err := m.router.AddSampling(sc); err != nil {
-			return nil, err
-		}
-	}
-	for _, qc := range cfg.Queuing {
-		if _, err := m.router.AddQueuing(qc); err != nil {
-			return nil, err
-		}
 	}
 
 	compiled := make([]*pmk.CompiledSchedule, len(cfg.System.Schedules))
@@ -286,21 +283,11 @@ func NewModule(cfg Config) (*Module, error) {
 		return nil, err
 	}
 	m.sched = sched
-	m.sched.AttachObs(obs.NewEmitter(m.bus, m.coreID))
-	m.disp = pmk.NewDispatcher(sched, pmk.Hooks{
-		SaveContext:                 func(model.PartitionName) {}, // page tables are per-partition; nothing to spill
-		RestoreContext:              m.restoreContext,
-		EnterIdle:                   m.memory.ClearContext,
-		PendingScheduleChangeAction: m.applyPendingScheduleAction,
-	})
-	m.disp.AttachObs(obs.NewEmitter(m.bus, m.coreID))
+	m.disp = pmk.NewDispatcher(sched, pmk.Hooks{})
+	m.bind()
 
 	for _, pc := range cfg.Partitions {
-		pt, err := newPartition(m, pc)
-		if err != nil {
-			return nil, err
-		}
-		m.partitions[pc.Name] = pt
+		m.partitions[pc.Name] = newPartition(m, pc)
 		m.order = append(m.order, pc.Name)
 	}
 	m.indexPartitions()
@@ -313,18 +300,45 @@ func NewModule(cfg Config) (*Module, error) {
 		if err := cfg.Recovery.Validate(m.order, schedNames); err != nil {
 			return nil, err
 		}
-		m.recov = recovery.NewEngine(*cfg.Recovery, recovery.Options{
-			Now:        nowFn,
-			Obs:        obs.NewEmitter(m.bus, m.coreID),
-			Partitions: m.order,
-			Hooks: recovery.Hooks{
-				Restart:        m.recoveryRestart,
-				SwitchSchedule: m.recoverySwitchSchedule,
-				ScheduleName:   m.currentScheduleName,
-			},
-		})
+		m.recov = recovery.NewEngine(*cfg.Recovery, m.recoveryOptions())
 	}
 	return m, nil
+}
+
+// bind wires the module's kernel to its spine and to itself: the partition
+// scheduler's and dispatcher's emitters, the dispatcher's Algorithm 2
+// hooks and, with BatchObs, batched sink delivery. NewModule binds the
+// components it builds and fork the ones it clones, which carry no hooks
+// or emitters over from the parent.
+func (m *Module) bind() {
+	if m.cfg.BatchObs {
+		m.bus.SetBatching(true)
+	}
+	em := obs.NewEmitter(m.bus, m.coreID)
+	m.sched.AttachObs(em)
+	m.disp.AttachObs(em)
+	m.disp.SetHooks(pmk.Hooks{
+		SaveContext:                 func(model.PartitionName) {}, // page tables are per-partition; nothing to spill
+		RestoreContext:              m.restoreContext,
+		EnterIdle:                   m.memory.ClearContext,
+		PendingScheduleChangeAction: m.applyPendingScheduleAction,
+	})
+}
+
+// recoveryOptions binds a recovery engine, new (NewModule) or cloned
+// (fork), to the module: its clock, its spine and the kernel operations the
+// engine orders.
+func (m *Module) recoveryOptions() recovery.Options {
+	return recovery.Options{
+		Now:        m.Now,
+		Obs:        obs.NewEmitter(m.bus, m.coreID),
+		Partitions: m.order,
+		Hooks: recovery.Hooks{
+			Restart:        m.recoveryRestart,
+			SwitchSchedule: m.recoverySwitchSchedule,
+			ScheduleName:   m.currentScheduleName,
+		},
+	}
 }
 
 // indexPartitions builds byOrdinal from the partitions map. Every model
@@ -352,16 +366,6 @@ func checkPartitionConfigs(cfg Config) error {
 		seen[pc.Name] = true
 	}
 	return nil
-}
-
-func partitionTables(cfg Config, pick func(PartitionConfig) hm.Table) map[model.PartitionName]hm.Table {
-	out := make(map[model.PartitionName]hm.Table, len(cfg.Partitions))
-	for _, pc := range cfg.Partitions {
-		if t := pick(pc); t != nil {
-			out[pc.Name] = t
-		}
-	}
-	return out
 }
 
 // Start boots the module: every partition's addressing space is installed,

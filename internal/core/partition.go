@@ -140,7 +140,15 @@ type Partition struct {
 	startCount int
 }
 
-func newPartition(m *Module, cfg PartitionConfig) (*Partition, error) {
+// newPartition builds a partition's runtime and registers its health
+// monitoring rules with the module's monitor.
+func newPartition(m *Module, cfg PartitionConfig) *Partition {
+	if cfg.HMPartitionTable != nil {
+		m.health.SetPartitionTable(cfg.Name, cfg.HMPartitionTable)
+	}
+	if cfg.HMProcessTable != nil {
+		m.health.SetProcessTable(cfg.Name, cfg.HMProcessTable)
+	}
 	pt := &Partition{
 		mod:    m,
 		cfg:    cfg,
@@ -150,7 +158,7 @@ func newPartition(m *Module, cfg PartitionConfig) (*Partition, error) {
 	}
 	pt.buildKernel()
 	pt.clearObjects()
-	return pt, nil
+	return pt
 }
 
 // buildKernel creates a fresh POS kernel + PAL pair for the partition.

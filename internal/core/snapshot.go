@@ -29,9 +29,7 @@ import (
 	"air/internal/hm"
 	"air/internal/model"
 	"air/internal/obs"
-	"air/internal/pmk"
 	"air/internal/pos"
-	"air/internal/recovery"
 	"air/internal/tick"
 )
 
@@ -154,8 +152,9 @@ func (pt *Partition) forkableNow() error {
 	return nil
 }
 
-// fork assembles the deep copy. It mirrors NewModule's wiring order, but
-// every component is cloned from the parent instead of built fresh.
+// fork assembles the deep copy: every component is cloned from the parent
+// instead of built fresh, then bound to the fork as NewModule binds a new
+// module.
 func (m *Module) fork() (*Module, error) {
 	cfg := m.cfg
 	cfg.Sinks = nil // external sinks are not duplicated onto forks
@@ -174,25 +173,13 @@ func (m *Module) fork() (*Module, error) {
 	if m2.ring != nil {
 		m2.bus.Attach(m2.ring)
 	}
-	if cfg.BatchObs {
-		m2.bus.SetBatching(true)
-	}
-	nowFn := func() tick.Ticks { return m2.now }
 	em := obs.NewEmitter(m2.bus, m2.coreID)
-
 	m2.memory = m.memory.Clone()
 	m2.router = m.router.Clone(em)
-	m2.health = m.health.Clone(nowFn, em)
+	m2.health = m.health.Clone(m2.Now, em)
 	m2.sched = m.sched.Clone()
-	m2.sched.AttachObs(em)
 	m2.disp = m.disp.Clone(m2.sched)
-	m2.disp.SetHooks(pmk.Hooks{
-		SaveContext:                 func(model.PartitionName) {},
-		RestoreContext:              m2.restoreContext,
-		EnterIdle:                   m2.memory.ClearContext,
-		PendingScheduleChangeAction: m2.applyPendingScheduleAction,
-	})
-	m2.disp.AttachObs(em)
+	m2.bind()
 
 	for _, name := range m.order {
 		pt2, err := m.partitions[name].fork(m2)
@@ -204,16 +191,7 @@ func (m *Module) fork() (*Module, error) {
 	m2.indexPartitions()
 
 	if m.recov != nil {
-		m2.recov = m.recov.Clone(recovery.Options{
-			Now:        nowFn,
-			Obs:        em,
-			Partitions: m2.order,
-			Hooks: recovery.Hooks{
-				Restart:        m2.recoveryRestart,
-				SwitchSchedule: m2.recoverySwitchSchedule,
-				ScheduleName:   m2.currentScheduleName,
-			},
-		})
+		m2.recov = m.recov.Clone(m2.recoveryOptions())
 	}
 	return m2, nil
 }

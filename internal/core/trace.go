@@ -18,17 +18,13 @@ func (m *Module) traceEvent(e Event) {
 
 // newTraceRing sizes the module trace ring: capacity < 0 disables retention
 // (metrics still accumulate), 0 selects obs.DefaultTraceCapacity. The ring
-// admits only the twelve historical trace kinds plus the recovery
-// orchestration and timeline-analysis kinds, so the spine's high-frequency
-// fine-grained events cannot crowd coarse trace records out of bounded
-// retention.
+// admits only obs.TraceKinds, so the spine's high-frequency fine-grained
+// events cannot crowd coarse trace records out of bounded retention.
 func newTraceRing(capacity int) *obs.Ring {
 	if capacity == 0 {
 		capacity = obs.DefaultTraceCapacity
 	}
-	kinds := append(obs.TraceKinds(), obs.RecoveryKinds()...)
-	kinds = append(kinds, obs.TimelineKinds()...)
-	return obs.NewRingKinds(capacity, kinds...) // nil for capacity < 0
+	return obs.NewRingKinds(capacity, obs.TraceKinds()...) // nil for capacity < 0
 }
 
 // Trace returns a copy of the events retained by the module's trace ring.

@@ -23,7 +23,6 @@ func (m *Monitor) Clone(now func() tick.Ticks, em obs.Emitter) *Monitor {
 		module:   m.module,
 		counters: make(map[counterKey]int, len(m.counters)),
 		reported: make(map[ErrorCode]uint64, len(m.reported)),
-		maxLog:   m.maxLog,
 		handlers: make(map[model.PartitionName]bool, len(m.handlers)),
 		obs:      em,
 	}

@@ -194,26 +194,15 @@ type Decision struct {
 	Event  Event
 }
 
-// Config configures a Monitor.
+// Config configures a Monitor. Partition- and process-level rule tables
+// are installed per partition with SetPartitionTable and SetProcessTable,
+// the way a module registers each partition it hosts.
 type Config struct {
 	// Now supplies the current logical time for event stamping.
 	Now func() tick.Ticks
 	// ModuleTable handles module-level errors. Missing codes default to
 	// ActionShutdownModule (fail-stop).
 	ModuleTable Table
-	// PartitionTables handles partition-level errors per partition.
-	// Missing codes default to ActionColdStartPartition.
-	PartitionTables map[model.PartitionName]Table
-	// ProcessTables handles process-level errors per partition (the default
-	// when no application error handler is installed, and the rule lookup
-	// that decides whether a handler is consulted at all). Missing codes
-	// default to ActionInvokeHandler escalating to ActionStopProcess.
-	ProcessTables map[model.PartitionName]Table
-	// MaxLog bounds the in-memory event log, retaining the most recent
-	// records. 0 applies DefaultMaxLog so a monitor never grows without
-	// bound under a sustained fault storm; negative disables the bound
-	// (appropriate only for short-lived diagnostic runs).
-	MaxLog int
 	// Obs publishes every recorded event on the module's observability
 	// spine as a structured KindHMReport record (code/level/action). The
 	// zero Emitter discards, so standalone monitors need no spine.
@@ -236,7 +225,6 @@ type Monitor struct {
 	reported map[ErrorCode]uint64
 	//air:guard(mu)
 	events []Event
-	maxLog int
 	//air:guard(mu)
 	handlers map[model.PartitionName]bool // error handler installed?
 	obs      obs.Emitter
@@ -249,10 +237,10 @@ type counterKey struct {
 	level     Level
 }
 
-// DefaultMaxLog is the event-log bound applied when Config.MaxLog is zero:
-// large enough to retain every record of any bounded scenario, small enough
-// that a restart storm sustained for millions of ticks cannot exhaust
-// memory through the log.
+// DefaultMaxLog bounds the event log, which retains the most recent
+// records: large enough to retain every record of any bounded scenario,
+// small enough that a restart storm sustained for millions of ticks cannot
+// exhaust memory through the log.
 const DefaultMaxLog = 4096
 
 // New creates a Monitor. A nil Now defaults to a constant-zero clock, which
@@ -262,37 +250,20 @@ func New(cfg Config) *Monitor {
 	if now == nil {
 		now = func() tick.Ticks { return 0 }
 	}
-	switch {
-	case cfg.MaxLog == 0:
-		cfg.MaxLog = DefaultMaxLog
-	case cfg.MaxLog < 0:
-		cfg.MaxLog = 0 // explicit opt-out: unbounded
-	}
 	return &Monitor{
-		now:       now,
-		module:    cfg.ModuleTable,
-		partition: cfg.PartitionTables,
-		process:   cfg.ProcessTables,
-		counters:  make(map[counterKey]int),
-		reported:  make(map[ErrorCode]uint64),
-		maxLog:    cfg.MaxLog,
-		handlers:  make(map[model.PartitionName]bool),
-		obs:       cfg.Obs,
+		now:      now,
+		module:   cfg.ModuleTable,
+		counters: make(map[counterKey]int),
+		reported: make(map[ErrorCode]uint64),
+		handlers: make(map[model.PartitionName]bool),
+		obs:      cfg.Obs,
 	}
-}
-
-// AttachObs installs the spine emitter after construction (multicore
-// configurations build the shared monitor before the shared spine's core
-// emitters exist).
-func (m *Monitor) AttachObs(em obs.Emitter) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.obs = em
 }
 
 // SetPartitionTable installs or replaces the partition-level rule table for
-// one partition. Used by multicore configurations, where per-core modules
-// register their partitions with the shared monitor after construction.
+// one partition. Missing codes default to ActionColdStartPartition. A
+// module registers each partition it hosts this way, so one monitor shared
+// by the cores of a multicore module learns every core's partitions.
 func (m *Monitor) SetPartitionTable(p model.PartitionName, t Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -303,7 +274,9 @@ func (m *Monitor) SetPartitionTable(p model.PartitionName, t Table) {
 }
 
 // SetProcessTable installs or replaces the process-level rule table for one
-// partition.
+// partition. The table applies when no application error handler is
+// installed and decides whether a handler is consulted at all; missing
+// codes default to ActionInvokeHandler escalating to ActionStopProcess.
 func (m *Monitor) SetProcessTable(p model.PartitionName, t Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -411,8 +384,8 @@ func (m *Monitor) resolve(rule Rule, key counterKey, handlerInstalled bool) Acti
 func (m *Monitor) record(e Event) Decision {
 	m.reported[e.Code]++
 	m.events = append(m.events, e)
-	if m.maxLog > 0 && len(m.events) > m.maxLog {
-		m.events = m.events[len(m.events)-m.maxLog:]
+	if len(m.events) > DefaultMaxLog {
+		m.events = m.events[len(m.events)-DefaultMaxLog:]
 	}
 	// The code/level/action strings are constant per enum value, so this
 	// publication allocates nothing on the hot path.
@@ -453,8 +426,8 @@ func (m *Monitor) EventsFor(p model.PartitionName) []Event {
 
 // Reported returns the monotonic total of reports recorded with the given
 // code over the monitor's lifetime. Unlike Count it is not bounded by the
-// MaxLog retention window, so long fault storms cannot make it undercount;
-// campaign aggregation reads miss totals through it.
+// log's DefaultMaxLog retention window, so long fault storms cannot make
+// it undercount; campaign aggregation reads miss totals through it.
 func (m *Monitor) Reported(code ErrorCode) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -462,7 +435,8 @@ func (m *Monitor) Reported(code ErrorCode) uint64 {
 }
 
 // Count returns the number of logged events with the given code — bounded
-// by the MaxLog retention window; use Reported for an exact lifetime total.
+// by the log's DefaultMaxLog retention window; use Reported for an exact
+// lifetime total.
 func (m *Monitor) Count(code ErrorCode) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

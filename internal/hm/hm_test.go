@@ -1,10 +1,10 @@
 package hm
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
-	"air/internal/model"
 	"air/internal/tick"
 )
 
@@ -33,11 +33,8 @@ func TestProcessErrorDefaultsToHandlerThenStop(t *testing.T) {
 }
 
 func TestProcessTableRuleOverridesDefault(t *testing.T) {
-	m := newTestMonitor(Config{
-		ProcessTables: map[model.PartitionName]Table{
-			"P1": {ErrDeadlineMissed: Rule{Action: ActionRestartProcess}},
-		},
-	})
+	m := newTestMonitor(Config{})
+	m.SetProcessTable("P1", Table{ErrDeadlineMissed: Rule{Action: ActionRestartProcess}})
 	d := m.ReportProcess("P1", "x", ErrDeadlineMissed, "")
 	if d.Action != ActionRestartProcess {
 		t.Errorf("action = %s, want RESTART_PROCESS", d.Action)
@@ -52,15 +49,12 @@ func TestProcessTableRuleOverridesDefault(t *testing.T) {
 func TestLogThresholdEscalation(t *testing.T) {
 	// Paper Sect. 5: "logging the error a certain number of times before
 	// acting upon it".
-	m := newTestMonitor(Config{
-		ProcessTables: map[model.PartitionName]Table{
-			"P1": {ErrDeadlineMissed: Rule{
-				Action:     ActionLogThreshold,
-				Threshold:  3,
-				Escalation: ActionStopProcess,
-			}},
-		},
-	})
+	m := newTestMonitor(Config{})
+	m.SetProcessTable("P1", Table{ErrDeadlineMissed: Rule{
+		Action:     ActionLogThreshold,
+		Threshold:  3,
+		Escalation: ActionStopProcess,
+	}})
 	for i := 0; i < 3; i++ {
 		d := m.ReportProcess("P1", "x", ErrDeadlineMissed, "")
 		if d.Action != ActionIgnore {
@@ -80,11 +74,8 @@ func TestLogThresholdEscalation(t *testing.T) {
 }
 
 func TestLogThresholdWithoutEscalationDefaultsToIgnore(t *testing.T) {
-	m := newTestMonitor(Config{
-		ProcessTables: map[model.PartitionName]Table{
-			"P1": {ErrApplicationError: Rule{Action: ActionLogThreshold, Threshold: 0}},
-		},
-	})
+	m := newTestMonitor(Config{})
+	m.SetProcessTable("P1", Table{ErrApplicationError: Rule{Action: ActionLogThreshold, Threshold: 0}})
 	d := m.ReportProcess("P1", "x", ErrApplicationError, "")
 	if d.Action != ActionIgnore {
 		t.Errorf("action = %s, want IGNORE", d.Action)
@@ -100,11 +91,8 @@ func TestPartitionErrorDefaultsToColdStart(t *testing.T) {
 }
 
 func TestPartitionTableRule(t *testing.T) {
-	m := newTestMonitor(Config{
-		PartitionTables: map[model.PartitionName]Table{
-			"P1": {ErrMemoryViolation: Rule{Action: ActionStopPartition}},
-		},
-	})
+	m := newTestMonitor(Config{})
+	m.SetPartitionTable("P1", Table{ErrMemoryViolation: Rule{Action: ActionStopPartition}})
 	d := m.ReportPartition("P1", ErrMemoryViolation, "")
 	if d.Action != ActionStopPartition {
 		t.Errorf("action = %s, want STOP_PARTITION", d.Action)
@@ -157,16 +145,16 @@ func TestEventLog(t *testing.T) {
 }
 
 func TestEventLogBounded(t *testing.T) {
-	m := newTestMonitor(Config{MaxLog: 2})
-	m.ReportModule(ErrPowerFail, "1")
-	m.ReportModule(ErrPowerFail, "2")
-	m.ReportModule(ErrPowerFail, "3")
-	events := m.Events()
-	if len(events) != 2 {
-		t.Fatalf("log length = %d, want 2", len(events))
+	m := newTestMonitor(Config{})
+	for i := 0; i <= DefaultMaxLog; i++ {
+		m.ReportModule(ErrPowerFail, strconv.Itoa(i))
 	}
-	if events[0].Message != "2" || events[1].Message != "3" {
-		t.Errorf("oldest event should be evicted: %v", events)
+	events := m.Events()
+	if len(events) != DefaultMaxLog {
+		t.Fatalf("log length = %d, want %d", len(events), DefaultMaxLog)
+	}
+	if first, last := events[0].Message, events[len(events)-1].Message; first != "1" || last != strconv.Itoa(DefaultMaxLog) {
+		t.Errorf("log holds reports %s..%s, want the oldest evicted (1..%d)", first, last, DefaultMaxLog)
 	}
 }
 
@@ -175,16 +163,11 @@ func TestResetPartitionClearsEscalationCounters(t *testing.T) {
 	// start (only a module Reset cleared them), so the fresh incarnation's
 	// first error escalated immediately.
 	rule := Rule{Action: ActionLogThreshold, Threshold: 2, Escalation: ActionStopProcess}
-	m := newTestMonitor(Config{
-		ProcessTables: map[model.PartitionName]Table{
-			"P1": {ErrDeadlineMissed: rule},
-			"P2": {ErrDeadlineMissed: rule},
-		},
-		PartitionTables: map[model.PartitionName]Table{
-			"P1": {ErrMemoryViolation: {Action: ActionLogThreshold, Threshold: 1,
-				Escalation: ActionColdStartPartition}},
-		},
-	})
+	m := newTestMonitor(Config{})
+	m.SetProcessTable("P1", Table{ErrDeadlineMissed: rule})
+	m.SetProcessTable("P2", Table{ErrDeadlineMissed: rule})
+	m.SetPartitionTable("P1", Table{ErrMemoryViolation: {Action: ActionLogThreshold, Threshold: 1,
+		Escalation: ActionColdStartPartition}})
 	// Exhaust P1's process threshold and reach its partition threshold.
 	for i := 0; i < 3; i++ {
 		m.ReportProcess("P1", "x", ErrDeadlineMissed, "")
@@ -217,22 +200,14 @@ func TestResetPartitionClearsEscalationCounters(t *testing.T) {
 }
 
 func TestDefaultMaxLogBoundsEventLog(t *testing.T) {
-	// Regression: MaxLog 0 used to mean "unbounded", so monitors built with
-	// a zero config grew without limit under a fault storm.
+	// Regression: a monitor's log used to be unbounded unless configured,
+	// so a zero-config monitor grew without limit under a fault storm.
 	m := newTestMonitor(Config{})
 	for i := 0; i < DefaultMaxLog+100; i++ {
 		m.ReportModule(ErrPowerFail, "storm")
 	}
 	if n := len(m.Events()); n != DefaultMaxLog {
 		t.Errorf("log length = %d, want DefaultMaxLog (%d)", n, DefaultMaxLog)
-	}
-	// Negative MaxLog is the explicit unbounded opt-out.
-	u := newTestMonitor(Config{MaxLog: -1})
-	for i := 0; i < DefaultMaxLog+100; i++ {
-		u.ReportModule(ErrPowerFail, "storm")
-	}
-	if n := len(u.Events()); n != DefaultMaxLog+100 {
-		t.Errorf("unbounded log length = %d, want %d", n, DefaultMaxLog+100)
 	}
 }
 

@@ -44,12 +44,14 @@ type Config struct {
 	Queuing  []ipc.QueuingConfig
 	// HMModuleTable configures module-level health monitoring.
 	HMModuleTable hm.Table
-	// MemoryBytes sizes the shared simulated physical memory.
+	// MemoryBytes sizes the shared simulated physical memory (0 selects
+	// 16 MiB, as for a single-core module).
 	MemoryBytes int
 	// TraceCapacity bounds the module-wide trace ring shared by all cores
 	// (0 inherits Cores[0].TraceCapacity, then obs.DefaultTraceCapacity;
 	// <0 disables retention — spine metrics still accumulate). The ring
-	// grows to its bound as events arrive.
+	// grows to its bound as events arrive and admits the same kinds as a
+	// single-core module's.
 	TraceCapacity int
 	// Sinks attaches additional observability sinks to the shared spine.
 	Sinks []obs.Sink
@@ -66,13 +68,14 @@ var (
 // Module is a running multicore AIR module.
 type Module struct {
 	cores  []*core.Module
-	shared core.SharedPlatform
+	shared *core.SharedPlatform
 	byPart map[model.PartitionName]int // partition → core index
 	now    tick.Ticks
 }
 
 // NewModule validates core affinity and builds the module: one core.Module
-// per core over a shared platform.
+// per core over one platform, built by core.NewPlatform as a single-core
+// module builds its own.
 func NewModule(cfg Config) (*Module, error) {
 	if len(cfg.Cores) == 0 {
 		return nil, ErrNoCores
@@ -94,57 +97,32 @@ func NewModule(cfg Config) (*Module, error) {
 		}
 	}
 
-	memBytes := cfg.MemoryBytes
-	if memBytes == 0 {
-		memBytes = 16 << 20
-	}
 	traceCap := cfg.TraceCapacity
 	if traceCap == 0 {
 		traceCap = cfg.Cores[0].TraceCapacity
-	}
-	if traceCap == 0 {
-		traceCap = obs.DefaultTraceCapacity
 	}
 	m := &Module{byPart: byPart}
 	// One observability spine spans the whole module: every core emits into
 	// it with its own core tag, so the shared ring holds the merged module
 	// trace in (time, core) emission order with no post-hoc sorting. The
-	// ring admits only the twelve trace kinds (bounded retention must not be
-	// crowded out by fine-grained scheduling events).
-	bus := obs.NewBus()
-	ring := obs.NewRingKinds(traceCap, obs.TraceKinds()...)
-	if ring != nil {
-		bus.Attach(ring)
+	// router and the monitor are module-wide: their spine events carry core
+	// tag 0 and the monitor is stamped by the global clock.
+	shared, err := core.NewPlatform(core.Config{
+		Sampling:      cfg.Sampling,
+		Queuing:       cfg.Queuing,
+		HMModuleTable: cfg.HMModuleTable,
+		MemoryBytes:   cfg.MemoryBytes,
+		TraceCapacity: traceCap,
+	}, m.Now)
+	if err != nil {
+		return nil, err
 	}
+	m.shared = shared
 	for _, s := range cfg.Sinks {
-		bus.Attach(s)
-	}
-	m.shared = core.SharedPlatform{
-		Memory: mmu.New(memBytes),
-		Router: ipc.NewRouter(),
-		Health: hm.New(hm.Config{
-			Now:         func() tick.Ticks { return m.now },
-			ModuleTable: cfg.HMModuleTable,
-			// The monitor and router are module-wide components; their
-			// spine events carry core tag 0.
-			Obs: obs.NewEmitter(bus, 0),
-		}),
-		Bus:  bus,
-		Ring: ring,
-	}
-	m.shared.Router.AttachObs(obs.NewEmitter(bus, 0))
-	for _, sc := range cfg.Sampling {
-		if _, err := m.shared.Router.AddSampling(sc); err != nil {
-			return nil, err
-		}
-	}
-	for _, qc := range cfg.Queuing {
-		if _, err := m.shared.Router.AddQueuing(qc); err != nil {
-			return nil, err
-		}
+		shared.Bus.Attach(s)
 	}
 	for i, cc := range cfg.Cores {
-		cc.Shared = &m.shared
+		cc.Shared = shared
 		cc.CoreID = i
 		cm, err := core.NewModule(cc)
 		if err != nil {
@@ -249,41 +227,16 @@ func (m *Module) Memory() *mmu.MMU { return m.shared.Memory }
 
 // Trace returns the module-wide trace. Cores are stepped in index order at
 // every global tick, so the shared ring's emission order is already the
-// merged (time, core) order the old per-core merge sort produced — each
-// event carries the emitting core in Event.Core.
-func (m *Module) Trace() []core.Event {
-	return m.shared.Ring.Events()
-}
+// merged (time, core) order — each event carries the emitting core in
+// Event.Core. Every core reads the one shared ring; core 0's read flushes a
+// batched spine first.
+func (m *Module) Trace() []core.Event { return m.cores[0].Trace() }
 
 // TraceKind filters the merged trace.
-func (m *Module) TraceKind(kind obs.Kind) []core.Event {
-	var out []core.Event
-	for _, e := range m.Trace() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+func (m *Module) TraceKind(kind obs.Kind) []core.Event { return m.cores[0].TraceKind(kind) }
 
 // Bus exposes the module-wide observability spine.
 func (m *Module) Bus() *obs.Bus { return m.shared.Bus }
 
 // Metrics returns a snapshot of the shared spine's metrics registry.
 func (m *Module) Metrics() obs.Snapshot { return m.shared.Bus.Snapshot() }
-
-// VerifyAffinity checks a multicore configuration's partition-to-core
-// assignment without building the module (integration tooling).
-func VerifyAffinity(cfg Config) error {
-	seen := make(map[model.PartitionName]int)
-	for i, cc := range cfg.Cores {
-		for _, pc := range cc.Partitions {
-			if prev, dup := seen[pc.Name]; dup {
-				return fmt.Errorf("%w: %s on cores %d and %d",
-					ErrAffinityConflict, pc.Name, prev, i)
-			}
-			seen[pc.Name] = i
-		}
-	}
-	return nil
-}

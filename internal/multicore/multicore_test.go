@@ -76,9 +76,6 @@ func TestValidation(t *testing.T) {
 	if _, err := NewModule(cfg); !errors.Is(err, ErrAffinityConflict) {
 		t.Errorf("affinity conflict = %v", err)
 	}
-	if err := VerifyAffinity(cfg); !errors.Is(err, ErrAffinityConflict) {
-		t.Errorf("VerifyAffinity = %v", err)
-	}
 	// Per-core channels are rejected.
 	cfg2 := Config{Cores: []core.Config{{
 		System:     coreSystem("A"),
@@ -427,6 +424,24 @@ func TestCoreEventAttribution(t *testing.T) {
 	for i := range events {
 		if events[i] != again[i] {
 			t.Fatalf("streams diverge at %d:\n%+v\n%+v", i, events[i], again[i])
+		}
+	}
+}
+
+// TestSharedTraceKeepsSingleCoreKinds: the shared ring admits what a
+// single-core module's ring admits, so the recovery engine's and the
+// timeline analyzer's findings on a multicore spine reach the merged trace.
+func TestSharedTraceKeepsSingleCoreKinds(t *testing.T) {
+	m := startDual(t, Config{
+		Cores: []core.Config{
+			{System: coreSystem("A"), Partitions: []core.PartitionConfig{{Name: "A"}}},
+			{System: coreSystem("B"), Partitions: []core.PartitionConfig{{Name: "B"}}},
+		},
+	})
+	for _, k := range []obs.Kind{obs.KindSlackWarning, obs.KindQuarantineEnter} {
+		m.Bus().Emit(obs.Event{Time: m.Now(), Kind: k, Partition: "B"})
+		if got := m.TraceKind(k); len(got) != 1 {
+			t.Errorf("TraceKind(%s) = %v, want the one emitted event", k, got)
 		}
 	}
 }

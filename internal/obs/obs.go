@@ -140,45 +140,24 @@ const (
 	kindCount = int(KindLeaseRenewed)
 )
 
-// TraceKinds lists the twelve historical module-trace kinds, the default
-// admission set of a module's bounded trace ring.
+// TraceKinds lists the kinds a module's bounded trace ring admits: the
+// twelve historical module-trace kinds, the recovery orchestration kinds
+// (internal/recovery) and the timeline analyzer's findings
+// (internal/timeline). All are coarse and low-frequency. The fine-grained
+// scheduling, communication and HM-report kinds and the per-activation
+// KindProcessRelease and KindProcessComplete stay out, so they cannot crowd
+// coarse records out of bounded retention; the fleet kinds never reach a
+// module's spine.
 func TraceKinds() []Kind {
-	out := make([]Kind, 0, int(KindMemoryViolation))
-	for k := KindPartitionSwitch; k <= KindMemoryViolation; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
-// RecoveryKinds lists the recovery-orchestration kinds (internal/recovery):
-// coarse, low-frequency events admitted into the module trace ring alongside
-// the historical trace kinds.
-func RecoveryKinds() []Kind {
 	return []Kind{
+		KindPartitionSwitch, KindScheduleSwitch, KindDeadlineMiss, KindHMAction,
+		KindPartitionRestart, KindPartitionStopped, KindProcessStopped,
+		KindProcessRestarted, KindApplicationMessage, KindModuleReset,
+		KindModuleHalt, KindMemoryViolation,
 		KindRestartDeferred, KindQuarantineEnter, KindQuarantineExit,
 		KindScheduleDegrade, KindScheduleRestore,
+		KindSlackWarning, KindModelViolation,
 	}
-}
-
-// FleetKinds lists the campaign-fleet coordination kinds (internal/fleet):
-// coarse, low-frequency events observed on the coordinator's own registry,
-// never on a module spine.
-func FleetKinds() []Kind {
-	return []Kind{
-		KindCampaignSubmitted, KindCampaignDone,
-		KindLeaseIssued, KindLeaseCompleted, KindLeaseReclaimed,
-		KindShardJoined, KindShardQuarantined, KindShardReadmitted,
-		KindLeaseRenewed,
-	}
-}
-
-// TimelineKinds lists the derived-analysis kinds published by the timeline
-// analyzer (internal/timeline): coarse, low-frequency events admitted into
-// the module trace ring. The per-activation KindProcessRelease and
-// KindProcessComplete events are deliberately excluded — like the other
-// fine-grained POS kinds they would crowd the bounded trace.
-func TimelineKinds() []Kind {
-	return []Kind{KindSlackWarning, KindModelViolation}
 }
 
 // kindNames indexes Kind → wire name. The first twelve entries are pinned by

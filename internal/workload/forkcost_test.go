@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"air/internal/core"
@@ -8,22 +9,22 @@ import (
 
 // forkParent builds a satellite module ticked to the first quiescent point
 // and snapshots it, the shared fixture for the fork-cost benchmarks.
-func forkParent(b *testing.B) *core.Snapshot {
-	b.Helper()
+func forkParent(tb testing.TB) *core.Snapshot {
+	tb.Helper()
 	m, err := core.NewModule(Config(Options{}))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(m.Shutdown)
+	tb.Cleanup(m.Shutdown)
 	if err := m.Start(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Run(forkMTF - 1); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	snap, err := m.Snapshot()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return snap
 }
@@ -49,21 +50,32 @@ func BenchmarkModuleFork(b *testing.B) {
 	}
 }
 
+// campaignModule is the campaign-shaped module configuration: no retained
+// trace, batched observability.
+func campaignModule() core.Config {
+	cfg := Config(Options{TraceCapacity: -1})
+	cfg.BatchObs = true
+	return cfg
+}
+
+// cycleModule builds, starts and shuts down one module of the given
+// configuration.
+func cycleModule(tb testing.TB, cfg core.Config) {
+	m, err := core.NewModule(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	m.Shutdown()
+}
+
 // BenchmarkModuleBuild is what a from-zero campaign run pays around its
-// ticks: NewModule + Start + Shutdown of the campaign-shaped module (no
-// retained trace, batched observability).
+// ticks: NewModule + Start + Shutdown of the campaign-shaped module.
 func BenchmarkModuleBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := Config(Options{TraceCapacity: -1})
-		cfg.BatchObs = true
-		m, err := core.NewModule(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Start(); err != nil {
-			b.Fatal(err)
-		}
-		m.Shutdown()
+		cycleModule(b, campaignModule())
 	}
 }
 
@@ -72,14 +84,7 @@ func BenchmarkModuleBuild(b *testing.B) {
 // satellite module at the default trace capacity, without batching.
 func BenchmarkModuleBuildDefault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewModule(Config(Options{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Start(); err != nil {
-			b.Fatal(err)
-		}
-		m.Shutdown()
+		cycleModule(b, Config(Options{}))
 	}
 }
 
@@ -91,25 +96,43 @@ func BenchmarkModuleBuildDefault(b *testing.B) {
 // default-trace module each allocated about 0.57 MB while the ring was
 // allocated whole, and under 0.1 MB since it grows on demand. Either cost
 // above 256 KiB means frames or trace capacity are being allocated eagerly
-// again.
+// again. Each case counts a module's whole life around its ticks, Shutdown
+// included.
 func TestModuleBuildAndForkAllocBound(t *testing.T) {
 	const bound = 256 << 10
-	for _, bm := range []struct {
+	snap := forkParent(t)
+	for _, c := range []struct {
 		name string
-		fn   func(*testing.B)
+		fn   func()
 	}{
-		{"build", BenchmarkModuleBuild},
-		{"default-trace build", BenchmarkModuleBuildDefault},
-		{"fork", BenchmarkModuleFork},
+		{"build", func() { cycleModule(t, campaignModule()) }},
+		{"default-trace build", func() { cycleModule(t, Config(Options{})) }},
+		{"fork", func() {
+			f, err := snap.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Shutdown()
+		}},
 	} {
-		r := testing.Benchmark(bm.fn)
-		if r.N == 0 {
-			t.Fatalf("%s benchmark failed", bm.name)
-		}
-		if got := r.AllocedBytesPerOp(); got > bound {
-			t.Errorf("%s allocates %d B/op, want at most %d", bm.name, got, bound)
+		if got := allocBytes(c.fn); got > bound {
+			t.Errorf("%s allocates %d B/op, want at most %d", c.name, got, bound)
 		}
 	}
+}
+
+// allocBytes returns the bytes f allocates per call, averaged over 50 calls
+// after a warm-up call.
+func allocBytes(f func()) uint64 {
+	const runs = 50
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // BenchmarkModuleForkRun compares fork-then-simulate against the ticking
