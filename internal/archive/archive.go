@@ -69,7 +69,10 @@
 // decodes them without reflection.
 package archive
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Defaults for Options.
 const (
@@ -146,7 +149,18 @@ type Manifest struct {
 
 // segmentName renders the n-th (1-based) segment file name.
 func segmentName(n int) string {
-	return fmt.Sprintf("seg-%06d.jsonl", n)
+	var buf [24]byte
+	return string(appendSegmentName(buf[:0], n))
+}
+
+// appendSegmentName appends the n-th segment file name to dst: "seg-", n
+// in at least six digits, ".jsonl".
+func appendSegmentName(dst []byte, n int) []byte {
+	dst = append(dst, "seg-"...)
+	for w := 100000; w > n && w > 1; w /= 10 {
+		dst = append(dst, '0')
+	}
+	return append(strconv.AppendInt(dst, int64(n), 10), ".jsonl"...)
 }
 
 // indexName renders the n-th (1-based) segment's index file name.

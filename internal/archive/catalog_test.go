@@ -47,8 +47,9 @@ func FuzzOpenReader(f *testing.F) {
 	}
 
 	// Seeds stay small, as the fuzzer minimizes every new input before it
-	// mutates on: the manifest in compact JSON, and manifests with one edit
-	// each that a reader once answered from without an error.
+	// mutates on: the manifest in compact JSON, manifests with one edit
+	// each that a reader once answered from without an error, and one whose
+	// last segment states 2^50 more records than its file holds.
 	edited := func(edit func(m *archive.Manifest)) []byte {
 		var m archive.Manifest
 		if err := json.Unmarshal(manifest, &m); err != nil {
@@ -65,6 +66,7 @@ func FuzzOpenReader(f *testing.F) {
 	f.Add(false, edited(func(m *archive.Manifest) { m.Segments[1].MaxTick = scan.SinceTick - 1 }))
 	f.Add(false, edited(func(m *archive.Manifest) { m.Segments[2].MinTick = asOf + 1 }))
 	f.Add(false, edited(func(m *archive.Manifest) { m.Segments, m.Records = m.Segments[:1], 64 }))
+	f.Add(false, edited(func(m *archive.Manifest) { m.Segments[2].Records, m.Records = 64+1<<50, 192+1<<50 }))
 	f.Add(true, index)
 	f.Add(true, index[:len(index)/2])
 	f.Fuzz(func(t *testing.T, overIndex bool, data []byte) {
@@ -119,5 +121,28 @@ func TestScanChecksPassedSegment(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "archive: manifest: segment seg-000001.jsonl ends at tick") {
 			t.Fatalf("scan from tick %d over a lowered MaxTick = %v, want a manifest error", q.SinceTick, err)
 		}
+	}
+}
+
+// TestOpenReaderAllocs pins what opening a reader on a 1000-MTF Sect. 6
+// archive (7 sealed segments) allocates: at most 56 allocations. Checking
+// each manifest name against its segment number formats no name. The race
+// detector allocates on its own account, so it is skipped there.
+func TestOpenReaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	dir := archiveRun(t, 1000, sect6Fault)
+	if segs := openReader(t, dir).Segments(); len(segs) != 7 {
+		t.Fatalf("%d segments, want 7", len(segs))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := archive.OpenReader(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("OpenReader makes %.0f allocations", allocs)
+	if allocs > 56 {
+		t.Fatalf("OpenReader makes %.0f allocations, want at most 56", allocs)
 	}
 }

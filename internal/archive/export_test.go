@@ -14,7 +14,7 @@ var CheckCatalog = checkCatalog
 func (r *Reader) Checkpoints() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ckpts)
+	return r.ckpts.n
 }
 
 // ResumeSeq returns the seq of the first record AsOf(asOfTick, asOfSeq)

@@ -1,0 +1,5 @@
+//go:build race
+
+package archive_test
+
+const raceEnabled = true

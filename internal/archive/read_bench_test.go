@@ -1,7 +1,9 @@
 package archive_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"air/internal/archive"
@@ -194,12 +196,12 @@ func BenchmarkArchiveDiff(b *testing.B) {
 	b.ReportMetric(float64(walked), "records/op")
 }
 
-// TestCheckpointStride pins the fold checkpoint stride at 64 records, the
-// sparse index's default stride, on a 1000-MTF Sect. 6 archive: a cold fold
-// leaves ⌊(records − 1)/64⌋ checkpoints, and every cut at an MTF boundary
-// then resumes fewer than 64 records before the last record it folds.
+// TestCheckpointStride pins the fold checkpoint stride at 16 records on a
+// 1000-MTF Sect. 6 archive: a cold fold leaves ⌊(records − 1)/16⌋
+// checkpoints, and every cut at an MTF boundary then resumes fewer than 16
+// records before the last record it folds.
 func TestCheckpointStride(t *testing.T) {
-	const stride = 64
+	const stride = 16
 	r := openReader(t, archiveRun(t, 1000, sect6Fault))
 	if _, err := r.AsOf(-1, 0); err != nil {
 		t.Fatal(err)
@@ -237,5 +239,140 @@ func TestAsOfAllocsPerRecord(t *testing.T) {
 	})
 	if per := allocs / float64(st.Events); per >= 3 {
 		t.Fatalf("AsOf makes %.2f allocations per folded record (%.0f for %d records), want < 3", per, allocs, st.Events)
+	}
+}
+
+// memoryOf runs fn three times and returns the least it left retained and
+// the least it allocated, read off runtime.MemStats deltas; fn returns what
+// it keeps. Two collections before each reading empty the sync.Pool caches,
+// which one collection only moves to their victim caches, so a pool filled
+// earlier in the process cannot count as freed.
+func memoryOf(fn func() any) (retained int64, allocated uint64) {
+	retained, allocated = math.MaxInt64, math.MaxUint64
+	for round := 0; round < 3; round++ {
+		var before, done, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		kept := fn()
+		runtime.ReadMemStats(&done)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained = min(retained, int64(after.HeapAlloc)-int64(before.HeapAlloc))
+		allocated = min(allocated, done.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(kept)
+	}
+	return retained, allocated
+}
+
+// coldFold opens a reader on dir and folds the whole archive.
+func coldFold(tb testing.TB, dir string) (*archive.Reader, error) {
+	tb.Helper()
+	r := openReader(tb, dir)
+	_, err := r.AsOf(-1, 0)
+	return r, err
+}
+
+// TestAsOfMemory bounds what opening a reader and folding a whole archive
+// cost in memory: what the reader retains once the fold is done (its
+// checkpoints and fold log) and what the two allocate, each the least of
+// three rounds. On the 1000-MTF Sect. 6 archive (53,004 records, one HM
+// report per MTF) at most 240 KB and 1.2 MB; full folds checkpointed every
+// 64 records read 238 KB and 1.16 MB. On an HM-dense archive as long,
+// genEvents' mix (five records in seven an HM report, a quarantine bracket
+// or a schedule event, over four partitions), at most 800 KB and 2.6 MB;
+// full folds checkpointed every 64 records read 631 KB and 2.24 MB, and a
+// log of every such event 2.0 MB and 6.9 MB.
+func TestAsOfMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations skew MemStats")
+	}
+	dense := t.TempDir()
+	writeArchive(t, dense, genEvents(53004), archive.Options{})
+	for _, c := range []struct {
+		name                      string
+		dir                       string
+		maxRetained, maxAllocated int64
+	}{
+		{"sect6", archiveRun(t, 1000, sect6Fault), 240 << 10, 1200 << 10},
+		{"hm-dense", dense, 800 << 10, 2600 << 10},
+	} {
+		retained, allocated := memoryOf(func() any {
+			r, err := coldFold(t, c.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		})
+		t.Logf("%s: a cold fold retains %d B and allocates %d B", c.name, retained, allocated)
+		if retained > c.maxRetained {
+			t.Errorf("%s: a reader retains %d B after a cold fold, want at most %d", c.name, retained, c.maxRetained)
+		}
+		if int64(allocated) > c.maxAllocated {
+			t.Errorf("%s: opening a reader and a cold fold allocate %d B, want at most %d", c.name, allocated, c.maxAllocated)
+		}
+	}
+}
+
+// TestAsOfInflatedManifest raises the record count of an archive's last
+// sealed segment by 2^24, and the total with it, which the manifest checks
+// allow. A cold fold fails at the segment file's end as a truncated
+// segment, and allocates for the frames it read, not for the records the
+// manifest states: no more than 64 KB beyond the intact archive's fold.
+// Checkpoints sized by the stated count would take 32 MB.
+func TestAsOfInflatedManifest(t *testing.T) {
+	dir := t.TempDir()
+	writeArchive(t, dir, genEvents(3000), archive.Options{SegmentRecords: 1000})
+	_, intact := memoryOf(func() any {
+		r, err := coldFold(t, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	})
+	editManifest(t, dir, func(m *archive.Manifest) {
+		m.Segments[2].Records += 1 << 24
+		m.Records += 1 << 24
+	})
+	var err error
+	_, inflated := memoryOf(func() any {
+		var r *archive.Reader
+		r, err = coldFold(t, dir)
+		return r
+	})
+	if want := "archive: segment seg-000003.jsonl truncated at seq 3001"; err == nil || err.Error() != want {
+		t.Fatalf("a cold fold over an inflated record count = %v, want %q", err, want)
+	}
+	t.Logf("a cold fold allocates %d B on the intact archive, %d B on the inflated one", intact, inflated)
+	if !raceEnabled && inflated > intact+64<<10 {
+		t.Fatalf("a cold fold over an inflated record count allocates %d B, the intact archive's %d B", inflated, intact)
+	}
+}
+
+// TestAsOfEarlyCutAllocates opens a reader on the 1000-MTF Sect. 6 archive
+// and cuts it after its tenth MTF, as an /archive/asof request does. The
+// two allocate for the 534 frames folded and their checkpoints, at most
+// 64 KB, and nothing for the rest of the archive, whose checkpoints alone
+// take 106 KB.
+func TestAsOfEarlyCutAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations skew MemStats")
+	}
+	dir := archiveRun(t, 1000, sect6Fault)
+	at := int64(10 * mtfTicks)
+	var events uint64
+	_, allocated := memoryOf(func() any {
+		r := openReader(t, dir)
+		st, err := r.AsOf(at, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = st.Events
+		return r
+	})
+	t.Logf("a fresh reader's cut at tick %d folds %d records and allocates %d B", at, events, allocated)
+	if allocated > 64<<10 {
+		t.Fatalf("a fresh reader's cut at tick %d (%d records) allocates %d B, want at most 64 KB", at, events, allocated)
 	}
 }

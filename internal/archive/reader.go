@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,10 +17,10 @@ import (
 	"air/internal/wire"
 )
 
-// checkpointEvery is the fold checkpoint stride: AsOf records its state
-// before every record whose seq − 1 is a positive multiple of it. It is the
-// sparse index's default stride, so a warm cut decodes at most 63 records.
-const checkpointEvery = 64
+// checkpointEvery is the fold checkpoint stride: AsOf records a checkpoint
+// before every record whose seq − 1 is a positive multiple of it, so a warm
+// cut decodes at most 15 records before the last one it folds.
+const checkpointEvery = 16
 
 // Reader opens an archive directory for queries. Sealed segments are taken
 // from the manifest; any trailing unsealed segment is recovered read-only
@@ -31,20 +32,27 @@ const checkpointEvery = 64
 // A Reader is a snapshot. OpenReader fixes the segment list and the
 // recovered tail's length, so records appended later stay unseen. A sealed
 // segment's sparse index is read from its index file when a scan first
-// seeks into the segment, and kept. AsOf keeps fold checkpoints: every 64
-// records, the fold's state, taken only once this Reader has itself
-// verified every earlier frame. A cut resumes from the last checkpoint
-// inside it, so frames folded into a checkpoint are not re-read, and a
-// later change to one goes unseen by the cuts past it. The 828 checkpoints
-// of a 53k-record archive retain about 238 KB. A Reader is safe for
-// concurrent use.
+// seeks into the segment, and kept. AsOf keeps what its folds learn, taken
+// only from frames this Reader has itself verified from the head: a thin
+// checkpoint every 16 records (the frame's segment and offset and the
+// fold's last and largest tick) and a log of the state at each checkpoint
+// (each partition's HM table row and quarantine bracket, and the schedule
+// mode), which keeps one entry per 16-record interval in which an event of
+// its kind occurs, however many occur there. A cut resumes from the last
+// checkpoint inside it, re-reads the frames from there to its last record,
+// and folds their events onto the log's state at that checkpoint. Frames
+// before the checkpoint are not re-read, so a later change to one goes
+// unseen by the cuts past it. The 3,312 checkpoints (32 B each) and the log
+// (1,000 HM rows, 32 B each) of a 53k-record Sect. 6 archive retain about
+// 147 KB. A Reader is safe for concurrent use.
 type Reader struct {
 	dir     string
 	segs    []segmentInfo
 	records uint64 // total addressable records
 
 	mu    sync.Mutex
-	ckpts []checkpoint         // ckpts[i] is the fold before seq (i+1)*checkpointEvery+1
+	ckpts list[checkpoint]     // the i-th is the fold before seq (i+1)*checkpointEvery+1
+	log   foldLog              // the fold's events in the frames verified from the head
 	index map[int][]IndexEntry // sealed segment i's sparse index, once loaded
 	ends  map[int]bool         // sealed segment i's last frame carries its MaxTick
 }
@@ -91,7 +99,8 @@ func OpenReader(dir string) (*Reader, error) {
 // metadata the manifest would have held. Returns nil when the file does not
 // exist or holds no valid record.
 func scanSegment(dir string, num int, seqStart uint64) (*segmentInfo, error) {
-	f, err := os.Open(filepath.Join(dir, segmentName(num)))
+	meta := SegmentMeta{Name: segmentName(num), SeqStart: seqStart}
+	f, err := os.Open(filepath.Join(dir, meta.Name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -99,7 +108,6 @@ func scanSegment(dir string, num int, seqStart uint64) (*segmentInfo, error) {
 		return nil, fmt.Errorf("archive: open segment: %w", err)
 	}
 	defer f.Close()
-	meta := SegmentMeta{Name: segmentName(num), SeqStart: seqStart}
 	meta.Bytes, err = durable.Walk(f, func(payload []byte, _ int64) error {
 		e, err := obs.ParseRecord(payload)
 		if err != nil {
@@ -182,8 +190,9 @@ var errStop = errors.New("archive: stop scan")
 // enters each segment where the sparse index seeks it, or at from when that
 // frame lies further on (the zero pos starts at the archive's head), and
 // calls fn with every record q admits. When fo is not nil, scan records
-// AsOf checkpoints of fo as it passes them, for as long as it has read
-// every frame before its position: skipping frames unread ends that.
+// AsOf checkpoints of fo as it passes them. AsOf's query admits every tick,
+// so that scan passes no segment over and seeks into none: it reads every
+// frame from its resume point on, as a checkpoint requires.
 func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error, fo *fold) error {
 	lr := lineReaders.Get().(*durable.LineReader) // one pair of buffers for every segment
 	defer func() {
@@ -197,7 +206,7 @@ func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error,
 			break
 		}
 		if seg.MaxTick < q.SinceTick {
-			passed, fo = i, nil
+			passed = i
 			continue // whole segment precedes the window
 		}
 		if err := r.checkPassed(passed); err != nil {
@@ -213,8 +222,6 @@ func (r *Reader) scan(from pos, q Query, fn func(seq uint64, e obs.Event) error,
 		}
 		if from.seq > p.seq {
 			p = from
-		} else if p.off > 0 {
-			fo = nil // the index skipped frames
 		}
 		if err := r.scanOne(p, q, lr, fn, fo); err != nil {
 			if errors.Is(err, errStop) {
@@ -447,88 +454,285 @@ type State struct {
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
-// fold is AsOf's running reconstruction of a State. The HM rows and the
-// quarantined set are short sorted slices, so a checkpoint copies each in
-// one allocation.
+// fold is one AsOf cut's walk of the frames from its resume point: it
+// places the cut's last record and keeps the events of the kinds the log
+// holds that it folds after base, the checkpoint it resumed from or last
+// passed, until it passes the next one.
 type fold struct {
-	events      uint64
-	lastTick    int64
-	lastSeq     uint64
-	schedule    string
-	degraded    bool
-	hm          []hmRow  // sorted by partition
-	quarantined []string // sorted
-	maxTick     int64    // the largest tick folded
-	next        uint64   // seq of the next checkpoint this fold may record
+	lastTick int64
+	lastSeq  uint64
+	maxTick  int64         // the largest tick folded
+	next     uint64        // seq of the next checkpoint this fold may record
+	base     uint64        // the log covers this fold's records up to this seq
+	pending  []loggedEvent // the logged kinds' events after base
 }
 
-// hmRow is one partition's row of the reconstructed HM table.
-type hmRow struct {
-	partition string
-	entry     HMEntry
+// loggedEvent is a folded event of a kind the log keeps, with its seq.
+type loggedEvent struct {
+	seq uint64
+	e   obs.Event
 }
 
-// checkpoint is a fold as it stood before the frame at.
+// checkpoint is a fold as it stood before the frame at segment seg, byte
+// offset off; its seq follows from its index in Reader.ckpts.
 type checkpoint struct {
-	fold
-	at pos
+	seg               int
+	off               int64
+	lastTick, maxTick int64
 }
 
-// add folds one event. The kinds folded here define the as-of semantics:
-// HM table from HM_REPORT, schedule mode from SCHEDULE_SWITCH/DEGRADE/
-// RESTORE, quarantine set from the recovery brackets.
+// blockLen is how many entries one block of a list holds: 4 KiB of
+// checkpoints, the checkpoints of 2,048 records.
+const blockLen = 128
+
+// list is an append-only list kept in blocks of blockLen entries, each
+// allocated when the first entry for it arrives. It grows without copying
+// and holds at most one part-filled block, however many records the
+// manifest states.
+type list[E any] struct {
+	n      int
+	blocks []*[blockLen]E
+}
+
+// at returns the i-th entry.
+func (l *list[E]) at(i int) *E {
+	return &l.blocks[i/blockLen][i%blockLen]
+}
+
+// add appends e to the list.
+func (l *list[E]) add(e E) {
+	if l.n%blockLen == 0 {
+		l.blocks = append(l.blocks, new([blockLen]E))
+	}
+	*l.at(l.n) = e
+	l.n++
+}
+
+// foldLog holds, once for a Reader, what AsOf's State reads at each
+// checkpoint, taken from the frames 1..verified, which the Reader has
+// itself verified from the head. Each list is in seq order and keeps at
+// most one entry per checkpoint interval: the state the interval's last
+// event of its kind left. The kinds logged define the as-of semantics: HM
+// table from HM_REPORT, schedule mode from SCHEDULE_SWITCH/DEGRADE/RESTORE,
+// quarantine set from the recovery brackets.
+type foldLog struct {
+	verified uint64 // a multiple of checkpointEvery
+	schedule list[scheduleEntry]
+	parts    []partitionLog     // sorted by name
+	whats    map[hmWhat]*hmWhat // one copy of each triple the HM entries name
+}
+
+// logged is the seq of the event that left a log entry.
+type logged struct{ seq uint64 }
+
+func (l logged) loggedAt() uint64 { return l.seq }
+
+// entry is a log entry.
+type entry interface{ loggedAt() uint64 }
+
+// scheduleEntry is the schedule mode as a schedule event left it.
+type scheduleEntry struct {
+	logged
+	schedule string
+	degraded bool
+}
+
+// partitionLog is one partition's HM table row and quarantine bracket.
+type partitionLog struct {
+	name       string
+	hm         list[hmEntry]
+	quarantine list[bracket]
+}
+
+// hmEntry is the partition's HM table row as an HM_REPORT left it.
+type hmEntry struct {
+	logged
+	tick    int64
+	reports uint64
+	what    *hmWhat
+}
+
+// hmWhat is an HM report's code, level and action.
+type hmWhat struct{ code, level, action string }
+
+// bracket is a QUARANTINE_ENTER (in) or QUARANTINE_EXIT.
+type bracket struct {
+	logged
+	in bool
+}
+
+// add folds one event: it places the record and keeps it for the log when
+// its kind is one the log keeps.
 func (f *fold) add(seq uint64, e obs.Event) error {
-	f.events++
 	f.lastTick, f.lastSeq = int64(e.Time), seq
 	f.maxTick = max(f.maxTick, f.lastTick)
 	switch e.Kind {
-	case obs.KindScheduleSwitch:
-		f.schedule = scheduleName(e.Detail)
-	case obs.KindScheduleDegrade:
-		f.degraded = true
-		f.schedule = scheduleName(e.Detail)
-	case obs.KindScheduleRestore:
-		f.degraded = false
-		f.schedule = scheduleName(e.Detail)
-	case obs.KindHMReport:
-		p := string(e.Partition)
-		i, ok := slices.BinarySearchFunc(f.hm, p, func(row hmRow, p string) int {
-			return strings.Compare(row.partition, p)
-		})
-		if !ok {
-			f.hm = slices.Insert(f.hm, i, hmRow{partition: p})
-		}
-		ent := &f.hm[i].entry
-		ent.Code, ent.Level, ent.Action = e.Code, e.Level, e.Action
-		ent.Tick = int64(e.Time)
-		ent.Reports++
-	case obs.KindQuarantineEnter:
-		if i, ok := slices.BinarySearch(f.quarantined, string(e.Partition)); !ok {
-			f.quarantined = slices.Insert(f.quarantined, i, string(e.Partition))
-		}
-	case obs.KindQuarantineExit:
-		if i, ok := slices.BinarySearch(f.quarantined, string(e.Partition)); ok {
-			f.quarantined = slices.Delete(f.quarantined, i, i+1)
-		}
+	case obs.KindScheduleSwitch, obs.KindScheduleDegrade, obs.KindScheduleRestore,
+		obs.KindHMReport, obs.KindQuarantineEnter, obs.KindQuarantineExit:
+		f.pending = append(f.pending, loggedEvent{seq: seq, e: e})
 	}
 	return nil
 }
 
-// state renders the fold as the State of the cut (asOfTick, asOfSeq): HM
-// stays nil before the first HM_REPORT, Quarantined nil when empty.
-func (f *fold) state(asOfTick int64, asOfSeq uint64) State {
-	st := State{AsOfTick: asOfTick, AsOfSeq: asOfSeq, Events: f.events,
-		LastTick: f.lastTick, LastSeq: f.lastSeq, Schedule: f.schedule, Degraded: f.degraded}
-	if len(f.hm) > 0 {
-		st.HM = make(map[string]HMEntry, len(f.hm))
-		for _, row := range f.hm {
-			st.HM[row.partition] = row.entry
+// extend hands f's pending events to the log unless it holds them already,
+// and moves f's base to f's last record, the one before the checkpoint f
+// has reached. The log covers every frame up to f's base and f read every
+// frame after it, so the log then covers every frame up to that checkpoint.
+// The caller holds r.mu.
+func (r *Reader) extend(f *fold) {
+	l := &r.log
+	if f.lastSeq > l.verified {
+		for _, pe := range f.pending {
+			l.add(pe.seq, pe.e)
+		}
+		l.verified = f.lastSeq
+	}
+	f.base, f.pending = f.lastSeq, f.pending[:0]
+}
+
+// add logs the event e at seq, in place of its list's last entry when that
+// one lies in the same checkpoint interval, past verified.
+func (l *foldLog) add(seq uint64, e obs.Event) {
+	switch e.Kind {
+	case obs.KindScheduleSwitch, obs.KindScheduleDegrade, obs.KindScheduleRestore:
+		ent := scheduleEntry{logged: logged{seq}}
+		if n := l.schedule.n; n > 0 {
+			ent.degraded = l.schedule.at(n - 1).degraded
+		}
+		ent.schedule, ent.degraded = schedule(e, ent.degraded)
+		put(&l.schedule, ent, l.verified)
+	case obs.KindHMReport:
+		p := l.partition(string(e.Partition))
+		ent := hmEntry{logged: logged{seq}, tick: int64(e.Time), reports: 1, what: l.what(e)}
+		if n := p.hm.n; n > 0 {
+			ent.reports += p.hm.at(n - 1).reports
+		}
+		put(&p.hm, ent, l.verified)
+	case obs.KindQuarantineEnter, obs.KindQuarantineExit:
+		p := l.partition(string(e.Partition))
+		put(&p.quarantine, bracket{logged: logged{seq}, in: e.Kind == obs.KindQuarantineEnter}, l.verified)
+	}
+}
+
+// what returns the log's copy of e's code, level and action, adding one if
+// it has none.
+func (l *foldLog) what(e obs.Event) *hmWhat {
+	w := hmWhat{e.Code, e.Level, e.Action}
+	if kept, ok := l.whats[w]; ok {
+		return kept
+	}
+	if l.whats == nil {
+		l.whats = map[hmWhat]*hmWhat{}
+	}
+	kept := new(hmWhat)
+	*kept = w
+	l.whats[w] = kept
+	return kept
+}
+
+// put appends ent to l, or replaces l's last entry with it when that one
+// lies past verified, in the interval being logged.
+func put[E entry](l *list[E], ent E, verified uint64) {
+	if l.n > 0 && (*l.at(l.n - 1)).loggedAt() > verified {
+		*l.at(l.n - 1) = ent
+		return
+	}
+	l.add(ent)
+}
+
+// upTo returns how many of l's entries lie at or before seq.
+func upTo[E entry](l *list[E], seq uint64) int {
+	return sort.Search(l.n, func(i int) bool { return (*l.at(i)).loggedAt() > seq })
+}
+
+// partition returns name's log, adding an empty one in order if it has
+// none.
+func (l *foldLog) partition(name string) *partitionLog {
+	i, ok := slices.BinarySearchFunc(l.parts, name, func(p partitionLog, name string) int {
+		return strings.Compare(p.name, name)
+	})
+	if !ok {
+		l.parts = slices.Insert(l.parts, i, partitionLog{name: name})
+	}
+	return &l.parts[i]
+}
+
+// render sets st's schedule, HM table and quarantined set to the log's at
+// seq, which is 0 or a checkpoint's record before it.
+func (l *foldLog) render(st *State, seq uint64) {
+	if i := upTo(&l.schedule, seq); i > 0 {
+		ent := l.schedule.at(i - 1)
+		st.Schedule, st.Degraded = ent.schedule, ent.degraded
+	}
+	for j := range l.parts {
+		p := &l.parts[j]
+		if i := upTo(&p.hm, seq); i > 0 {
+			if st.HM == nil {
+				st.HM = make(map[string]HMEntry, len(l.parts))
+			}
+			ent := p.hm.at(i - 1)
+			st.HM[p.name] = HMEntry{Code: ent.what.code, Level: ent.what.level, Action: ent.what.action, Tick: ent.tick, Reports: ent.reports}
+		}
+		if i := upTo(&p.quarantine, seq); i > 0 && p.quarantine.at(i-1).in {
+			st.Quarantined = append(st.Quarantined, p.name)
 		}
 	}
-	if len(f.quarantined) > 0 {
-		st.Quarantined = f.quarantined
+}
+
+// state renders the State of the cut (asOfTick, asOfSeq), whose last record
+// f holds: the log's schedule, HM table and quarantined set at f's base,
+// with f's own events after it folded on top. HM stays nil before the first
+// HM_REPORT, Quarantined nil when empty.
+func (r *Reader) state(f *fold, asOfTick int64, asOfSeq uint64) State {
+	// A cut folds every record from seq 1 to its last one.
+	st := State{AsOfTick: asOfTick, AsOfSeq: asOfSeq, Events: f.lastSeq, LastTick: f.lastTick, LastSeq: f.lastSeq}
+	r.mu.Lock()
+	r.log.render(&st, f.base)
+	r.mu.Unlock()
+	for _, pe := range f.pending {
+		st.apply(pe.e)
+	}
+	if len(st.Quarantined) == 0 {
+		st.Quarantined = nil
 	}
 	return st
+}
+
+// apply folds e, an event of a kind the log keeps, into st.
+func (st *State) apply(e obs.Event) {
+	p := string(e.Partition)
+	switch e.Kind {
+	case obs.KindScheduleSwitch, obs.KindScheduleDegrade, obs.KindScheduleRestore:
+		st.Schedule, st.Degraded = schedule(e, st.Degraded)
+	case obs.KindHMReport:
+		if st.HM == nil {
+			st.HM = make(map[string]HMEntry, 1)
+		}
+		ent := st.HM[p]
+		ent.Code, ent.Level, ent.Action, ent.Tick = e.Code, e.Level, e.Action, int64(e.Time)
+		ent.Reports++
+		st.HM[p] = ent
+	case obs.KindQuarantineEnter:
+		if i, ok := slices.BinarySearch(st.Quarantined, p); !ok {
+			st.Quarantined = slices.Insert(st.Quarantined, i, p)
+		}
+	case obs.KindQuarantineExit:
+		if i, ok := slices.BinarySearch(st.Quarantined, p); ok {
+			st.Quarantined = slices.Delete(st.Quarantined, i, i+1)
+		}
+	}
+}
+
+// schedule returns the schedule mode that e, a schedule event, leaves
+// after one that was degraded or not.
+func schedule(e obs.Event, degraded bool) (string, bool) {
+	switch e.Kind {
+	case obs.KindScheduleDegrade:
+		degraded = true
+	case obs.KindScheduleRestore:
+		degraded = false
+	}
+	return scheduleName(e.Detail), degraded
 }
 
 // scheduleName recovers the target schedule from a schedule event's detail
@@ -550,41 +754,42 @@ func scheduleName(detail string) string {
 // checkpoint inside the cut and reads only the records after it.
 func (r *Reader) AsOf(asOfTick int64, asOfSeq uint64) (State, error) {
 	f, from := r.resume(asOfTick, asOfSeq)
-	err := r.scan(from, Query{UntilTick: asOfTick, MaxSeq: asOfSeq}, f.add, &f)
-	return f.state(asOfTick, asOfSeq), err
+	err := r.scan(from, Query{SinceTick: math.MinInt64, UntilTick: asOfTick, MaxSeq: asOfSeq}, f.add, &f)
+	return r.state(&f, asOfTick, asOfSeq), err
 }
 
-// resume returns a copy of the last checkpoint inside the cut (asOfTick,
+// resume returns the fold at the last checkpoint inside the cut (asOfTick,
 // asOfSeq) and its frame, or an empty fold at the archive's head. The
 // checkpoints' ticks and seqs both only grow, so the ones inside the cut
 // are a prefix of the list.
 func (r *Reader) resume(asOfTick int64, asOfSeq uint64) (fold, pos) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.Search(len(r.ckpts), func(i int) bool {
-		c := &r.ckpts[i]
-		pastTick := asOfTick >= 0 && c.maxTick > asOfTick
-		pastSeq := asOfSeq > 0 && c.at.seq-1 > asOfSeq
+	i := sort.Search(r.ckpts.n, func(i int) bool {
+		pastTick := asOfTick >= 0 && r.ckpts.at(i).maxTick > asOfTick
+		pastSeq := asOfSeq > 0 && uint64(i+1)*checkpointEvery > asOfSeq
 		return pastTick || pastSeq
 	})
+	f := fold{next: checkpointEvery + 1}
 	if i == 0 {
-		return fold{next: checkpointEvery + 1}, pos{}
+		return f, pos{}
 	}
-	c := r.ckpts[i-1]
-	c.hm, c.quarantined = slices.Clone(c.hm), slices.Clone(c.quarantined)
-	c.next = c.at.seq + checkpointEvery
-	return c.fold, c.at
+	c := r.ckpts.at(i - 1)
+	f.lastTick, f.lastSeq, f.maxTick = c.lastTick, uint64(i)*checkpointEvery, c.maxTick
+	f.next += f.lastSeq
+	f.base = f.lastSeq
+	return f, pos{seg: c.seg, off: c.off, seq: f.lastSeq + 1}
 }
 
-// checkpoint records fo as the fold before frame p when p is the reader's
-// next checkpoint, and returns the seq of the one after it.
+// checkpoint logs fo's pending events, records fo as the fold before frame
+// p when p is the reader's next checkpoint, and returns the seq of the one
+// after it.
 func (r *Reader) checkpoint(fo *fold, p pos) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p.seq == uint64(len(r.ckpts)+1)*checkpointEvery+1 {
-		c := checkpoint{fold: *fo, at: p}
-		c.hm, c.quarantined = slices.Clone(fo.hm), slices.Clone(fo.quarantined)
-		r.ckpts = append(r.ckpts, c)
+	r.extend(fo)
+	if p.seq == uint64(r.ckpts.n+1)*checkpointEvery+1 {
+		r.ckpts.add(checkpoint{seg: p.seg, off: p.off, lastTick: fo.lastTick, maxTick: fo.maxTick})
 	}
 	fo.next = p.seq + checkpointEvery
 	return fo.next

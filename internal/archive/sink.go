@@ -181,9 +181,10 @@ func parseSegmentMeta(p *wire.Parser, seg *SegmentMeta) {
 // (readIndex).
 func (m Manifest) validate() error {
 	seq := uint64(1)
+	var name [24]byte
 	for i, seg := range m.Segments {
 		switch {
-		case seg.Name != segmentName(i+1):
+		case string(appendSegmentName(name[:0], i+1)) != seg.Name:
 			return fmt.Errorf("segment %d is named %q, want %q", i+1, seg.Name, segmentName(i+1))
 		case seg.SeqStart != seq:
 			return fmt.Errorf("segment %s starts at seq %d, want %d", seg.Name, seg.SeqStart, seq)

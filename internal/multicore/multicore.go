@@ -146,7 +146,11 @@ func (m *Module) Start() error {
 // Step advances the global clock one tick: each core executes its tick in
 // index order. MMU contexts are per-access in the shared MMU, so the
 // sequential stepping is observationally equivalent to parallel windows.
+// The clock reads the tick being executed while the cores step, as a
+// single-core module's does, so the shared Health Monitor stamps a
+// detection with the tick the detecting core's trace carries.
 func (m *Module) Step() error {
+	m.now++
 	for i, c := range m.cores {
 		if c.Halted() {
 			continue
@@ -158,7 +162,6 @@ func (m *Module) Step() error {
 			return fmt.Errorf("core %d: %w", i, err)
 		}
 	}
-	m.now++
 	return nil
 }
 

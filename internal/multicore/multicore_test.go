@@ -234,6 +234,52 @@ func TestSharedHealthMonitor(t *testing.T) {
 	}
 }
 
+// TestSharedHealthMonitorStampsDetectionTick runs a deadline overrun on
+// core 1 of a dual-core module: each HM record carries the tick of the
+// DEADLINE_MISS event the core traced for the same detection, as a
+// single-core module's do.
+func TestSharedHealthMonitorStampsDetectionTick(t *testing.T) {
+	m := startDual(t, Config{
+		Cores: []core.Config{
+			{System: coreSystem("A"), Partitions: []core.PartitionConfig{
+				{Name: "A", Init: workerInit("ok", 100, 10, nil)},
+			}},
+			{System: coreSystem("B"), Partitions: []core.PartitionConfig{
+				{Name: "B", Init: func(sv *core.Services) {
+					sv.CreateProcess(model.TaskSpec{
+						Name: "late", Period: 100, Deadline: 50,
+						BasePriority: 1, WCET: 40, Periodic: true,
+					}, func(sv *core.Services) {
+						for {
+							sv.Compute(1 << 30)
+						}
+					})
+					sv.StartProcess("late")
+					sv.SetPartitionMode(model.ModeNormal)
+				}},
+			}},
+		},
+	})
+	if err := m.Run(500); err != nil {
+		t.Fatal(err)
+	}
+	misses := m.TraceKind(obs.KindDeadlineMiss)
+	var records []hm.Event
+	for _, e := range m.Health().EventsFor("B") {
+		if e.Code == hm.ErrDeadlineMissed {
+			records = append(records, e)
+		}
+	}
+	if len(misses) == 0 || len(records) != len(misses) {
+		t.Fatalf("%d DEADLINE_MISS events and %d HM records, want as many of each and at least one", len(misses), len(records))
+	}
+	for i, miss := range misses {
+		if records[i].Time != miss.Time {
+			t.Errorf("detection %d: DEADLINE_MISS at tick %d, HM record at %d", i, miss.Time, records[i].Time)
+		}
+	}
+}
+
 // TestSharedMemoryIsolationAcrossCores: partitions on different cores get
 // disjoint physical frames from the shared memory.
 func TestSharedMemoryIsolationAcrossCores(t *testing.T) {
