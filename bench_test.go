@@ -58,18 +58,7 @@ func newBenchScheduler(b *testing.B, mtf tick.Ticks, windows []model.Window, req
 			{Name: "s1", MTF: mtf, Requirements: reqs, Windows: windows},
 		},
 	}
-	var compiled []*pmk.CompiledSchedule
-	for i := range sys.Schedules {
-		cs, err := pmk.Compile(sys, &sys.Schedules[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		compiled = append(compiled, cs)
-	}
-	s, err := pmk.NewScheduler(compiled)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := pmk.NewScheduler(sys)
 	if _, err := s.Start(); err != nil {
 		b.Fatal(err)
 	}
@@ -136,19 +125,7 @@ func BenchmarkPartitionSchedulerScheduleSwitch(b *testing.B) {
 // BenchmarkPartitionSchedulerFig8 measures the amortized per-tick cost over
 // the paper's actual prototype tables (7 points per 1300 ticks).
 func BenchmarkPartitionSchedulerFig8(b *testing.B) {
-	sys := model.Fig8System()
-	var compiled []*pmk.CompiledSchedule
-	for i := range sys.Schedules {
-		cs, err := pmk.Compile(sys, &sys.Schedules[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		compiled = append(compiled, cs)
-	}
-	s, err := pmk.NewScheduler(compiled)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := pmk.NewScheduler(model.Fig8System())
 	if _, err := s.Start(); err != nil {
 		b.Fatal(err)
 	}
@@ -212,12 +189,13 @@ func BenchmarkDispatcherContextSwitch(b *testing.B) {
 
 var queueSizes = []int{4, 16, 64, 256, 1024}
 
-func fillQueue(q pal.DeadlineQueue, n int) {
+// fillQueue registers n processes with deterministic pseudo-random
+// deadlines in [base, base+1,000,000).
+func fillQueue(q pal.DeadlineQueue, n int, base tick.Ticks) {
 	for i := 0; i < n; i++ {
-		// Deterministic pseudo-random deadlines.
 		q.Register(pal.Entry{
 			PID:      pos.ProcessID(i + 1),
-			Deadline: tick.Ticks((i*2654435761 + 12345) % 1_000_000),
+			Deadline: base + tick.Ticks((i*2654435761+12345)%1_000_000),
 		})
 	}
 }
@@ -226,7 +204,7 @@ func benchEarliest(b *testing.B, mk func() pal.DeadlineQueue) {
 	for _, n := range queueSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			q := mk()
-			fillQueue(q, n)
+			fillQueue(q, n, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, ok := q.Earliest(); !ok {
@@ -251,7 +229,7 @@ func benchRegister(b *testing.B, mk func() pal.DeadlineQueue) {
 	for _, n := range queueSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			q := mk()
-			fillQueue(q, n)
+			fillQueue(q, n, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Update a rotating process with a moving deadline: the
@@ -287,11 +265,18 @@ func benchTickAnnounce(b *testing.B, useTree bool) {
 			p := pal.New(pal.Config{Partition: "P", Queue: q, Now: nowFn})
 			k := pos.NewKernel(pos.Options{Partition: "P", Now: nowFn, Observer: p})
 			p.Bind(k)
-			fillQueue(q, n)
+			// Every deadline lies past the b.N ticks the loop announces, so
+			// the queue stays full: each announce releases no process,
+			// finds the earliest of n deadlines not missed and stops.
+			fillQueue(q, n, tick.Ticks(b.N)+1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				now++ // deadlines are far in the future: no violations
+				now++
 				p.TickAnnounce(1)
+			}
+			b.StopTimer()
+			if q.Len() != n {
+				b.Fatalf("queue holds %d deadlines after %d ticks, want %d", q.Len(), b.N, n)
 			}
 		})
 	}
@@ -312,7 +297,7 @@ func BenchmarkDeadlineDetectAndRemove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fillQueue(q, 64)
+		fillQueue(q, 64, 0)
 		b.StartTimer()
 		// One expired entry at the head.
 		q.Register(pal.Entry{PID: 999, Deadline: 0})

@@ -70,8 +70,10 @@ import (
 
 // mergedSource serves the campaign's live telemetry: finished runs fold
 // their snapshots in from worker goroutines while the HTTP handlers read the
-// merged view. The flight dump is empty — post-mortem recording is a
-// per-module notion; use airsim -telemetry for it.
+// merged view. The folds accumulate in place, so a reader gets a copy of its
+// own, never the maps and slices the next fold writes. The flight dump is
+// empty — post-mortem recording is a per-module notion; use airsim
+// -telemetry for it.
 type mergedSource struct {
 	mu   sync.Mutex
 	snap timeline.Snapshot
@@ -81,20 +83,24 @@ type mergedSource struct {
 func (s *mergedSource) fold(ob campaign.Observation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snap = s.snap.Add(ob.Timeline)
-	s.reg = s.reg.Add(ob.Metrics)
+	s.snap.Accumulate(&ob.Timeline)
+	s.reg.Accumulate(&ob.Metrics)
 }
 
 func (s *mergedSource) Snapshot() timeline.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snap
+	var c timeline.Snapshot
+	c.Accumulate(&s.snap)
+	return c
 }
 
 func (s *mergedSource) Registry() obs.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reg
+	var c obs.Snapshot
+	c.Accumulate(&s.reg)
+	return c
 }
 
 func (s *mergedSource) Flight() timeline.FlightDump {

@@ -3,15 +3,18 @@ package main
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"air/internal/campaign"
 	"air/internal/fleet"
+	"air/internal/timeline"
 )
 
 func TestRunSmallCampaign(t *testing.T) {
@@ -309,5 +312,62 @@ func TestRunJournalResume(t *testing.T) {
 	}
 	if string(ref) != string(resumed) {
 		t.Error("resumed campaign artifact differs from uninterrupted run")
+	}
+}
+
+// TestMergedSourceReadsWhileFolding folds campaign observations from
+// several goroutines while another serves /metrics and /timeline.json from
+// the merged view. The folds accumulate in place, so a reader must get a
+// copy of its own, never the maps and slices the next fold writes: -race
+// reports a reader that shares them. Every fold must count.
+func TestMergedSourceReadsWhileFolding(t *testing.T) {
+	res, err := campaign.Run(campaign.Spec{Runs: 4, Workers: 1, Seed: 3, MTFs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &mergedSource{}
+	h := timeline.Handler(src)
+	const folders, rounds = 4, 25
+	var wg sync.WaitGroup
+	for range folders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for _, ob := range res.Observations {
+					src.fold(ob)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, path := range []string{"/metrics", "/timeline.json"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d", path, rec.Code)
+			}
+		}
+	}
+	var events, ticks uint64
+	for _, ob := range res.Observations {
+		events += ob.Metrics.Events
+		ticks += ob.Timeline.Ticks
+	}
+	if events == 0 || ticks == 0 {
+		t.Fatalf("the campaign's %d observations hold %d events and %d ticks to fold", len(res.Observations), events, ticks)
+	}
+	if got, want := src.Registry().Events, events*folders*rounds; got != want {
+		t.Errorf("merged registry holds %d events, want %d", got, want)
+	}
+	if got, want := src.Snapshot().Ticks, ticks*folders*rounds; got != want {
+		t.Errorf("merged timeline holds %d ticks, want %d", got, want)
 	}
 }

@@ -732,17 +732,7 @@ func schedule(e obs.Event, degraded bool) (string, bool) {
 	case obs.KindScheduleRestore:
 		degraded = false
 	}
-	return scheduleName(e.Detail), degraded
-}
-
-// scheduleName recovers the target schedule from a schedule event's detail
-// line ("requested schedule chi2", "degraded to schedule safe"): the last
-// space-separated word, mirroring the timeline analyzer's parser.
-func scheduleName(detail string) string {
-	if i := strings.LastIndexByte(detail, ' '); i >= 0 {
-		return detail[i+1:]
-	}
-	return ""
+	return obs.ScheduleName(e.Detail), degraded
 }
 
 // AsOf reconstructs the module state at valid time asOfTick (negative = the

@@ -101,8 +101,7 @@ type Counters struct {
 // countersOf reads the counters off a metrics snapshot: the one mapping
 // from spine event kinds and histograms to counters.
 func countersOf(s *obs.Snapshot) Counters {
-	// Snapshot.CountKind would copy the snapshot on every call.
-	n := func(k obs.Kind) int { return int(s.Counts[k.String()]) }
+	n := func(k obs.Kind) int { return int(s.CountKind(k)) }
 	return Counters{
 		PartitionRestarts: n(obs.KindPartitionRestart),
 		ProcessRestarts:   n(obs.KindProcessRestarted),

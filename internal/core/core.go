@@ -240,7 +240,9 @@ type Module struct {
 }
 
 // NewModule validates the configuration against the formal model and builds
-// the module. No process code runs until Start.
+// the module. Its model.Verify is the one verification gate: the partition
+// scheduler compiles the schedules it accepted without checking them again.
+// No process code runs until Start.
 func NewModule(cfg Config) (*Module, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("%w: nil system", ErrModelInvalid)
@@ -270,20 +272,8 @@ func NewModule(cfg Config) (*Module, error) {
 		m.bus.Attach(s)
 	}
 
-	compiled := make([]*pmk.CompiledSchedule, len(cfg.System.Schedules))
-	for i := range cfg.System.Schedules {
-		cs, err := pmk.Compile(cfg.System, &cfg.System.Schedules[i])
-		if err != nil {
-			return nil, err
-		}
-		compiled[i] = cs
-	}
-	sched, err := pmk.NewScheduler(compiled)
-	if err != nil {
-		return nil, err
-	}
-	m.sched = sched
-	m.disp = pmk.NewDispatcher(sched, pmk.Hooks{})
+	m.sched = pmk.NewScheduler(cfg.System)
+	m.disp = pmk.NewDispatcher(m.sched, pmk.Hooks{})
 	m.bind()
 
 	for _, pc := range cfg.Partitions {

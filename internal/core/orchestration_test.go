@@ -144,7 +144,8 @@ func TestRestartStormContainment(t *testing.T) {
 	if got := managed.Recovery().StatusOf("P1"); got == recovery.StatusNormal {
 		t.Errorf("P1 recovery status = %v, want deferred/quarantined/half-open", got)
 	}
-	if n := managed.Bus().Snapshot().CountKind(obs.KindQuarantineEnter); n == 0 {
+	snap := managed.Bus().Snapshot()
+	if n := snap.CountKind(obs.KindQuarantineEnter); n == 0 {
 		t.Error("no QUARANTINE_ENTER was emitted")
 	}
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
+	"air/internal/iodev"
 	"air/internal/mmu"
 	"air/internal/model"
 )
@@ -148,4 +151,96 @@ func TestForkMemoryIsolation(t *testing.T) {
 			t.Errorf("%s reads %q, want %q", tc.name, buf, tc.want)
 		}
 	}
+}
+
+// TestStaticSpatialSeparation checks the page tables a module shares with
+// its forks, on the Fig. 8 module after Start and on a fork of it: every
+// page of each partition's descriptors translates to a frame no other page
+// maps, and app and POS reads, writes and executes succeed exactly where
+// the descriptor allows. After the fork neither side can map RAM or a
+// device, and every translation stays as it was.
+func TestStaticSpatialSeparation(t *testing.T) {
+	cfg := Config{System: model.Fig8System()}
+	for _, p := range cfg.System.Partitions {
+		cfg.Partitions = append(cfg.Partitions, PartitionConfig{Name: p, Init: normalInit(nil)})
+	}
+	// P4's app and POS permissions differ, so the check tells the levels
+	// apart.
+	cfg.Partitions[3].Descriptors = []mmu.Descriptor{
+		{Section: mmu.SectionCode, Base: 0x0000_0000, Size: 4 * mmu.PageSize,
+			AppPerms: mmu.Execute, POSPerms: mmu.Read | mmu.Execute},
+		{Section: mmu.SectionData, Base: 0x0010_0000, Size: 4 * mmu.PageSize,
+			AppPerms: mmu.Read, POSPerms: mmu.Read | mmu.Write},
+		{Section: mmu.SectionData, Base: 0x0018_0000, Size: 2 * mmu.PageSize,
+			POSPerms: mmu.Read | mmu.Write},
+		{Section: mmu.SectionStack, Base: 0x0020_0000, Size: 2 * mmu.PageSize,
+			AppPerms: mmu.Read | mmu.Write, POSPerms: mmu.Read | mmu.Write},
+	}
+	m := startModule(t, cfg)
+	want := separatedPages(t, m)
+	if err := m.Run(1300); err != nil {
+		t.Fatal(err)
+	}
+	fork, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fork.Shutdown()
+	for _, side := range []struct {
+		name string
+		mod  *Module
+	}{{"parent", m}, {"fork", fork}} {
+		mem := side.mod.Memory()
+		err := mem.MapSpace(mmu.SpaceSpec{Partition: "P1", Descriptors: []mmu.Descriptor{{
+			Section: mmu.SectionData, Base: 0x0040_0000, Size: mmu.PageSize,
+			AppPerms: mmu.Read, POSPerms: mmu.Read}}})
+		if !errors.Is(err, mmu.ErrShared) {
+			t.Errorf("%s: MapSpace = %v, want mmu.ErrShared", side.name, err)
+		}
+		err = mem.MapDevice("P1", 0x0050_0000, 64, mmu.Read, mmu.Read, iodev.NewUART())
+		if !errors.Is(err, mmu.ErrShared) {
+			t.Errorf("%s: MapDevice = %v, want mmu.ErrShared", side.name, err)
+		}
+		if got := separatedPages(t, side.mod); !maps.Equal(got, want) {
+			t.Errorf("%s: translations changed: %d mapped pages, want the %d mapped after Start",
+				side.name, len(got), len(want))
+		}
+	}
+}
+
+// separatedPages checks the static separation of m's page tables and
+// returns every mapped page's PMK translation, keyed by partition and
+// virtual page.
+func separatedPages(t *testing.T, m *Module) map[string]mmu.PhysAddr {
+	t.Helper()
+	mem := m.Memory()
+	pages := make(map[string]mmu.PhysAddr)
+	owner := make(map[mmu.PhysAddr]string)
+	for _, p := range m.sys.Partitions {
+		for _, d := range mem.Descriptors(p) {
+			for va := d.Base; va < d.End(); va += mmu.PageSize {
+				page := fmt.Sprintf("%s@%#x", p, uint32(va))
+				pa, err := mem.TranslateIn(p, va, mmu.Read, mmu.PrivPMK)
+				if err != nil {
+					t.Fatalf("%s: %v", page, err)
+				}
+				if prev, ok := owner[pa]; ok {
+					t.Errorf("%s and %s both map frame %#x", prev, page, uint32(pa))
+				}
+				owner[pa], pages[page] = page, pa
+				for _, lv := range []struct {
+					priv  mmu.Privilege
+					perms mmu.AccessMode
+				}{{mmu.PrivApp, d.AppPerms}, {mmu.PrivPOS, d.POSPerms}} {
+					for _, mode := range []mmu.AccessMode{mmu.Read, mmu.Write, mmu.Execute} {
+						_, err := mem.TranslateIn(p, va, mode, lv.priv)
+						if allowed := lv.perms&mode != 0; allowed != (err == nil) {
+							t.Errorf("%s %s %s: %v, descriptor grants %s", page, lv.priv, mode, err, lv.perms)
+						}
+					}
+				}
+			}
+		}
+	}
+	return pages
 }

@@ -792,7 +792,7 @@ func (c *Coordinator) Snapshot() timeline.Snapshot {
 	defer c.mu.Unlock()
 	var s timeline.Snapshot
 	for _, id := range c.order {
-		s = s.Add(c.campaigns[id].merged.Timeline)
+		s.Accumulate(&c.campaigns[id].merged.Timeline)
 	}
 	// Fold the durable store's gauges over every campaign's stored archives
 	// so the fleet /metrics page reports archive growth.
@@ -820,7 +820,7 @@ func (c *Coordinator) Registry() obs.Snapshot {
 	defer c.mu.Unlock()
 	s := c.metrics.Snapshot()
 	for _, id := range c.order {
-		s = s.Add(c.campaigns[id].merged.Metrics)
+		s.Accumulate(&c.campaigns[id].merged.Metrics)
 	}
 	return s
 }

@@ -330,7 +330,8 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	if got.elapsed < 3*ttl {
 		t.Fatalf("lease ran %v, under three TTLs: nothing to renew", got.elapsed)
 	}
-	if n := live.Registry().CountKind(obs.KindLeaseReclaimed); n != 0 {
+	reg := live.Registry()
+	if n := reg.CountKind(obs.KindLeaseReclaimed); n != 0 {
 		t.Fatalf("%d LEASE_RECLAIMED under a default-options worker", n)
 	}
 	if ws := workerStatus(t, live, "slow"); ws.Expiries != 0 {

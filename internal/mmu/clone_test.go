@@ -2,9 +2,13 @@ package mmu
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
+
+	"air/internal/model"
 )
 
 // cowBase is P1's data section in newMapped: four read-write pages.
@@ -128,4 +132,63 @@ func TestCloneCopyOnWrite(t *testing.T) {
 			w.check(t)
 		})
 	}
+}
+
+// TestCloneSharesPageTablesReadOnly: a clone shares its source's partition
+// contexts, so from Clone on neither side can map RAM or a device, and
+// every translation stays as it was on both.
+func TestCloneSharesPageTablesReadOnly(t *testing.T) {
+	src := newMapped(t)
+	if err := src.MapDevice("P2", 0x0004_0000, 64, Read, Read|Write, &echoDevice{}); err != nil {
+		t.Fatal(err)
+	}
+	want := translations(t, src)
+	clone := src.Clone()
+	for _, side := range []struct {
+		name string
+		m    *MMU
+	}{{"source", src}, {"clone", clone}} {
+		name, m := side.name, side.m
+		for _, spec := range []SpaceSpec{
+			{Partition: "P3", Descriptors: []Descriptor{{Section: SectionData, Base: 0x0003_0000,
+				Size: PageSize, AppPerms: Read, POSPerms: Read}}},
+			{Partition: "P1", Descriptors: []Descriptor{{Section: SectionData, Base: 0x0003_0000,
+				Size: PageSize, AppPerms: Read | Write, POSPerms: Read | Write}}},
+		} {
+			if err := m.MapSpace(spec); !errors.Is(err, ErrShared) {
+				t.Errorf("%s: MapSpace(%s) = %v, want ErrShared", name, spec.Partition, err)
+			}
+		}
+		if err := m.MapDevice("P1", 0x0005_0000, 64, Read, Read, &echoDevice{}); !errors.Is(err, ErrShared) {
+			t.Errorf("%s: MapDevice = %v, want ErrShared", name, err)
+		}
+		if got := translations(t, m); !maps.Equal(got, want) {
+			t.Errorf("%s: translations changed:\n got %v\nwant %v", name, got, want)
+		}
+		if _, err := m.TranslateIn("P3", 0x0003_0000, Read, PrivPMK); !errors.Is(err, ErrUnknownSpace) {
+			t.Errorf("%s: refused MapSpace left P3 translatable: %v", name, err)
+		}
+		if m.Devices("P1") != 0 || m.Devices("P2") != 1 {
+			t.Errorf("%s: devices P1=%d P2=%d, want 0 and 1", name, m.Devices("P1"), m.Devices("P2"))
+		}
+	}
+}
+
+// translations returns the PMK translation of every page newMapped maps,
+// keyed by partition and virtual page.
+func translations(t *testing.T, m *MMU) map[string]PhysAddr {
+	t.Helper()
+	out := make(map[string]PhysAddr)
+	for _, p := range []model.PartitionName{"P1", "P2"} {
+		for _, d := range m.Descriptors(p) {
+			for va := d.Base; va < d.End(); va += PageSize {
+				pa, err := m.TranslateIn(p, va, Read, PrivPMK)
+				if err != nil {
+					t.Fatalf("%s@%#x: %v", p, uint32(va), err)
+				}
+				out[fmt.Sprintf("%s@%#x", p, uint32(va))] = pa
+			}
+		}
+	}
+	return out
 }

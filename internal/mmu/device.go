@@ -43,9 +43,13 @@ var (
 // MapDevice installs a memory-mapped device into partition p's addressing
 // space. The range must not collide with mapped RAM pages or other devices
 // of the same partition. Unlike RAM descriptors, device ranges need not be
-// page-aligned (device register blocks rarely are).
+// page-aligned (device register blocks rarely are). Like MapSpace, it
+// returns ErrShared once the MMU has been cloned or is a clone.
 func (m *MMU) MapDevice(p model.PartitionName, base VirtAddr, size uint32,
 	appPerms, posPerms AccessMode, dev Device) error {
+	if m.gen.Load() != 0 {
+		return ErrShared
+	}
 	if dev == nil {
 		return ErrNilDevice
 	}

@@ -251,7 +251,8 @@ type frame struct {
 // write goes in place only when the entry's gen equals the MMU's gen;
 // otherwise it first copies the frame (or allocates a nil one) and stamps
 // the entry with the current gen. Clone bumps gen, which makes every frame
-// shared again without touching the table.
+// shared again without touching the table. Clone is gen's only writer, so a
+// non-zero gen also marks contexts as shared with a clone and read-only.
 type MMU struct {
 	frames   []frame
 	gen      atomic.Uint64
@@ -275,6 +276,9 @@ var (
 	ErrOutOfMemory  = errors.New("mmu: simulated physical memory exhausted")
 	ErrUnknownSpace = errors.New("mmu: partition has no mapped space")
 	ErrZeroSize     = errors.New("mmu: descriptor has zero size")
+	// ErrShared: the page tables are shared with a clone (see Clone), so
+	// no mapping can change any more.
+	ErrShared = errors.New("mmu: page tables shared with a clone")
 )
 
 // New creates an MMU fronting size bytes of simulated physical memory
@@ -292,7 +296,11 @@ func New(size int) *MMU {
 
 // MapSpace installs a partition's addressing space: for each descriptor,
 // physical frames are allocated and the three-level page table populated.
+// It returns ErrShared once the MMU has been cloned or is a clone.
 func (m *MMU) MapSpace(spec SpaceSpec) error {
+	if m.gen.Load() != 0 {
+		return ErrShared
+	}
 	ctx, ok := m.contexts[spec.Partition]
 	if !ok {
 		ctx = &context{root: &l1Table{}}

@@ -144,13 +144,6 @@ func Verify(sys *System) *Report {
 	return r
 }
 
-// VerifySchedule checks a single scheduling table in the context of sys.
-func VerifySchedule(sys *System, s *Schedule) *Report {
-	r := &Report{}
-	verifySchedule(sys, s, r)
-	return r
-}
-
 func verifySchedule(sys *System, s *Schedule, r *Report) {
 	checkRequirements(sys, s, r)
 	checkWindowShape(sys, s, r)

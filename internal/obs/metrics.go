@@ -158,8 +158,7 @@ func (m *Metrics) Snapshot() Snapshot {
 }
 
 // Snapshot is a point-in-time copy of a Metrics registry, serializable to
-// JSON and subtractable to form deltas (per-fault-class counter deltas in
-// campaign reports, per-phase deltas in experiments).
+// JSON and summed by Accumulate.
 type Snapshot struct {
 	// Events is the total number of observed events across all kinds.
 	Events uint64 `json:"events"`
@@ -177,48 +176,14 @@ type Snapshot struct {
 	RestartsPerWindow HistSnapshot `json:"restartsPerWindow"`
 }
 
-// Count returns the snapshot's counter for a kind name (0 when absent).
-func (s Snapshot) Count(kind string) uint64 { return s.Counts[kind] }
-
 // CountKind returns the snapshot's counter for a kind.
-func (s Snapshot) CountKind(k Kind) uint64 { return s.Counts[k.String()] }
+func (s *Snapshot) CountKind(k Kind) uint64 { return s.Counts[k.String()] }
 
-// Sub returns the per-counter delta s − base (counters are monotonic, so
-// deltas of a later snapshot against an earlier one are non-negative;
-// histograms subtract field-wise except Max, which keeps s's value).
-func (s Snapshot) Sub(base Snapshot) Snapshot {
-	d := Snapshot{
-		Events:            s.Events - base.Events,
-		DetectionLatency:  subHist(s.DetectionLatency, base.DetectionLatency),
-		WindowGap:         subHist(s.WindowGap, base.WindowGap),
-		MTTR:              subHist(s.MTTR, base.MTTR),
-		DegradedTicks:     subHist(s.DegradedTicks, base.DegradedTicks),
-		RestartDeferral:   subHist(s.RestartDeferral, base.RestartDeferral),
-		RestartsPerWindow: subHist(s.RestartsPerWindow, base.RestartsPerWindow),
-	}
-	for name, c := range s.Counts { //air:allow(maprange): map-to-map difference; order-insensitive
-		if delta := c - base.Counts[name]; delta != 0 {
-			if d.Counts == nil {
-				d.Counts = make(map[string]uint64, len(s.Counts))
-			}
-			d.Counts[name] = delta
-		}
-	}
-	return d
-}
-
-// Add returns the per-counter sum s + other — how campaign aggregation folds
-// the per-run snapshots of one scenario or fault class into a class total.
-func (s Snapshot) Add(other Snapshot) Snapshot {
-	var t Snapshot
-	t.Accumulate(&s)
-	t.Accumulate(&other)
-	return t
-}
-
-// Accumulate adds o into s in place: Add's one merge rule, without a fresh
-// snapshot per fold. s never takes o's map or bucket slices, so what s
-// accumulates stays independent of o.
+// Accumulate adds o into s in place: the per-counter sum — how campaign
+// aggregation folds the per-run snapshots of one scenario or fault class
+// into a class total. s never takes o's map or bucket slices, so what s
+// accumulates stays independent of o, and accumulating into a zero
+// Snapshot makes a copy.
 func (s *Snapshot) Accumulate(o *Snapshot) {
 	s.Events += o.Events
 	s.DetectionLatency.accumulate(&o.DetectionLatency)
@@ -263,24 +228,6 @@ func addBuckets(b, o []uint64) []uint64 {
 		return nil
 	}
 	return b
-}
-
-func subHist(a, b HistSnapshot) HistSnapshot {
-	d := HistSnapshot{Count: a.Count - b.Count, Sum: a.Sum - b.Sum, Max: a.Max}
-	if d.Count > 0 {
-		d.Mean = float64(d.Sum) / float64(d.Count)
-	}
-	n := len(a.Buckets)
-	if n > 0 {
-		d.Buckets = make([]uint64, n)
-		copy(d.Buckets, a.Buckets)
-		for i, v := range b.Buckets {
-			if i < n {
-				d.Buckets[i] -= v
-			}
-		}
-	}
-	return d
 }
 
 // AppendSnapshot appends s as encoding/json writes it: the form a fleet

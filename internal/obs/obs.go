@@ -20,6 +20,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 
 	"air/internal/model"
 	"air/internal/tick"
@@ -221,6 +222,18 @@ var kindByName = func() map[string]Kind {
 
 // KindFromString parses a wire name back into a Kind (0 for unknown names).
 func KindFromString(s string) Kind { return kindByName[s] }
+
+// ScheduleName recovers the target schedule from the detail line of a
+// schedule event (KindScheduleSwitch, KindScheduleDegrade,
+// KindScheduleRestore): its last space-separated word, as in "requested
+// schedule chi2" or "degraded to schedule safe". It returns "" when the
+// detail carries no name; slicing allocates nothing.
+func ScheduleName(detail string) string {
+	if i := strings.LastIndexByte(detail, ' '); i >= 0 {
+		return detail[i+1:]
+	}
+	return ""
+}
 
 // Event is one spine record. The zero value of every field other than Time
 // and Kind means "not applicable": events are small comparable values and

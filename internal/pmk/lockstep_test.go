@@ -128,18 +128,11 @@ func TestSchedulerLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 300; n++ {
 		sys := genSystem(rng)
-		compiled := make([]*CompiledSchedule, len(sys.Schedules))
-		for i := range sys.Schedules {
-			cs, err := Compile(sys, &sys.Schedules[i])
-			if err != nil {
-				t.Fatalf("system %d: %v", n, err)
-			}
-			compiled[i] = cs
+		if r := model.Verify(sys); !r.OK() {
+			t.Fatalf("system %d:\n%s", n, r)
 		}
-		s, err := NewScheduler(compiled)
-		if err != nil {
-			t.Fatalf("system %d: %v", n, err)
-		}
+		s := NewScheduler(sys)
+		compiled := s.schedules
 		heir, err := s.Start()
 		if err != nil {
 			t.Fatalf("system %d: %v", n, err)

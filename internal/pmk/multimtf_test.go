@@ -40,18 +40,7 @@ func TestDifferentMTFsAcrossSchedules(t *testing.T) {
 			},
 		},
 	}
-	var compiled []*CompiledSchedule
-	for i := range sys.Schedules {
-		cs, err := Compile(sys, &sys.Schedules[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		compiled = append(compiled, cs)
-	}
-	s, err := NewScheduler(compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(sys)
 	heir, err := s.Start()
 	if err != nil {
 		t.Fatal(err)

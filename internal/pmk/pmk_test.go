@@ -8,22 +8,15 @@ import (
 	"air/internal/tick"
 )
 
-func compileFig8(t *testing.T) (*model.System, []*CompiledSchedule) {
-	t.Helper()
-	sys := model.Fig8System()
-	var out []*CompiledSchedule
-	for i := range sys.Schedules {
-		cs, err := Compile(sys, &sys.Schedules[i])
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", sys.Schedules[i].Name, err)
-		}
-		out = append(out, cs)
-	}
-	return sys, out
+// compileFig8 returns a scheduler over the Fig. 8 system and the schedules
+// it compiled.
+func compileFig8() (*Scheduler, []*CompiledSchedule) {
+	s := NewScheduler(model.Fig8System())
+	return s, s.schedules
 }
 
 func TestCompileFig8(t *testing.T) {
-	_, schedules := compileFig8(t)
+	_, schedules := compileFig8()
 	chi1 := schedules[0]
 	if len(chi1.Points) != 7 {
 		t.Fatalf("chi1 points = %d, want 7 (no idle gaps)", len(chi1.Points))
@@ -64,10 +57,7 @@ func TestCompileIdleGaps(t *testing.T) {
 			},
 		}},
 	}
-	cs, err := Compile(sys, &sys.Schedules[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := compile(sys, &sys.Schedules[0])
 	// idle@0, A@10, idle@30, B@50, idle@70.
 	want := []struct {
 		offset tick.Ticks
@@ -87,22 +77,8 @@ func TestCompileIdleGaps(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsInvalid(t *testing.T) {
-	sys := &model.System{
-		Partitions: []model.PartitionName{"A"},
-		Schedules: []model.Schedule{{
-			Name: "bad", MTF: 100,
-			Requirements: []model.Requirement{{Partition: "A", Cycle: 100, Budget: 50}},
-			Windows:      []model.Window{{Partition: "A", Offset: 80, Duration: 50}},
-		}},
-	}
-	if _, err := Compile(sys, &sys.Schedules[0]); !errors.Is(err, ErrInvalidSchedule) {
-		t.Fatalf("Compile = %v, want ErrInvalidSchedule", err)
-	}
-}
-
 func TestPartitionAt(t *testing.T) {
-	_, schedules := compileFig8(t)
+	_, schedules := compileFig8()
 	chi1 := schedules[0]
 	tests := []struct {
 		offset tick.Ticks
@@ -119,14 +95,7 @@ func TestPartitionAt(t *testing.T) {
 }
 
 func TestSchedulerLifecycle(t *testing.T) {
-	if _, err := NewScheduler(nil); !errors.Is(err, ErrNoSchedules) {
-		t.Fatalf("NewScheduler(nil) = %v", err)
-	}
-	_, schedules := compileFig8(t)
-	s, err := NewScheduler(schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compileFig8()
 	heir, err := s.Start()
 	if err != nil || heir.Partition != "P1" {
 		t.Fatalf("Start = %v, %v", heir, err)
@@ -145,11 +114,7 @@ func TestSchedulerLifecycle(t *testing.T) {
 // TestSchedulerTimelineChi1 drives Algorithm 1 over two MTFs of chi1 and
 // checks the heir at every tick against the Fig. 8 window layout.
 func TestSchedulerTimelineChi1(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, err := NewScheduler(schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, schedules := compileFig8()
 	heir, err := s.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +138,7 @@ func TestSchedulerTimelineChi1(t *testing.T) {
 // must come out false "far more often than true" — for Fig. 8, 7 points per
 // 1300 ticks.
 func TestBestCaseFrequency(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, err := NewScheduler(schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compileFig8()
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +162,7 @@ func TestBestCaseFrequency(t *testing.T) {
 // major time frame, and successive requests override each other with only
 // the last taking effect.
 func TestScheduleSwitchAtMTFBoundary(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, err := NewScheduler(schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compileFig8()
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +227,7 @@ func TestScheduleSwitchAtMTFBoundary(t *testing.T) {
 }
 
 func TestRequestSwitchValidation(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, err := NewScheduler(schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compileFig8()
 	if err := s.RequestSwitch(5); !errors.Is(err, ErrUnknownSchedule) {
 		t.Errorf("RequestSwitch(5) = %v", err)
 	}
@@ -300,8 +253,7 @@ func TestRequestSwitchValidation(t *testing.T) {
 }
 
 func TestDispatcherSamePartitionFastPath(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, _ := NewScheduler(schedules)
+	s, _ := compileFig8()
 	heir, _ := s.Start()
 	d := NewDispatcher(s, Hooks{})
 	res := d.Dispatch(heir, 0)
@@ -319,8 +271,7 @@ func TestDispatcherSamePartitionFastPath(t *testing.T) {
 }
 
 func TestDispatcherContextSwitchAccounting(t *testing.T) {
-	_, schedules := compileFig8(t)
-	s, _ := NewScheduler(schedules)
+	s, _ := compileFig8()
 	heir, _ := s.Start()
 
 	var saved, restored []model.PartitionName
@@ -370,8 +321,7 @@ func TestDispatcherSecondRoundElapsed(t *testing.T) {
 	// P2 runs [200,300), then again at [1000,1100): at the second dispatch
 	// elapsed = 1000 - 299 = 701 — the catch-up announcement that lets the
 	// PAL detect deadlines missed while P2 was inactive.
-	_, schedules := compileFig8(t)
-	s, _ := NewScheduler(schedules)
+	s, _ := compileFig8()
 	heir, _ := s.Start()
 	d := NewDispatcher(s, Hooks{})
 	d.Dispatch(heir, 0)
@@ -398,11 +348,7 @@ func TestDispatcherIdleWindows(t *testing.T) {
 			Windows:      []model.Window{{Partition: "A", Offset: 50, Duration: 20}},
 		}},
 	}
-	cs, err := Compile(sys, &sys.Schedules[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := NewScheduler([]*CompiledSchedule{cs})
+	s := NewScheduler(sys)
 	heir, _ := s.Start()
 	if !heir.Idle {
 		t.Fatalf("initial heir = %v, want idle", heir)

@@ -6,9 +6,6 @@
 package pmk
 
 import (
-	"errors"
-	"fmt"
-
 	"air/internal/model"
 	"air/internal/tick"
 )
@@ -49,64 +46,29 @@ type CompiledSchedule struct {
 	// ChangeActions maps each participating partition to its
 	// ScheduleChangeAction for this schedule (Sect. 4, integration step 2).
 	ChangeActions map[model.PartitionName]model.ScheduleChangeAction
-	// Source is the model schedule this table was compiled from.
-	Source *model.Schedule
 
-	// Flat compiled form, derived from Points/ChangeActions at Compile time
+	// Flat compiled form, derived from Points/ChangeActions at compile time
 	// and consumed by the Algorithm 1/2 hot paths: parallel per-point arrays
 	// (no struct-field hops) and a dense change-action table indexed by
-	// partition ordinal. These tables are immutable after Compile and shared
+	// partition ordinal. These tables are immutable after compile and shared
 	// read-only between a module and all its snapshot forks.
 	offsets []tick.Ticks // per point: MTF offset
 	heirs   []Heir       // per point: heir selected at that offset
-	// partNames is the module-wide partition ordinal table (the order of
-	// sys.Partitions); identical across every schedule compiled from one
-	// system, which NewScheduler verifies.
-	partNames []model.PartitionName
 	// actionByOrd is ChangeActions as a dense slice indexed by partition
-	// ordinal; 0 marks a partition with no requirement in this schedule.
+	// ordinal (the order of sys.Partitions); 0 marks a partition with no
+	// requirement in this schedule.
 	actionByOrd []model.ScheduleChangeAction
 }
 
-// compileFlat derives the flat tables from Points/ChangeActions.
-func (cs *CompiledSchedule) compileFlat(sys *model.System) {
-	cs.offsets = make([]tick.Ticks, len(cs.Points))
-	cs.heirs = make([]Heir, len(cs.Points))
-	for i, pt := range cs.Points {
-		cs.offsets[i] = pt.Offset
-		cs.heirs[i] = pt.Heir
-	}
-	cs.partNames = make([]model.PartitionName, len(sys.Partitions))
-	cs.actionByOrd = make([]model.ScheduleChangeAction, len(sys.Partitions))
-	for i, p := range sys.Partitions {
-		cs.partNames[i] = p
-		if a, ok := cs.ChangeActions[p]; ok {
-			cs.actionByOrd[i] = a
-		}
-	}
-}
-
-// PartitionNames returns the partition ordinal table the schedule was
-// compiled against: ordinal i is sys.Partitions[i].Name.
-func (cs *CompiledSchedule) PartitionNames() []model.PartitionName { return cs.partNames }
-
-// ErrInvalidSchedule is returned when compiling a schedule that fails model
-// verification.
-var ErrInvalidSchedule = errors.New("pmk: schedule fails model verification")
-
-// Compile translates a verified model schedule into preemption-point form.
-// Windows must already satisfy eq. (21) (verified via the model package);
-// idle gaps between windows, before the first window and after the last one
-// become explicit idle preemption points.
-func Compile(sys *model.System, s *model.Schedule) (*CompiledSchedule, error) {
-	if r := model.VerifySchedule(sys, s); !r.OK() {
-		return nil, fmt.Errorf("%w:\n%s", ErrInvalidSchedule, r)
-	}
+// compile translates a model schedule of sys, which model.Verify has
+// accepted, into preemption-point form: idle gaps between windows, before
+// the first window and after the last one become explicit idle preemption
+// points.
+func compile(sys *model.System, s *model.Schedule) *CompiledSchedule {
 	cs := &CompiledSchedule{
 		Name:          s.Name,
 		MTF:           s.MTF,
 		ChangeActions: make(map[model.PartitionName]model.ScheduleChangeAction, len(s.Requirements)),
-		Source:        s,
 	}
 	for _, q := range s.Requirements {
 		action := q.ChangeAction
@@ -132,8 +94,17 @@ func Compile(sys *model.System, s *model.Schedule) (*CompiledSchedule, error) {
 			Offset: cursor, Heir: Heir{Idle: true}, WindowIndex: -1,
 		})
 	}
-	cs.compileFlat(sys)
-	return cs, nil
+	cs.offsets = make([]tick.Ticks, len(cs.Points))
+	cs.heirs = make([]Heir, len(cs.Points))
+	for i, pt := range cs.Points {
+		cs.offsets[i] = pt.Offset
+		cs.heirs[i] = pt.Heir
+	}
+	cs.actionByOrd = make([]model.ScheduleChangeAction, len(sys.Partitions))
+	for i, p := range sys.Partitions {
+		cs.actionByOrd[i] = cs.ChangeActions[p]
+	}
+	return cs
 }
 
 // PartitionAt returns the heir at a given offset within the MTF — useful for

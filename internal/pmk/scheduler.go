@@ -3,6 +3,7 @@ package pmk
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"air/internal/model"
 	"air/internal/obs"
@@ -11,11 +12,9 @@ import (
 
 // Scheduler errors.
 var (
-	ErrNoSchedules       = errors.New("pmk: no schedules compiled")
-	ErrUnknownSchedule   = errors.New("pmk: unknown schedule")
-	ErrAlreadyStarted    = errors.New("pmk: scheduler already started")
-	ErrNotStarted        = errors.New("pmk: scheduler not started")
-	ErrMismatchedModeMTF = errors.New("pmk: schedules disagree on partition set")
+	ErrUnknownSchedule = errors.New("pmk: unknown schedule")
+	ErrAlreadyStarted  = errors.New("pmk: scheduler already started")
+	ErrNotStarted      = errors.New("pmk: scheduler not started")
 )
 
 // ScheduleStatus is the information returned by the ARINC 653 Part 2
@@ -34,7 +33,7 @@ type ScheduleStatus struct {
 // computations: incrementing the tick counter and testing for a partition
 // preemption point.
 //
-// It runs Algorithm 1 over the flat tables built at Compile time: parallel
+// It runs Algorithm 1 over the flat tables built at compile time: parallel
 // offset/heir arrays cached in the scheduler on every schedule activation,
 // and a dense pending-action slice indexed by partition ordinal.
 // TestSchedulerLockstep checks it tick by tick against a test-only
@@ -62,8 +61,9 @@ type Scheduler struct {
 	heirs   []Heir
 
 	// Pending actions: dense slice indexed by partition ordinal (0 = none
-	// armed), with the ordinal table shared read-only from the compiled
-	// schedules.
+	// armed). partNames is the ordinal table, the order of sys.Partitions
+	// every compiled schedule's actionByOrd follows; it is shared read-only
+	// with the dispatcher and with clones.
 	partNames    []model.PartitionName
 	pendingActs  []model.ScheduleChangeAction
 	pendingCount int
@@ -71,30 +71,20 @@ type Scheduler struct {
 	obs obs.Emitter
 }
 
-// NewScheduler creates a Scheduler over the compiled schedules. Schedule IDs
-// are indices into the slice; index 0 is the initial schedule.
-func NewScheduler(schedules []*CompiledSchedule) (*Scheduler, error) {
-	if len(schedules) == 0 {
-		return nil, ErrNoSchedules
-	}
-	names := schedules[0].partNames
-	for _, cs := range schedules[1:] {
-		if len(cs.partNames) != len(names) {
-			return nil, ErrMismatchedModeMTF
-		}
-		for i := range names {
-			if cs.partNames[i] != names[i] {
-				return nil, ErrMismatchedModeMTF
-			}
-		}
-	}
+// NewScheduler compiles every schedule of sys, which model.Verify must have
+// accepted, and creates a Scheduler over them. Schedule IDs are indices into
+// sys.Schedules; index 0 is the initial schedule.
+func NewScheduler(sys *model.System) *Scheduler {
 	s := &Scheduler{
-		schedules:   schedules,
-		partNames:   names,
-		pendingActs: make([]model.ScheduleChangeAction, len(names)),
+		schedules:   make([]*CompiledSchedule, len(sys.Schedules)),
+		partNames:   slices.Clone(sys.Partitions),
+		pendingActs: make([]model.ScheduleChangeAction, len(sys.Partitions)),
 	}
-	s.activate(schedules[0])
-	return s, nil
+	for i := range sys.Schedules {
+		s.schedules[i] = compile(sys, &sys.Schedules[i])
+	}
+	s.activate(s.schedules[0])
+	return s
 }
 
 // activate caches the flat tables of the schedule now in force.
@@ -245,7 +235,7 @@ func (s *Scheduler) PendingActionCount() int { return s.pendingCount }
 
 // Clone returns a deep copy of the scheduler's mutable Algorithm 1 state.
 // The compiled schedules (and the flat tables inside them) are immutable
-// after Compile and shared read-only with the clone; the observability
+// after compile and shared read-only with the clone; the observability
 // emitter is NOT carried over — the forked module attaches its own.
 func (s *Scheduler) Clone() *Scheduler {
 	c := *s

@@ -79,17 +79,9 @@ func (h *hist) snap() HistSnap {
 	return s
 }
 
-// Add merges two snapshots: counts and sums add, extrema widen, buckets add
-// index-wise. Campaign aggregation folds per-run histograms through it.
-func (s HistSnap) Add(o HistSnap) HistSnap {
-	var t HistSnap
-	t.accumulate(&s)
-	t.accumulate(&o)
-	return t
-}
-
-// accumulate adds o into s in place, Add's one merge rule: the buckets add
-// into s's own slice, grown to o's length, never o's.
+// accumulate adds o into s in place: counts and sums add, extrema widen,
+// buckets add index-wise into s's own slice, grown to o's length, never
+// o's. Campaign aggregation folds per-run histograms through it.
 func (s *HistSnap) accumulate(o *HistSnap) {
 	switch {
 	case s.Count == 0:

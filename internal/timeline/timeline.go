@@ -275,7 +275,7 @@ func (t *Timeline) Emit(e obs.Event) {
 		}
 	case obs.KindScheduleSwitch:
 		//air:allow(call): schedule switches are rare module-level events; detail parsing is off the per-tick path
-		t.pending = scheduleNameFromDetail(e.Detail)
+		t.pending = obs.ScheduleName(e.Detail)
 	case obs.KindHMReport:
 		t.fdr.noteError(e)
 	}
@@ -520,17 +520,6 @@ func (t *Timeline) rollCycles(ps *partState, now tick.Ticks) {
 	}
 }
 
-// scheduleNameFromDetail recovers the target schedule name from a
-// SCHEDULE_SWITCH request's detail line ("requested schedule chi2",
-// "recovery requested schedule chi2"). Returns "" when the detail carries no
-// name; slicing allocates nothing.
-func scheduleNameFromDetail(detail string) string {
-	if i := strings.LastIndexByte(detail, ' '); i >= 0 {
-		return detail[i+1:]
-	}
-	return ""
-}
-
 // Registry returns the analyzer's private metrics registry snapshot — the
 // same counters and histograms as the module registry, but safe to read
 // while the module runs.
@@ -678,19 +667,11 @@ func (t *Timeline) Snapshot() Snapshot {
 	return s
 }
 
-// Add merges two snapshots (union of partitions and processes by key,
-// histograms and counters folded) — the campaign aggregation primitive.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	var t Snapshot
-	t.Accumulate(&s)
-	t.Accumulate(&o)
-	return t
-}
-
-// Accumulate merges o into s in place: Add's one merge rule, without a
-// fresh snapshot per fold. Rows merge-join, as both sides keep them in key
-// order; a key s lacks is copied in with its own buckets, so what s
-// accumulates never aliases o.
+// Accumulate merges o into s in place (union of partitions and processes by
+// key, histograms and counters folded) — the campaign aggregation
+// primitive. Rows merge-join, as both sides keep them in key order; a key s
+// lacks is copied in with its own buckets, so what s accumulates never
+// aliases o, and accumulating into a zero Snapshot makes a copy.
 func (s *Snapshot) Accumulate(o *Snapshot) {
 	s.Ticks += o.Ticks
 	if s.Schedule == "" {

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -194,6 +195,15 @@ func TestScheduleSwitchAdoptsNewContract(t *testing.T) {
 	}
 }
 
+// sumOf accumulates parts into a zero Snapshot, in order.
+func sumOf(parts ...Snapshot) Snapshot {
+	var s Snapshot
+	for i := range parts {
+		s.Accumulate(&parts[i])
+	}
+	return s
+}
+
 func TestSnapshotAddMerges(t *testing.T) {
 	mk := func(resp tick.Ticks) Snapshot {
 		tl := New(Options{})
@@ -201,19 +211,37 @@ func TestSnapshotAddMerges(t *testing.T) {
 		tl.Emit(ev(resp, obs.KindProcessComplete, "P1", "a", resp))
 		return tl.Snapshot()
 	}
-	sum := mk(30).Add(mk(50))
-	if sum.Response.Count != 2 || sum.Response.Min != 30 || sum.Response.Max != 50 {
-		t.Errorf("merged response = %+v", sum.Response)
+	a, b := mk(30), mk(50)
+	sum := sumOf(a, b)
+	inPlace := mk(30)
+	inPlace.Accumulate(&b)
+	for _, s := range []Snapshot{sum, inPlace} {
+		if s.Response.Count != 2 || s.Response.Min != 30 || s.Response.Max != 50 {
+			t.Errorf("merged response = %+v", s.Response)
+		}
+		if len(s.Processes) != 1 || s.Processes[0].Releases != 2 {
+			t.Errorf("merged processes = %+v", s.Processes)
+		}
 	}
-	if len(sum.Processes) != 1 || sum.Processes[0].Releases != 2 {
-		t.Errorf("merged processes = %+v", sum.Processes)
+	// The sums hold rows and buckets of their own: writing them leaves the
+	// accumulated snapshots as they were.
+	for _, s := range []Snapshot{sum, inPlace} {
+		s.Processes[0].Releases = 99
+		for _, h := range []HistSnap{s.Response, s.Processes[0].Response} {
+			for i := range h.Buckets {
+				h.Buckets[i] += 100
+			}
+		}
+	}
+	if !reflect.DeepEqual(a, mk(30)) || !reflect.DeepEqual(b, mk(50)) {
+		t.Errorf("a sum aliases an operand: %+v, %+v", a, b)
 	}
 }
 
 // TestSnapshotRowsKeyedByFields merges snapshots whose free-form names hold
-// the characters a joined "core/partition/process" key would confuse: Add
-// keeps every process apart and emits the rows in the (core, partition,
-// process) order Timeline.Snapshot emits.
+// the characters a joined "core/partition/process" key would confuse:
+// Accumulate keeps every process apart and emits the rows in the (core,
+// partition, process) order Timeline.Snapshot emits.
 func TestSnapshotRowsKeyedByFields(t *testing.T) {
 	tl := New(Options{})
 	for i, p := range []struct {
@@ -234,9 +262,15 @@ func TestSnapshotRowsKeyedByFields(t *testing.T) {
 	if got := rows(snap); !slices.Equal(got, want) {
 		t.Fatalf("Snapshot process rows %q, want %q", got, want)
 	}
-	for _, sum := range []Snapshot{snap.Add(Snapshot{}), Snapshot{}.Add(snap), snap.Add(snap)} {
+	for _, sum := range []Snapshot{sumOf(snap, Snapshot{}), sumOf(Snapshot{}, snap), sumOf(snap, snap)} {
 		if got := rows(sum); !slices.Equal(got, want) {
-			t.Errorf("Add process rows %q, want %q", got, want)
+			t.Errorf("Accumulate process rows %q, want %q", got, want)
+		}
+		for i := range sum.Processes {
+			sum.Processes[i].Process = "x"
+		}
+		if got := rows(snap); !slices.Equal(got, want) {
+			t.Fatalf("a sum aliases its operand's rows: %q", got)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestForkIsolation(t *testing.T) {
 	if err := fork.Run(4 * forkMTF); err != nil {
 		t.Fatalf("fork run: %v", err)
 	}
-	if fork.Metrics().CountKind(obs.KindDeadlineMiss) == 0 {
+	if snap := fork.Metrics(); snap.CountKind(obs.KindDeadlineMiss) == 0 {
 		t.Fatal("injected overrun produced no deadline misses on the fork")
 	}
 
@@ -138,7 +138,8 @@ func TestForkIsolation(t *testing.T) {
 	if err := clean.Run(4 * forkMTF); err != nil {
 		t.Fatalf("clean fork run: %v", err)
 	}
-	if n := clean.Metrics().CountKind(obs.KindDeadlineMiss); n != 0 {
+	cleanSnap := clean.Metrics()
+	if n := cleanSnap.CountKind(obs.KindDeadlineMiss); n != 0 {
 		t.Fatalf("fault-free sibling fork saw %d deadline misses", n)
 	}
 }
@@ -181,8 +182,9 @@ func TestForkInjectedMatchesLateInjection(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	forkMisses := fork.Metrics().CountKind(obs.KindDeadlineMiss)
-	refMisses := ref.Metrics().CountKind(obs.KindDeadlineMiss)
+	forkSnap, refSnap := fork.Metrics(), ref.Metrics()
+	forkMisses := forkSnap.CountKind(obs.KindDeadlineMiss)
+	refMisses := refSnap.CountKind(obs.KindDeadlineMiss)
 	if forkMisses == 0 {
 		t.Fatal("late-phase overrun produced no deadline misses")
 	}
@@ -257,10 +259,11 @@ func TestForkWithRecoveryAndTimeline(t *testing.T) {
 	if err := fork.Run(8 * forkMTF); err != nil {
 		t.Fatalf("fork run: %v", err)
 	}
-	if fork.Metrics().CountKind(obs.KindPartitionRestart) == 0 {
+	if snap := fork.Metrics(); snap.CountKind(obs.KindPartitionRestart) == 0 {
 		t.Fatal("restart storm produced no partition restarts on the fork")
 	}
-	if n := parent.Metrics().CountKind(obs.KindPartitionRestart); n != 0 {
+	parentSnap := parent.Metrics()
+	if n := parentSnap.CountKind(obs.KindPartitionRestart); n != 0 {
 		t.Fatalf("parent saw %d partition restarts after fork-side storm", n)
 	}
 	if q := parent.Recovery().Quarantined(); len(q) != 0 {

@@ -29,11 +29,11 @@ func forkParent(tb testing.TB) *core.Snapshot {
 	return snap
 }
 
-// BenchmarkModuleFork isolates Fork() itself: the copy of every subsystem
-// (the MMU's frame table, whose frames are shared copy-on-write, page
-// tables, kernels, IPC channels, HM state, and the default trace ring,
-// whose clone copies only the events it holds) plus re-spawning the
-// process goroutines. This is the constant a campaign pays per
+// BenchmarkModuleFork isolates Fork() itself: the copy of every subsystem's
+// mutable state (the MMU's frame table, whose frames are shared
+// copy-on-write, kernels, IPC channels, HM state, and the default trace
+// ring, whose clone copies only the events it holds; page tables and
+// compiled schedules are shared) plus re-spawning the process goroutines. This is the constant a campaign pays per
 // prefix-shared variant, so it bounds how short a per-run suffix can get
 // before forking stops paying.
 func BenchmarkModuleFork(b *testing.B) {
@@ -98,32 +98,53 @@ func BenchmarkModuleBuildDefault(b *testing.B) {
 // above 256 KiB means frames or trace capacity are being allocated eagerly
 // again. Each case counts a module's whole life around its ticks, Shutdown
 // included.
+//
+// Integration happens once: a fork shares the page tables and compiled
+// schedules instead of rebuilding them, and a build verifies each schedule
+// once. A fork read 44.7 KB and 194 objects while it rebuilt the page tables
+// and about 23.4 KB and 164 objects since, and a campaign-shape build 399
+// objects while it verified twice and about 330 since, so the tighter
+// bounds below catch either coming back. They are not checked under -race,
+// whose instrumentation allocates.
 func TestModuleBuildAndForkAllocBound(t *testing.T) {
 	const bound = 256 << 10
 	snap := forkParent(t)
 	for _, c := range []struct {
 		name string
 		fn   func()
+		// maxBytes and maxObjects are the tighter bounds; 0 checks none.
+		maxBytes, maxObjects uint64
 	}{
-		{"build", func() { cycleModule(t, campaignModule()) }},
-		{"default-trace build", func() { cycleModule(t, Config(Options{})) }},
+		{"build", func() { cycleModule(t, campaignModule()) }, 0, 350},
+		{"default-trace build", func() { cycleModule(t, Config(Options{})) }, 0, 0},
 		{"fork", func() {
 			f, err := snap.Fork()
 			if err != nil {
 				t.Fatal(err)
 			}
 			f.Shutdown()
-		}},
+		}, 32 << 10, 175},
 	} {
-		if got := allocBytes(c.fn); got > bound {
-			t.Errorf("%s allocates %d B/op, want at most %d", c.name, got, bound)
+		bytes, objects := allocsPerCall(c.fn)
+		t.Logf("%s: %d B and %d objects per call", c.name, bytes, objects)
+		if bytes > bound {
+			t.Errorf("%s allocates %d B/op, want at most %d", c.name, bytes, bound)
+		}
+		if raceEnabled {
+			continue
+		}
+		if c.maxBytes > 0 && bytes > c.maxBytes {
+			t.Errorf("%s allocates %d B/op, want at most %d", c.name, bytes, c.maxBytes)
+		}
+		if c.maxObjects > 0 && objects > c.maxObjects {
+			t.Errorf("%s allocates %d objects/op, want at most %d", c.name, objects, c.maxObjects)
 		}
 	}
 }
 
-// allocBytes returns the bytes f allocates per call, averaged over 50 calls
-// after a warm-up call.
-func allocBytes(f func()) uint64 {
+// allocsPerCall returns the bytes and objects f allocates per call,
+// averaged over 50 calls after a warm-up call.
+func allocsPerCall(f func()) (bytes, objects uint64) {
 	const runs = 50
 	f()
 	var before, after runtime.MemStats
@@ -132,7 +153,7 @@ func allocBytes(f func()) uint64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs
+	return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
 }
 
 // BenchmarkModuleForkRun compares fork-then-simulate against the ticking

@@ -23,7 +23,8 @@ func TestRestartStormBoundedHMLog(t *testing.T) {
 	}
 	// The spine's monotonic counter (not the bounded trace ring) proves the
 	// storm generated more reports than the log may retain.
-	reports := m.Metrics().CountKind(obs.KindHMReport)
+	snap := m.Metrics()
+	reports := snap.CountKind(obs.KindHMReport)
 	if reports <= uint64(hm.DefaultMaxLog) {
 		t.Fatalf("storm produced only %d HM reports; horizon too short to exercise the log bound", reports)
 	}
